@@ -2,8 +2,8 @@
 
 Subcommands: evolve, validate, symbol, field, rt-check.  Exit codes:
 0 success, 2 configuration error, 3 solver failure, 4 RT-floor halt,
-5 validation failure.  The worker thread count is read from MUSKAT_THREADS;
-outputs are bit-identical for any value.
+5 validation failure.  MUSKAT_THREADS must be an integer; it is recorded in
+manifest.json and selects nothing, so outputs are bit-identical for any value.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._parallel import thread_count
 from .config import ConfigError, SimConfig, parse_config
 from .dynamics import evolve
 from .fields import ProbePoint, eval_pressure, eval_velocity
@@ -34,6 +33,15 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_RT = 4
 EXIT_VALIDATION = 5
+
+
+def thread_count() -> int:
+    """MUSKAT_THREADS (default 1, at least 1); raises ConfigError if not an integer."""
+    raw = os.environ.get("MUSKAT_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError as exc:
+        raise ConfigError(f"MUSKAT_THREADS must be an integer, got {raw!r}") from exc
 
 
 def _initial_field(cfg: SimConfig) -> ScalarField:
@@ -82,7 +90,7 @@ def cmd_evolve(args) -> int:
     f0 = _initial_field(cfg)
     try:
         result = evolve(f0, cfg.params, cfg.stepper, solver_tol=cfg.solver_tol,
-                        sobolev_s=cfg.sobolev_s)
+                        sobolev_s=cfg.sobolev_s, solver_max_iter=cfg.solver_max_iter)
     except SolveFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -159,7 +167,8 @@ def cmd_field(args) -> int:
     f = _initial_field(cfg)
     geom = InterfaceGeometry(f)
     from .resolvent import solve_beta
-    beta, _ = solve_beta(geom, cfg.params.a_mu, tol=cfg.solver_tol)
+    beta, _ = solve_beta(geom, cfg.params.a_mu, tol=cfg.solver_tol,
+                         max_iter=cfg.solver_max_iter)
     probes = []
     with open(args.probes, newline="") as fh:
         reader = csv.reader(fh)
@@ -190,7 +199,8 @@ def cmd_rt_check(args) -> int:
     f = load_field(args.snapshot)
     from .dynamics import InterfaceState, rt_margin
     try:
-        state = InterfaceState.compute(f, cfg.params, tol=cfg.solver_tol)
+        state = InterfaceState.compute(f, cfg.params, tol=cfg.solver_tol,
+                                       max_iter=cfg.solver_max_iter)
     except SolveFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -240,6 +250,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        thread_count()
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

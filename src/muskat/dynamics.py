@@ -11,6 +11,7 @@ parabolic (dt ~ h^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,9 +88,10 @@ class StepperConfig:
 
 
 def compute_phi_tilde(geom: InterfaceGeometry, a_mu: float, tol: float = 1e-10,
-                      warm_start: ScalarField | None = None):
+                      warm_start: ScalarField | None = None, max_iter: int = 200):
     """Scaled right side A(f)[grad beta(f)]; returns (field, beta, report)."""
-    beta, report = solve_beta(geom, a_mu, tol=tol, warm_start=warm_start)
+    beta, report = solve_beta(geom, a_mu, tol=tol, max_iter=max_iter,
+                              warm_start=warm_start)
     phi = apply_AA(geom, gradient(beta))
     return phi, beta, report
 
@@ -107,9 +109,11 @@ class InterfaceState:
 
     @classmethod
     def compute(cls, f: ScalarField, params: PhysicalParams, tol: float = 1e-10,
-                t: float = 0.0, warm_start: ScalarField | None = None):
+                t: float = 0.0, warm_start: ScalarField | None = None,
+                max_iter: int = 200):
         geom = InterfaceGeometry(f)
-        phi, beta, report = compute_phi_tilde(geom, params.a_mu, tol, warm_start)
+        phi, beta, report = compute_phi_tilde(geom, params.a_mu, tol, warm_start,
+                                              max_iter)
         margin = ScalarField(f.grid, 1.0 - 2.0 * params.a_mu * phi.values)
         return cls(geom=geom, beta=beta, phi_tilde=phi, rt_margin_field=margin,
                    t=t, beta_report=report)
@@ -156,7 +160,8 @@ def wow_residual(state: InterfaceState, params: PhysicalParams) -> float:
 
 
 def step(state: InterfaceState, params: PhysicalParams, dt: float,
-         scheme: str = "rk2", tol: float = 1e-10, rt_floor: float | None = None) -> InterfaceState:
+         scheme: str = "rk2", tol: float = 1e-10, rt_floor: float | None = None,
+         max_iter: int = 200) -> InterfaceState:
     """Advance one explicit step; raises RTFloorBreach on a guarded margin breach.
 
     The RT guard applies only for Lambda > 0 (the paper leaves open whether
@@ -172,16 +177,16 @@ def step(state: InterfaceState, params: PhysicalParams, dt: float,
     if scheme == "euler":
         fnew = ScalarField(g, state.f.values + dt * k1)
         return InterfaceState.compute(fnew, params, tol=tol, t=state.t + dt,
-                                      warm_start=state.beta)
+                                      warm_start=state.beta, max_iter=max_iter)
     if scheme != "rk2":
         raise ValueError(f"unknown scheme {scheme!r}")
     f1 = ScalarField(g, state.f.values + dt * k1)
     mid = InterfaceState.compute(f1, params, tol=tol, t=state.t,
-                                 warm_start=state.beta)
+                                 warm_start=state.beta, max_iter=max_iter)
     k2 = params.lam * mid.phi_tilde.values
     fnew = ScalarField(g, state.f.values + 0.5 * dt * (k1 + k2))
     return InterfaceState.compute(fnew, params, tol=tol, t=state.t + dt,
-                                  warm_start=mid.beta)
+                                  warm_start=mid.beta, max_iter=max_iter)
 
 
 @dataclass
@@ -195,17 +200,23 @@ class EvolutionResult:
 
 
 def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
-           solver_tol: float = 1e-10, sobolev_s: float = 2.0) -> EvolutionResult:
+           solver_tol: float = 1e-10, sobolev_s: float = 2.0,
+           solver_max_iter: int = 200) -> EvolutionResult:
     """Run the time loop with monitors; snapshots every ``snapshot_stride`` steps.
+
+    The run takes the fewest equal steps of at most the resolved dt that end
+    at t_end (a ratio t_end/dt within 1e-9 relative above an integer counts
+    as that integer), so the dt used is t_end / n_steps.
 
     Monitor columns: t, min RT margin, volume integral of f, discrete H^s
     norm, density-solve iterations, dt.  An RT-floor breach (Lambda > 0)
     stops the run and keeps the last state as the final snapshot.
     """
     g = f0.grid
-    dt = stepper.resolve_dt(g, params.lam)
-    n_steps = max(1, int(round(stepper.t_end / dt)))
-    state = InterfaceState.compute(f0, params, tol=solver_tol)
+    t_end = stepper.t_end
+    n_steps = math.ceil(t_end / stepper.resolve_dt(g, params.lam) * (1.0 - 1e-9))
+    dt = t_end / n_steps
+    state = InterfaceState.compute(f0, params, tol=solver_tol, max_iter=solver_max_iter)
     series = []
     snapshots = []
 
@@ -218,8 +229,8 @@ def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
     halted = None
     for i in range(n_steps):
         try:
-            state = step(state, params, dt, scheme=stepper.scheme,
-                         tol=solver_tol, rt_floor=stepper.rt_floor)
+            state = step(state, params, dt, scheme=stepper.scheme, tol=solver_tol,
+                         rt_floor=stepper.rt_floor, max_iter=solver_max_iter)
         except RTFloorBreach:
             halted = "rt-floor"
             break

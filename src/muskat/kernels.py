@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import chunked_sum
 from .grid import GridSpec, ScalarField, l2_norm, spectral_derivative
 from .multipliers import riesz_core_symbol_grid
-from .offsets import pv_offsets, sphere_area
+from .offsets import lattice_sum, pv_offsets, sphere_area
 from .profiles import SmoothProfile
 
 RIESZ_CORE_MODES = ("spectral", "lattice")
@@ -110,7 +109,6 @@ def _slot_product(factors):
 
 def _naked_sum(spec: OperatorSpec, a_vals, b_vals, beta_vals, grid: GridSpec):
     off = pv_offsets(grid)
-    axes = tuple(range(grid.dim))
     hN = grid.spacing**grid.dim
     area = sphere_area(grid.dim)
     ang = off.angular_factor(spec.nu)
@@ -120,27 +118,18 @@ def _naked_sum(spec: OperatorSpec, a_vals, b_vals, beta_vals, grid: GridSpec):
     if not any(np.any(av) for av in a_vals):
         phi0 = float(spec.profile(tuple(0.0 for _ in range(spec.arity))))
 
-    def worker(idx):
-        acc = np.zeros(grid.shape)
-        for t in idx:
-            shift = tuple(int(v) for v in off.ints[t])
-            r = off.r[t]
-            rb = np.roll(beta_vals, shift, axis=axes)
-            if phi0 is not None:
-                phiv = phi0
-            else:
-                args = tuple(((av - np.roll(av, shift, axis=axes)) / r) ** 2
-                             for av in a_vals)
-                phiv = spec.profile(args)
-            term = phiv * rb
-            if b_vals:
-                dbs = [(bv - np.roll(bv, shift, axis=axes)) / r for bv in b_vals]
-                term = term * _slot_product(dbs)
-            acc += w_geom[t] * term
-        return acc
+    def term(t, roll):
+        r = off.r[t]
+        if phi0 is not None:
+            phiv = phi0
+        else:
+            phiv = spec.profile(tuple(((av - roll(av)) / r) ** 2 for av in a_vals))
+        out = phiv * roll(beta_vals)
+        if b_vals:
+            out = out * _slot_product([(bv - roll(bv)) / r for bv in b_vals])
+        return w_geom[t] * out
 
-    out = chunked_sum(worker, off.chunks)
-    return out if out is not None else np.zeros(grid.shape)
+    return lattice_sum(grid, term)
 
 
 def apply_B(spec: OperatorSpec, a, b, beta: ScalarField,

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._parallel import N_CHUNKS
 from .grid import GridSpec
 
 _CACHE: dict = {}
 
 
 class PVOffsets:
-    """Offset table: integer reps, displacements, norms, per-nu caches, chunks."""
+    """Offset table: integer reps, displacements, norms, per-nu caches."""
 
     def __init__(self, grid: GridSpec):
         M, N, h = grid.points, grid.dim, grid.spacing
@@ -34,8 +33,6 @@ class PVOffsets:
         self.r = np.sqrt(np.sum(self.xi**2, axis=1))
         self.count = self.ints.shape[0]
         self._nu_cache: dict = {}
-        bounds = np.linspace(0, self.count, min(N_CHUNKS, self.count) + 1).astype(int)
-        self.chunks = [np.arange(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
         assert np.all(np.any(self.ints != 0, axis=1))
 
     def angular_factor(self, nu) -> np.ndarray:
@@ -61,6 +58,21 @@ def pv_offsets(grid: GridSpec) -> PVOffsets:
     if key not in _CACHE:
         _CACHE[key] = PVOffsets(grid)
     return _CACHE[key]
+
+
+def lattice_sum(grid: GridSpec, term, shape=None) -> np.ndarray:
+    """Sum of ``term(t, roll_t)`` over the PV offsets t, accumulated in offset order.
+
+    ``roll_t(u)`` is ``u`` periodically shifted by offset t on every axis, so
+    it holds u(x - xi_t) at x.  The accumulator has ``shape`` (default the
+    grid shape), which every term must broadcast to.  The fixed order keeps
+    results bit-identical across runs.
+    """
+    axes = tuple(range(grid.dim))
+    acc = np.zeros(grid.shape if shape is None else shape)
+    for t, shift in enumerate(pv_offsets(grid).ints.tolist()):
+        acc += term(t, lambda u, shift=shift: np.roll(u, shift, axis=axes))
+    return acc
 
 
 def sphere_area(dim: int) -> float:

@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import chunked_sum
-from .grid import (GridSpec, ScalarField, gradient, inner, integrate, l2_norm,
-                   spectral_derivative)
-from .kernels import OperatorSpec, apply_B, apply_B_frozen, core_fix_apply
-from .offsets import pv_offsets, sphere_area
+from .grid import GridSpec, ScalarField, gradient, inner, integrate, l2_norm
+from .kernels import OperatorSpec, apply_B_frozen, core_fix_apply
+from .offsets import lattice_sum, pv_offsets, sphere_area
 from .profiles import phibar
 
 
@@ -58,40 +56,38 @@ def _check_grid(geom: InterfaceGeometry, *fields):
             raise ValueError("field grid does not match the interface grid")
 
 
-def _pv_sum(grid: GridSpec, make_term):
-    """Deterministic chunked sum over the PV offsets of ``make_term(t)``."""
-    off = pv_offsets(grid)
+def _interface_sum(geom: InterfaceGeometry, numerator, shape=None) -> np.ndarray:
+    """h^N/|S^N| times the PV sum of numerator(xi, df, roll) / (|xi|^2 + df^2)^((N+1)/2).
 
-    def worker(idx):
-        acc = np.zeros(grid.shape)
-        for t in idx:
-            acc += make_term(t)
-        return acc
+    The kernel shared by D, D*, A and AA: df = f(x) - f(x-xi) for the offset
+    xi, and ``roll`` maps a field u to u(x - xi); see
+    :func:`muskat.offsets.lattice_sum` for ``shape``.
+    """
+    g = geom.grid
+    off = pv_offsets(g)
+    fvals = geom.f.values
+    power = (g.dim + 1) / 2.0
 
-    out = chunked_sum(worker, off.chunks)
-    return out if out is not None else np.zeros(grid.shape)
+    def term(t, roll):
+        df = fvals - roll(fvals)
+        den = (off.r[t] ** 2 + df * df) ** power
+        return numerator(off.xi[t], df, roll) / den
+
+    return g.spacing**g.dim / sphere_area(g.dim) * lattice_sum(g, term, shape)
 
 
 def apply_D(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
     """Double layer potential: PV sum of (df - xi.grad f(x-xi)) / (|xi|^2 + df^2)^((N+1)/2)."""
     _check_grid(geom, beta)
-    g = geom.grid
-    off = pv_offsets(g)
-    axes = tuple(range(g.dim))
-    fvals = geom.f.values
     gfv = [c.values for c in geom.grad_f]
-    scale = g.spacing**g.dim / sphere_area(g.dim)
 
-    def term(t):
-        shift = tuple(int(v) for v in off.ints[t])
-        df = fvals - np.roll(fvals, shift, axis=axes)
-        num = df.copy()
-        for j in range(g.dim):
-            num -= off.xi[t, j] * np.roll(gfv[j], shift, axis=axes)
-        den = (off.r[t] ** 2 + df * df) ** ((g.dim + 1) / 2.0)
-        return num * np.roll(beta.values, shift, axis=axes) / den
+    def numerator(xi, df, roll):
+        num = df
+        for j, gj in enumerate(gfv):
+            num = num - xi[j] * roll(gj)
+        return num * roll(beta.values)
 
-    return ScalarField(g, scale * _pv_sum(g, term))
+    return ScalarField(geom.grid, _interface_sum(geom, numerator))
 
 
 def apply_D_composed(geom: InterfaceGeometry, beta: ScalarField,
@@ -111,23 +107,15 @@ def apply_D_composed(geom: InterfaceGeometry, beta: ScalarField,
 def apply_D_star(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
     """L2-adjoint of the double layer: kernel (-df + xi.grad f(x)) / (...)^((N+1)/2)."""
     _check_grid(geom, beta)
-    g = geom.grid
-    off = pv_offsets(g)
-    axes = tuple(range(g.dim))
-    fvals = geom.f.values
     gfv = [c.values for c in geom.grad_f]
-    scale = g.spacing**g.dim / sphere_area(g.dim)
 
-    def term(t):
-        shift = tuple(int(v) for v in off.ints[t])
-        df = fvals - np.roll(fvals, shift, axis=axes)
+    def numerator(xi, df, roll):
         num = -df
-        for j in range(g.dim):
-            num = num + off.xi[t, j] * gfv[j]
-        den = (off.r[t] ** 2 + df * df) ** ((g.dim + 1) / 2.0)
-        return num * np.roll(beta.values, shift, axis=axes) / den
+        for j, gj in enumerate(gfv):
+            num = num + xi[j] * gj
+        return num * roll(beta.values)
 
-    return ScalarField(g, scale * _pv_sum(g, term))
+    return ScalarField(geom.grid, _interface_sum(geom, numerator))
 
 
 def apply_D_star_composed(geom: InterfaceGeometry, beta: ScalarField,
@@ -150,29 +138,19 @@ def apply_A(geom: InterfaceGeometry, b) -> list:
         raise ValueError("b must have one component per axis")
     _check_grid(geom, *b)
     g = geom.grid
-    off = pv_offsets(g)
-    axes = tuple(range(g.dim))
-    fvals = geom.f.values
     gfv = [c.values for c in geom.grad_f]
     bv = [c.values for c in b]
-    scale = g.spacing**g.dim / sphere_area(g.dim)
-    out = []
-    for k in range(g.dim):
-        def term(t, k=k):
-            shift = tuple(int(v) for v in off.ints[t])
-            df = fvals - np.roll(fvals, shift, axis=axes)
-            dl = df.copy()
-            xib = np.zeros(g.shape)
-            for j in range(g.dim):
-                dl -= off.xi[t, j] * np.roll(gfv[j], shift, axis=axes)
-                xib += off.xi[t, j] * np.roll(bv[j], shift, axis=axes)
-            num = dl * np.roll(bv[k], shift, axis=axes) \
-                - xib * (gfv[k] - np.roll(gfv[k], shift, axis=axes))
-            den = (off.r[t] ** 2 + df * df) ** ((g.dim + 1) / 2.0)
-            return num / den
 
-        out.append(ScalarField(g, scale * _pv_sum(g, term)))
-    return out
+    def numerator(xi, df, roll):
+        rgf = [roll(v) for v in gfv]
+        rb = [roll(v) for v in bv]
+        dl, xib = df, 0.0
+        for j in range(g.dim):
+            dl = dl - xi[j] * rgf[j]
+            xib = xib + xi[j] * rb[j]
+        return np.stack([dl * rb[k] - xib * (gfv[k] - rgf[k]) for k in range(g.dim)])
+
+    return [ScalarField(g, c) for c in _interface_sum(geom, numerator, (g.dim,) + g.shape)]
 
 
 def apply_A_composed(geom: InterfaceGeometry, b, riesz_core: str = "lattice") -> list:
@@ -276,31 +254,20 @@ def apply_AA(geom: InterfaceGeometry, b, riesz_core: str = "spectral") -> Scalar
         raise ValueError("b must have one component per axis")
     _check_grid(geom, *b)
     g = geom.grid
-    off = pv_offsets(g)
-    axes = tuple(range(g.dim))
-    fvals = geom.f.values
     gfv = [c.values for c in geom.grad_f]
     bv = [c.values for c in b]
-    scale = g.spacing**g.dim / sphere_area(g.dim)
 
-    def term(t):
-        shift = tuple(int(v) for v in off.ints[t])
-        df = fvals - np.roll(fvals, shift, axis=axes)
-        xigf = np.zeros(g.shape)
-        xib = np.zeros(g.shape)
-        gfgf = np.zeros(g.shape)
-        gfb = np.zeros(g.shape)
+    def numerator(xi, df, roll):
+        xigf = xib = gfgf = gfb = 0.0
         for j in range(g.dim):
-            rgf = np.roll(gfv[j], shift, axis=axes)
-            xigf += off.xi[t, j] * rgf
-            xib += off.xi[t, j] * np.roll(bv[j], shift, axis=axes)
-            gfgf += gfv[j] * rgf
-            gfb += gfv[j] * np.roll(bv[j], shift, axis=axes)
-        num = (xigf - df) * gfb - xib * (1.0 + gfgf)
-        den = (off.r[t] ** 2 + df * df) ** ((g.dim + 1) / 2.0)
-        return num / den
+            rgf, rb = roll(gfv[j]), roll(bv[j])
+            xigf = xigf + xi[j] * rgf
+            xib = xib + xi[j] * rb
+            gfgf = gfgf + gfv[j] * rgf
+            gfb = gfb + gfv[j] * rb
+        return (xigf - df) * gfb - xib * (1.0 + gfgf)
 
-    out = scale * _pv_sum(g, term)
+    out = _interface_sum(geom, numerator)
     if riesz_core == "spectral":
         for d in range(g.dim):
             nu = tuple(1 if j == d else 0 for j in range(g.dim))

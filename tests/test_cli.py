@@ -102,6 +102,25 @@ def test_config_error_exit_code(tmp_path):
     assert main(["evolve", bad]) == 2
 
 
+def test_solver_max_iter_reaches_solver(tmp_path):
+    # one GMRES iteration cannot reach 1e-10 on a 2D bump at a_mu = 0.5
+    text = """
+grid.dim = 2
+grid.extent = 6.283185307179586
+grid.points = 16
+params.lambda = 1.0
+params.a_mu = 0.5
+initial.kind = gaussian
+initial.amplitude = 0.5
+initial.width = 0.5
+stepper.dt = 0.05
+stepper.t_end = 0.05
+solver.max_iter = 1
+"""
+    cfg = write(tmp_path / "c.cfg", text + f"output.dir = {tmp_path}/out\n")
+    assert main(["evolve", cfg]) == 3
+
+
 def test_rt_floor_exit_code(tmp_path):
     # a_mu close to 1 with a steep bump: margin dips below a high floor
     text = """
@@ -174,6 +193,17 @@ def test_missing_snapshot_is_config_error(tmp_path):
                      if not l.startswith(("initial.amplitude", "initial.width")))
     cfg = write(tmp_path / "c.cfg", text)
     assert main(["evolve", cfg]) == 2
+
+
+def test_bad_thread_env_is_config_error(tmp_path):
+    cfg = write(tmp_path / "c.cfg", MINIMAL + f"output.dir = {tmp_path}/out\n")
+    env = dict(os.environ, MUSKAT_THREADS="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "muskat.cli", "evolve", cfg],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "config error: MUSKAT_THREADS" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_thread_env_bit_identity(tmp_path):

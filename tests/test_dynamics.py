@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from muskat.config import parse_config
 from muskat.dynamics import (InterfaceState, PhysicalParams,
                              RTFloorBreach, StepperConfig, compute_phi_tilde,
                              evolve, rt_margin, step, wow_residual)
@@ -174,6 +177,21 @@ def test_evolve_zero_data():
     assert np.all(result.final.f.values == 0.0)
     assert len(result.series) == 5
     assert len(result.snapshots) == 3  # strides at 2, 4 plus the final state
+
+
+def test_evolve_ends_at_t_end():
+    # the demo's step rule (cfl dt on its spacing, t_end 2) on a 32-point cell
+    # of the same spacing; t_end/dt = 65.2 must give 66 steps, not 65
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                    "configs", "decay_demo.cfg"))
+    g = GridSpec(1, 32 * cfg.grid.spacing, 32)
+    result = evolve(make_zero(g), cfg.params, cfg.stepper)
+    t = np.array([row[0] for row in result.series])
+    dt = result.series[-1][5]
+    assert abs(t[-1] - cfg.stepper.t_end) <= 1e-12
+    assert len(t) - 1 == 66
+    assert dt <= cfg.stepper.resolve_dt(cfg.grid, cfg.params.lam)
+    assert np.allclose(np.diff(t), dt, rtol=0.0, atol=1e-12)
 
 
 def test_evolve_volume_conservation_short_horizon():

@@ -39,6 +39,20 @@ def test_residual_reverified():
         assert report.iterations <= 50
 
 
+def test_solve_applies_D_iterations_plus_two(monkeypatch):
+    # the residual GMRES computes for its returned x is the substitution check
+    calls = []
+
+    def counted(geom, beta):
+        calls.append(beta)
+        return apply_D(geom, beta)
+
+    monkeypatch.setattr("muskat.resolvent.apply_D", counted)
+    _, report = solve_beta(gaussian_geometry(64), 0.5)
+    assert report.iterations > 0
+    assert len(calls) == report.iterations + 2
+
+
 def test_a_mu_range_checked():
     geom = gaussian_geometry(32)
     with pytest.raises(ValueError):
