@@ -1,9 +1,11 @@
 """Command line interface.
 
 Subcommands: evolve, validate, symbol, field, rt-check.  Exit codes:
-0 success, 2 configuration error, 3 solver failure, 4 RT-floor halt,
-5 validation failure.  MUSKAT_THREADS must be an integer; it is recorded in
-manifest.json and selects nothing, so outputs are bit-identical for any value.
+0 success, 2 configuration error (any bad outside input), 3 solver failure,
+4 RT-floor halt, 5 validation failure, 6 non-finite interface; main() is the
+one place that maps an exception to its code.  MUSKAT_THREADS must be an
+integer; it is recorded in manifest.json and selects nothing, so outputs are
+bit-identical for any value.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, SimConfig, parse_config
-from .dynamics import evolve
-from .fields import ProbePoint, eval_pressure, eval_velocity
-from .grid import load_field, make_field, save_field
+from .config import (ConfigError, SimConfig, initial_field, load_probes, parse_config,
+                     parse_numbers, parse_value, reading)
+from .dynamics import InterfaceState, NonFiniteInterface, evolve, overflow_guard, rt_margin
+from .fields import eval_pressure, eval_velocity
+from .grid import load_field, save_field
 from .multipliers import MultiplierSpec, symbol_D
 from .potentials import InterfaceGeometry
 from .profiles import phibar
-from .resolvent import SolveFailure
+from .resolvent import SolveFailure, solve_beta
 from .validate import CSV_HEADER, run_validate
 
 EXIT_OK = 0
@@ -33,36 +36,21 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_RT = 4
 EXIT_VALIDATION = 5
+EXIT_NONFINITE = 6
+EXIT_HALTED = {None: EXIT_OK, "rt-floor": EXIT_RT, "non-finite": EXIT_NONFINITE}
 
 
 def thread_count() -> int:
     """MUSKAT_THREADS (default 1, at least 1); raises ConfigError if not an integer."""
-    raw = os.environ.get("MUSKAT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"MUSKAT_THREADS must be an integer, got {raw!r}") from exc
+    with reading("MUSKAT_THREADS must be an integer"):
+        return max(1, int(os.environ.get("MUSKAT_THREADS", "1")))
 
 
-def _initial_field(cfg: SimConfig) -> ScalarField:
-    kind = cfg.initial_kind
-    if kind == "zero":
-        return make_field(cfg.grid, "zero")
-    if kind == "mode":
-        return make_field(cfg.grid, "mode", amplitude=cfg.initial["amplitude"],
-                          k=cfg.initial["k"])
-    if kind == "gaussian":
-        return make_field(cfg.grid, "gaussian_bump",
-                          amplitude=cfg.initial["amplitude"],
-                          center=cfg.initial["center"], width=cfg.initial["width"])
-    try:
-        snap = load_field(cfg.initial["path"])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"initial.path: cannot load snapshot: {exc}") from exc
-    if snap.grid != cfg.grid:
-        raise ConfigError(
-            f"snapshot grid {snap.grid} does not match config grid {cfg.grid}")
-    return snap
+def _output_dir(args, cfg: SimConfig) -> str:
+    outdir = args.output or cfg.output_dir
+    with reading("output directory"):
+        os.makedirs(outdir, exist_ok=True)
+    return outdir
 
 
 def _write_manifest(cfg: SimConfig, outdir, extra=None):
@@ -85,15 +73,9 @@ def _write_manifest(cfg: SimConfig, outdir, extra=None):
 
 def cmd_evolve(args) -> int:
     cfg = parse_config(args.config)
-    outdir = args.output or cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    f0 = _initial_field(cfg)
-    try:
-        result = evolve(f0, cfg.params, cfg.stepper, solver_tol=cfg.solver_tol,
-                        sobolev_s=cfg.sobolev_s, solver_max_iter=cfg.solver_max_iter)
-    except SolveFailure as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    outdir = _output_dir(args, cfg)
+    result = evolve(initial_field(cfg), cfg.params, cfg.stepper, solver_tol=cfg.solver_tol,
+                    sobolev_s=cfg.sobolev_s, solver_max_iter=cfg.solver_max_iter)
     with open(os.path.join(outdir, "series.csv"), "w") as fh:
         fh.write(result.SERIES_HEADER + "\n")
         for row in result.series:
@@ -101,26 +83,22 @@ def cmd_evolve(args) -> int:
     for index, snap in result.snapshots:
         save_field(os.path.join(outdir, f"snapshot_{index:06d}.bin"), snap)
     save_field(os.path.join(outdir, "final.bin"), result.final.f)
-    _write_manifest(cfg, outdir, {"halted": result.halted,
-                                  "steps": len(result.series) - 1})
-    if result.halted == "rt-floor":
-        print(f"halted: RT margin fell below floor {cfg.stepper.rt_floor} "
-              f"at t={result.final.t:.6f}; outputs in {outdir}", file=sys.stderr)
-        return EXIT_RT
-    print(f"evolved to t={result.final.t:.6f} in {len(result.series) - 1} steps; "
-          f"outputs in {outdir}")
-    return EXIT_OK
+    steps = len(result.series) - 1
+    _write_manifest(cfg, outdir, {"halted": result.halted, "steps": steps})
+    if result.halted:
+        print(f"halted ({result.halted}) at t={result.final.t:.6f} after {steps} steps; "
+              f"outputs in {outdir}", file=sys.stderr)
+    else:
+        print(f"evolved to t={result.final.t:.6f} in {steps} steps; outputs in {outdir}")
+    return EXIT_HALTED[result.halted]
 
 
 def cmd_validate(args) -> int:
     cfg = parse_config(args.config)
-    outdir = args.output or cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    selection = args.suite if args.suite else (cfg.suites or "all")
-    try:
-        rows, ok = run_validate(cfg, selection)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    outdir = _output_dir(args, cfg)
+    selection = (parse_value("validate.suites", args.suite, "--suite") if args.suite
+                 else cfg.suites or "all")
+    rows, ok = run_validate(cfg, selection)
     with open(os.path.join(outdir, "validate_report.csv"), "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
@@ -134,18 +112,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_symbol(args) -> int:
-    A = tuple(float(v) for v in args.A.split(","))
-    nu = tuple(int(v) for v in args.nu.split(","))
+    A = tuple(parse_numbers("--A", args.A))
+    nu = tuple(parse_numbers("--nu", args.nu, int))
     dim = len(nu)
-    if len(A) != dim:
-        raise ConfigError("--A and --nu must have equal length")
-    try:
+    with reading("--A, --n, --nu"):
         mspec = MultiplierSpec(phibar(dim), args.n, nu, A)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    ray = np.asarray([float(v) for v in args.ray.split(",")])
+    ray = np.asarray(parse_numbers("--ray", args.ray))
     if ray.shape != (dim,) or not np.any(ray):
         raise ConfigError("--ray must be a nonzero direction of the same dimension")
+    if not np.isfinite(args.zmax):
+        raise ConfigError(f"--zmax must be finite, got {args.zmax}")
     ray = ray / np.linalg.norm(ray)
     rows = []
     for i in range(1, args.num + 1):
@@ -164,23 +140,13 @@ def cmd_symbol(args) -> int:
 
 def cmd_field(args) -> int:
     cfg = parse_config(args.config)
-    f = _initial_field(cfg)
-    geom = InterfaceGeometry(f)
-    from .resolvent import solve_beta
-    beta, _ = solve_beta(geom, cfg.params.a_mu, tol=cfg.solver_tol,
-                         max_iter=cfg.solver_max_iter)
-    probes = []
-    with open(args.probes, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = [f"x{j}" for j in range(cfg.grid.dim)] + ["y"]
-        if [h.strip() for h in header] != expected:
-            raise ConfigError(f"probe CSV must have columns {expected}, got {header}")
-        for line in reader:
-            vals = [float(v) for v in line]
-            probes.append(ProbePoint.locate(geom, vals[:-1], vals[-1]))
-    vs = eval_velocity(geom, beta, probes)
-    qs = eval_pressure(geom, beta, probes)
+    with overflow_guard():
+        geom = InterfaceGeometry(initial_field(cfg))
+        beta, _ = solve_beta(geom, cfg.params.a_mu, tol=cfg.solver_tol,
+                             max_iter=cfg.solver_max_iter)
+        probes = load_probes(args.probes, geom)
+        vs = eval_velocity(geom, beta, probes)
+        qs = eval_pressure(geom, beta, probes)
     out = args.out or "field.csv"
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -196,14 +162,10 @@ def cmd_field(args) -> int:
 
 def cmd_rt_check(args) -> int:
     cfg = parse_config(args.config)
-    f = load_field(args.snapshot)
-    from .dynamics import InterfaceState, rt_margin
-    try:
-        state = InterfaceState.compute(f, cfg.params, tol=cfg.solver_tol,
-                                       max_iter=cfg.solver_max_iter)
-    except SolveFailure as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    with reading("--snapshot"):
+        f = load_field(args.snapshot)
+    state = InterfaceState.compute(f, cfg.params, tol=cfg.solver_tol,
+                                   max_iter=cfg.solver_max_iter)
     _, mn, holds = rt_margin(state, cfg.params)
     print(f"min RT margin: {mn!r}; condition holds: {holds}")
     return EXIT_OK if holds else EXIT_RT
@@ -258,6 +220,9 @@ def main(argv=None) -> int:
     except SolveFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except NonFiniteInterface as exc:
+        print(f"non-finite interface: {exc}", file=sys.stderr)
+        return EXIT_NONFINITE
 
 
 if __name__ == "__main__":

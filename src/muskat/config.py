@@ -1,40 +1,85 @@
-"""Run configuration: strict flat key=value files with dotted sections.
+"""Outside input: config files, snapshots, probe lists and numbers from the command line.
 
-Unknown keys are errors (no silent typos), every accepted key has a default
-or is required, and the fully resolved mapping is echoed into the run
-manifest so outputs are reproducible from the manifest alone.
+Config files are strict flat key=value files with dotted sections.  KEYS
+declares every key once, with its parser, default and domain; unknown keys and
+values outside their domain are errors, and the fully resolved mapping is
+echoed into the run manifest so outputs are reproducible from the manifest
+alone.  Every failure to read outside input is a ConfigError.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .dynamics import PhysicalParams, StepperConfig
-from .grid import GridSpec
+from .fields import ProbePoint, check_clearance
+from .grid import GridSpec, ScalarField, load_field, make_field
+from .validate import SUITES
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; message carries the key path and reason."""
+    """Invalid outside input; the message names the key or source and the reason."""
 
 
-_KNOWN_KEYS = {
-    "grid.dim", "grid.extent", "grid.points",
-    "params.lambda", "params.a_mu",
-    "params.porosity", "params.gravity", "params.mu_plus", "params.mu_minus",
-    "params.rho_plus", "params.rho_minus",
-    "initial.kind", "initial.amplitude", "initial.k", "initial.center",
-    "initial.width", "initial.path",
-    "stepper.scheme", "stepper.dt", "stepper.cfl", "stepper.t_end",
-    "stepper.snapshot_stride", "stepper.rt_floor",
-    "solver.tol", "solver.max_iter",
-    "monitor.sobolev_s",
-    "output.dir",
-    "validate.suites",
-    "seed",
-}
+@contextmanager
+def reading(what):
+    """Turn a ValueError, OverflowError or OSError inside into a ConfigError about ``what``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
+
+def _items(cast):
+    return lambda raw: [cast(part.strip()) for part in raw.split(",") if part.strip()]
+
+
+def _finite_and(test):
+    return lambda v: math.isfinite(v) and test(v)
+
+
+_POSITIVE = ("be finite and > 0", _finite_and(lambda v: v > 0))
 _RAW_PARAM_KEYS = ("params.porosity", "params.gravity", "params.mu_plus",
                    "params.mu_minus", "params.rho_plus", "params.rho_minus")
+_INITIAL_KINDS = {"zero": (), "mode": ("amplitude", "k"),
+                  "gaussian": ("amplitude", "center", "width"), "snapshot": ("path",)}
+
+# key: (parser, default or None, domain, test of the parsed value)
+KEYS = {
+    "grid.dim": (int, "1", "be 1, 2 or 3", lambda v: v in (1, 2, 3)),
+    "grid.extent": (float, repr(2 * math.pi), *_POSITIVE),
+    "grid.points": (int, "64", "be >= 8", lambda v: v >= 8),
+    "params.lambda": (float, "1.0", "be finite and != 0", _finite_and(lambda v: v != 0)),
+    "params.a_mu": (float, "0.0", "lie in (-1, 1)", lambda v: -1 < v < 1),
+    **{key: (float, None, *_POSITIVE) for key in _RAW_PARAM_KEYS},
+    "initial.kind": (str, "zero", f"be one of {', '.join(_INITIAL_KINDS)}",
+                     lambda v: v in _INITIAL_KINDS),
+    "initial.amplitude": (float, "1.0", "be finite", math.isfinite),
+    "initial.k": (_items(int), "1", "be integers, one per axis", lambda v: True),
+    "initial.center": (_items(float), None, "be finite, one per axis",
+                       lambda v: all(map(math.isfinite, v))),
+    "initial.width": (float, "0.5", *_POSITIVE),
+    "initial.path": (str, None, "be a snapshot file", lambda v: True),
+    "stepper.scheme": (str, "rk2", "be rk2 or euler", lambda v: v in ("rk2", "euler")),
+    "stepper.dt": (lambda raw: None if raw == "auto" else float(raw), "auto",
+                   "be auto or finite and > 0", lambda v: v is None or _POSITIVE[1](v)),
+    "stepper.cfl": (float, "0.5", *_POSITIVE),
+    "stepper.t_end": (float, "1.0", *_POSITIVE),
+    "stepper.snapshot_stride": (int, "0", "be >= 0", lambda v: v >= 0),
+    "stepper.rt_floor": (float, "0.05", "lie in (0, 1)", lambda v: 0 < v < 1),
+    "solver.tol": (float, "1e-10", *_POSITIVE),
+    "solver.max_iter": (int, "200", "be >= 1", lambda v: v >= 1),
+    "monitor.sobolev_s": (float, "2.0", "be finite and >= 0", _finite_and(lambda v: v >= 0)),
+    "output.dir": (str, "out", "be a directory", lambda v: True),
+    "validate.suites": (_items(str), "all", f"be all or name suites among {', '.join(SUITES)}",
+                        lambda v: v == ["all"] or all(s in SUITES for s in v)),
+    "seed": (int, "0", "be >= 0", lambda v: v >= 0),
+}
 
 
 @dataclass
@@ -53,16 +98,24 @@ class SimConfig:
     echo: dict = field(default_factory=dict)
 
 
-def _parse_scalar(key, raw, cast, reason=""):
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: cannot parse {raw!r}{reason}") from exc
+def parse_value(key, raw, what=None):
+    """The value of ``raw`` for ``key`` of KEYS; ConfigError naming ``what`` (default key)."""
+    cast, _, domain, test = KEYS[key]
+    what = what or key
+    with reading(what):
+        value = cast(raw.strip())
+    if not test(value):
+        raise ConfigError(f"{what} must {domain}, got {raw!r}")
+    return value
 
 
-def _parse_floats(key, raw):
-    return [_parse_scalar(key, part.strip(), float)
-            for part in str(raw).split(",") if part.strip() != ""]
+def parse_numbers(what, raw, cast=float) -> list:
+    """Finite numbers of a comma-separated list, as a ConfigError naming ``what``."""
+    with reading(what):
+        values = _items(cast)(raw)
+        if not values or not all(map(math.isfinite, values)):
+            raise ConfigError(f"{what} must be finite numbers, got {raw!r}")
+    return values
 
 
 def parse_kv_text(text: str) -> dict:
@@ -75,7 +128,7 @@ def parse_kv_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, value = body.split("=", 1)
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -84,121 +137,77 @@ def parse_kv_text(text: str) -> dict:
 
 
 def build_config(kv: dict) -> SimConfig:
-    def take(key, default=None):
-        return kv.get(key, default)
+    values = {key: parse_value(key, raw) for key, row in KEYS.items()
+              if (raw := kv.get(key, row[1])) is not None}
+    raw_given = [k for k in _RAW_PARAM_KEYS if k in kv]
+    if raw_given and (len(raw_given) < len(_RAW_PARAM_KEYS) or "params.lambda" in kv
+                      or "params.a_mu" in kv):
+        raise ConfigError("params: give either reduced (lambda, a_mu) or all of the raw "
+                          f"constants {', '.join(_RAW_PARAM_KEYS)}, not both")
+    kind = values["initial.kind"]
+    if kind == "snapshot" and "initial.path" not in values:
+        raise ConfigError("initial.path: required for initial.kind = snapshot")
 
-    dim = _parse_scalar("grid.dim", take("grid.dim", "1"), int)
-    extent = _parse_scalar("grid.extent", take("grid.extent", repr(2 * 3.141592653589793)), float)
-    points = _parse_scalar("grid.points", take("grid.points", "64"), int)
-    try:
-        grid = GridSpec(dim, extent, points)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-    has_raw = any(k in kv for k in _RAW_PARAM_KEYS)
-    has_reduced = "params.lambda" in kv or "params.a_mu" in kv
-    if has_raw and has_reduced:
-        raise ConfigError("params: give either reduced (lambda, a_mu) or raw "
-                          "constants, not both")
-    try:
-        if has_raw:
-            missing = [k for k in _RAW_PARAM_KEYS if k not in kv]
-            if missing:
-                raise ConfigError(f"params: raw form needs all of {_RAW_PARAM_KEYS}, "
-                                  f"missing {missing}")
-            params = PhysicalParams.from_raw(
-                porosity=_parse_scalar("params.porosity", kv["params.porosity"], float),
-                gravity=_parse_scalar("params.gravity", kv["params.gravity"], float),
-                mu_plus=_parse_scalar("params.mu_plus", kv["params.mu_plus"], float),
-                mu_minus=_parse_scalar("params.mu_minus", kv["params.mu_minus"], float),
-                rho_plus=_parse_scalar("params.rho_plus", kv["params.rho_plus"], float),
-                rho_minus=_parse_scalar("params.rho_minus", kv["params.rho_minus"], float))
+    # the library's own checks, behind the domains above; raw constants may overflow
+    with reading("grid, params and stepper"):
+        grid = GridSpec(values["grid.dim"], values["grid.extent"], values["grid.points"])
+        if raw_given:
+            params = PhysicalParams.from_raw(*(values[k] for k in _RAW_PARAM_KEYS))
+            if params.lam == 0:
+                raise ConfigError("params: rho_plus = rho_minus gives Lambda = 0")
         else:
-            params = PhysicalParams(
-                lam=_parse_scalar("params.lambda", take("params.lambda", "1.0"), float),
-                a_mu=_parse_scalar("params.a_mu", take("params.a_mu", "0.0"), float))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"params: {exc}") from exc
+            params = PhysicalParams(values["params.lambda"], values["params.a_mu"])
+        stepper = StepperConfig(**{k: values[f"stepper.{k}"] for k in (
+            "scheme", "dt", "cfl", "t_end", "snapshot_stride", "rt_floor")})
+    values["params.lambda"], values["params.a_mu"] = params.lam, params.a_mu
+    values.setdefault("initial.center", [grid.extent / 2] * grid.dim)
+    initial = {name: values[f"initial.{name}"] for name in _INITIAL_KINDS[kind]}
 
-    kind = take("initial.kind", "zero")
-    if kind not in ("zero", "mode", "gaussian", "snapshot"):
-        raise ConfigError(f"initial.kind: unknown kind {kind!r}")
-    initial = {}
-    if kind == "mode":
-        initial["amplitude"] = _parse_scalar("initial.amplitude",
-                                             take("initial.amplitude", "1.0"), float)
-        kvec = [_parse_scalar("initial.k", p.strip(), int)
-                for p in str(take("initial.k", "1")).split(",")]
-        if len(kvec) != dim:
-            raise ConfigError(f"initial.k: need {dim} components, got {len(kvec)}")
-        initial["k"] = tuple(kvec)
-    elif kind == "gaussian":
-        initial["amplitude"] = _parse_scalar("initial.amplitude",
-                                             take("initial.amplitude", "1.0"), float)
-        center = _parse_floats("initial.center",
-                               take("initial.center", ",".join([repr(extent / 2)] * dim)))
-        if len(center) != dim:
-            raise ConfigError(f"initial.center: need {dim} components, got {len(center)}")
-        initial["center"] = center
-        initial["width"] = _parse_scalar("initial.width", take("initial.width", "0.5"), float)
-    elif kind == "snapshot":
-        if "initial.path" not in kv:
-            raise ConfigError("initial.path: required for initial.kind = snapshot")
-        initial["path"] = kv["initial.path"]
-
-    dt_raw = take("stepper.dt", "auto")
-    dt = None if str(dt_raw).strip() == "auto" else _parse_scalar("stepper.dt", dt_raw, float)
-    try:
-        stepper = StepperConfig(
-            scheme=take("stepper.scheme", "rk2"),
-            dt=dt,
-            cfl=_parse_scalar("stepper.cfl", take("stepper.cfl", "0.5"), float),
-            t_end=_parse_scalar("stepper.t_end", take("stepper.t_end", "1.0"), float),
-            snapshot_stride=_parse_scalar("stepper.snapshot_stride",
-                                          take("stepper.snapshot_stride", "0"), int),
-            rt_floor=_parse_scalar("stepper.rt_floor", take("stepper.rt_floor", "0.05"), float))
-    except ValueError as exc:
-        raise ConfigError(f"stepper: {exc}") from exc
-
-    suites_raw = take("validate.suites", "all")
-    suites = [s.strip() for s in suites_raw.split(",") if s.strip()]
-
-    cfg = SimConfig(
-        grid=grid,
-        params=params,
-        initial_kind=kind,
-        initial=initial,
-        stepper=stepper,
-        solver_tol=_parse_scalar("solver.tol", take("solver.tol", "1e-10"), float),
-        solver_max_iter=_parse_scalar("solver.max_iter", take("solver.max_iter", "200"), int),
-        sobolev_s=_parse_scalar("monitor.sobolev_s", take("monitor.sobolev_s", "2.0"), float),
-        output_dir=take("output.dir", "out"),
-        suites=suites,
-        seed=_parse_scalar("seed", take("seed", "0"), int),
-    )
-    cfg.echo = {
-        "grid.dim": grid.dim, "grid.extent": grid.extent, "grid.points": grid.points,
-        "params.lambda": params.lam, "params.a_mu": params.a_mu,
-        "initial.kind": kind, **{f"initial.{k}": list(v) if isinstance(v, tuple) else v
-                                 for k, v in initial.items()},
-        "stepper.scheme": stepper.scheme, "stepper.dt": stepper.dt,
-        "stepper.cfl": stepper.cfl, "stepper.t_end": stepper.t_end,
-        "stepper.snapshot_stride": stepper.snapshot_stride,
-        "stepper.rt_floor": stepper.rt_floor,
-        "solver.tol": cfg.solver_tol, "solver.max_iter": cfg.solver_max_iter,
-        "monitor.sobolev_s": cfg.sobolev_s, "output.dir": cfg.output_dir,
-        "validate.suites": suites, "seed": cfg.seed,
-    }
+    cfg = SimConfig(grid=grid, params=params, initial_kind=kind, initial=initial,
+                    stepper=stepper, solver_tol=values["solver.tol"],
+                    solver_max_iter=values["solver.max_iter"],
+                    sobolev_s=values["monitor.sobolev_s"],
+                    output_dir=values["output.dir"], suites=values["validate.suites"],
+                    seed=values["seed"])
+    cfg.echo = {k: v for k, v in values.items() if k not in _RAW_PARAM_KEYS
+                and (not k.startswith("initial.") or k == "initial.kind"
+                     or k[len("initial."):] in initial)}
     return cfg
 
 
 def parse_config(path) -> SimConfig:
     """Read and validate a configuration file; raises ConfigError on any issue."""
-    try:
-        with open(path, "r") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    with reading(f"cannot read config {path}"), open(path, "r") as fh:
+        text = fh.read()
     return build_config(parse_kv_text(text))
+
+
+def initial_field(cfg: SimConfig) -> ScalarField:
+    """The run's initial interface, or a ConfigError for data the grid cannot hold."""
+    if cfg.initial_kind != "snapshot":
+        kind = "gaussian_bump" if cfg.initial_kind == "gaussian" else cfg.initial_kind
+        with reading(f"initial.kind = {cfg.initial_kind}"):
+            return make_field(cfg.grid, kind, **cfg.initial)
+    with reading("initial.path: cannot load snapshot"):
+        snap = load_field(cfg.initial["path"])
+    if snap.grid != cfg.grid:
+        raise ConfigError(
+            f"snapshot grid {snap.grid} does not match config grid {cfg.grid}")
+    return snap
+
+
+def load_probes(path, geom) -> list:
+    """Probe points of a CSV with columns x0.., y, each at least h/2 off the interface."""
+    expected = [f"x{j}" for j in range(geom.grid.dim)] + ["y"]
+    with reading(f"probes {path}"), open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+        if not rows or [h.strip() for h in rows[0]] != expected:
+            raise ConfigError(f"probe CSV must have columns {expected}, got {rows[:1]}")
+        probes = []
+        for row in rows[1:]:
+            vals = parse_numbers(f"probes {path}", ",".join(row))
+            if len(vals) != len(expected):
+                raise ConfigError(f"probe row {row} needs {len(expected)} values")
+            probes.append(ProbePoint.locate(geom, vals[:-1], vals[-1]))
+            check_clearance(geom, probes[-1])
+    return probes

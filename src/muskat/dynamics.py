@@ -12,6 +12,7 @@ parabolic (dt ~ h^2).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,20 @@ class RTFloorBreach(RuntimeError):
                          "parabolicity is no longer certified")
         self.t = t
         self.margin = margin
+
+
+class NonFiniteInterface(ArithmeticError):
+    """The arithmetic of a state (interface, density or velocity) overflowed."""
+
+
+@contextmanager
+def overflow_guard(t=0.0):
+    """Raise NonFiniteInterface where the arithmetic inside overflows or turns invalid."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NonFiniteInterface(f"the state at t={t:.6f} overflowed ({exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -111,10 +126,11 @@ class InterfaceState:
     def compute(cls, f: ScalarField, params: PhysicalParams, tol: float = 1e-10,
                 t: float = 0.0, warm_start: ScalarField | None = None,
                 max_iter: int = 200):
-        geom = InterfaceGeometry(f)
-        phi, beta, report = compute_phi_tilde(geom, params.a_mu, tol, warm_start,
-                                              max_iter)
-        margin = ScalarField(f.grid, 1.0 - 2.0 * params.a_mu * phi.values)
+        with overflow_guard(t):
+            geom = InterfaceGeometry(f)
+            phi, beta, report = compute_phi_tilde(geom, params.a_mu, tol, warm_start,
+                                                  max_iter)
+            margin = ScalarField(f.grid, 1.0 - 2.0 * params.a_mu * phi.values)
         return cls(geom=geom, beta=beta, phi_tilde=phi, rt_margin_field=margin,
                    t=t, beta_report=report)
 
@@ -159,34 +175,42 @@ def wow_residual(state: InterfaceState, params: PhysicalParams) -> float:
     return l2_norm(ScalarField(g, lhs - rhs))
 
 
-def step(state: InterfaceState, params: PhysicalParams, dt: float,
-         scheme: str = "rk2", tol: float = 1e-10, rt_floor: float | None = None,
-         max_iter: int = 200) -> InterfaceState:
-    """Advance one explicit step; raises RTFloorBreach on a guarded margin breach.
+def rt_guard(state: InterfaceState, params: PhysicalParams, rt_floor: float | None):
+    """Raise RTFloorBreach if the margin of ``state`` is at most ``rt_floor``.
 
-    The RT guard applies only for Lambda > 0 (the paper leaves open whether
-    Lambda > 0 alone implies the condition for a_mu != 0, so the run monitors
-    and halts rather than assuming).
+    Only for Lambda > 0: the paper leaves open whether Lambda > 0 alone
+    implies the condition for a_mu != 0, so the run monitors and halts.
     """
     if rt_floor is not None and params.lam > 0:
         mn = float(np.min(state.rt_margin_field.values))
         if mn <= rt_floor:
             raise RTFloorBreach(state.t, mn)
-    g = state.f.grid
-    k1 = params.lam * state.phi_tilde.values
-    if scheme == "euler":
-        fnew = ScalarField(g, state.f.values + dt * k1)
-        return InterfaceState.compute(fnew, params, tol=tol, t=state.t + dt,
-                                      warm_start=state.beta, max_iter=max_iter)
-    if scheme != "rk2":
+
+
+def step(state: InterfaceState, params: PhysicalParams, dt: float,
+         scheme: str = "rk2", tol: float = 1e-10, rt_floor: float | None = None,
+         max_iter: int = 200) -> InterfaceState:
+    """Advance one explicit step: an Euler stage, plus the SSP-RK2 correction for 'rk2'.
+
+    Raises RTFloorBreach when ``state`` breaches the guard (see
+    :func:`rt_guard`) and NonFiniteInterface when a stage overflows.
+    """
+    if scheme not in ("rk2", "euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    f1 = ScalarField(g, state.f.values + dt * k1)
-    mid = InterfaceState.compute(f1, params, tol=tol, t=state.t,
-                                 warm_start=state.beta, max_iter=max_iter)
-    k2 = params.lam * mid.phi_tilde.values
-    fnew = ScalarField(g, state.f.values + 0.5 * dt * (k1 + k2))
-    return InterfaceState.compute(fnew, params, tol=tol, t=state.t + dt,
-                                  warm_start=mid.beta, max_iter=max_iter)
+    rt_guard(state, params, rt_floor)
+    g, t = state.f.grid, state.t + dt
+
+    def stage(values, warm_start):
+        return InterfaceState.compute(ScalarField(g, values), params, tol=tol, t=t,
+                                      warm_start=warm_start, max_iter=max_iter)
+
+    with overflow_guard(t):
+        k1 = params.lam * state.phi_tilde.values
+        euler = stage(state.f.values + dt * k1, state.beta)
+        if scheme == "euler":
+            return euler
+        k2 = params.lam * euler.phi_tilde.values
+        return stage(state.f.values + 0.5 * dt * (k1 + k2), euler.beta)
 
 
 @dataclass
@@ -194,7 +218,7 @@ class EvolutionResult:
     final: InterfaceState
     series: list                # monitor rows
     snapshots: list             # (step index, ScalarField)
-    halted: str | None = None   # 'rt-floor' when the guard tripped
+    halted: str | None = None   # 'rt-floor' or 'non-finite' when the run stopped early
 
     SERIES_HEADER = "t,min_rt_margin,volume,sobolev_norm_s,beta_iters,dt"
 
@@ -209,8 +233,9 @@ def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
     as that integer), so the dt used is t_end / n_steps.
 
     Monitor columns: t, min RT margin, volume integral of f, discrete H^s
-    norm, density-solve iterations, dt.  An RT-floor breach (Lambda > 0)
-    stops the run and keeps the last state as the final snapshot.
+    norm, density-solve iterations, dt.  An RT-floor breach (Lambda > 0), in
+    any state including the last, or a stage that overflows stops the run
+    and keeps the last finite state as the final snapshot.
     """
     g = f0.grid
     t_end = stepper.t_end
@@ -227,16 +252,18 @@ def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
 
     record(state)
     halted = None
-    for i in range(n_steps):
-        try:
+    try:
+        for i in range(n_steps):
             state = step(state, params, dt, scheme=stepper.scheme, tol=solver_tol,
                          rt_floor=stepper.rt_floor, max_iter=solver_max_iter)
-        except RTFloorBreach:
-            halted = "rt-floor"
-            break
-        record(state)
-        if stepper.snapshot_stride and (i + 1) % stepper.snapshot_stride == 0:
-            snapshots.append((i + 1, state.f))
+            record(state)
+            if stepper.snapshot_stride and (i + 1) % stepper.snapshot_stride == 0:
+                snapshots.append((i + 1, state.f))
+        rt_guard(state, params, stepper.rt_floor)
+    except RTFloorBreach:
+        halted = "rt-floor"
+    except NonFiniteInterface:
+        halted = "non-finite"
     snapshots.append((len(series) - 1, state.f))
     return EvolutionResult(final=state, series=series, snapshots=snapshots,
                            halted=halted)

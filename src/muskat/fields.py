@@ -65,7 +65,7 @@ def _displacements(geom: InterfaceGeometry, probe: ProbePoint):
     return dxs, dy, r2
 
 
-def _check_clearance(geom: InterfaceGeometry, probe: ProbePoint):
+def check_clearance(geom: InterfaceGeometry, probe: ProbePoint):
     if probe.distance < 0.5 * geom.grid.spacing:
         raise ValueError(
             f"probe at distance {probe.distance:.3e} is within h/2 of the interface; "
@@ -87,7 +87,7 @@ def eval_velocity(geom: InterfaceGeometry, beta: ScalarField, probes) -> list:
     scale = g.spacing**g.dim / sphere_area(g.dim)
     out = []
     for probe in probes:
-        _check_clearance(geom, probe)
+        check_clearance(geom, probe)
         dxs, dy, r2 = _displacements(geom, probe)
         denom = r2 ** ((g.dim + 1) / 2.0)
         core = dy.copy()
@@ -112,7 +112,7 @@ def eval_pressure(geom: InterfaceGeometry, beta: ScalarField, probes) -> list:
     scale = g.spacing**g.dim / sphere_area(g.dim)
     out = []
     for probe in probes:
-        _check_clearance(geom, probe)
+        check_clearance(geom, probe)
         dxs, dy, r2 = _displacements(geom, probe)
         core = dy.copy()
         for j in range(g.dim):
@@ -130,7 +130,7 @@ def eval_generic_potential(geom: InterfaceGeometry, beta: ScalarField, probes) -
     scale = g.spacing**g.dim / sphere_area(g.dim)
     out = []
     for probe in probes:
-        _check_clearance(geom, probe)
+        check_clearance(geom, probe)
         dxs, dy, r2 = _displacements(geom, probe)
         denom = r2 ** ((g.dim + 1) / 2.0)
         vec = np.empty(g.dim + 1)

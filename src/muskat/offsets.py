@@ -8,32 +8,35 @@ has no negative partner on the lattice and would break the PV cancellation.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .grid import GridSpec
 
-_CACHE: dict = {}
+
+class OffsetSet:
+    """Integer offsets in a fixed order: displacements xi, norms, optional weights."""
+
+    def __init__(self, grid: GridSpec, ints, weight=None):
+        self.grid, self.ints, self.count, self.weight = grid, ints, ints.shape[0], weight
+        self.xi = ints * grid.spacing
+        self.r = np.sqrt(np.sum(self.xi**2, axis=1))
 
 
-class PVOffsets:
-    """Offset table: integer reps, displacements, norms, per-nu caches."""
+def _box(lo, hi, dim) -> np.ndarray:
+    """All integer vectors with components in [lo, hi], in lexicographic order."""
+    rng = np.arange(lo, hi + 1)
+    return np.stack([m.ravel() for m in np.meshgrid(*([rng] * dim), indexing="ij")], axis=1)
+
+
+class PVOffsets(OffsetSet):
+    """The PV offset table, with per-nu angular caches."""
 
     def __init__(self, grid: GridSpec):
-        M, N, h = grid.points, grid.dim, grid.spacing
-        half = (M - 1) // 2 if M % 2 else M // 2 - 1
-        rng = np.arange(-half, half + 1)
-        mesh = np.meshgrid(*([rng] * N), indexing="ij")
-        ints = np.stack([m.ravel() for m in mesh], axis=1)
-        ints = ints[np.any(ints != 0, axis=1)]
-        # lexicographic order of the centered representatives, fixed for determinism
-        order = np.lexsort(ints.T[::-1])
-        self.grid = grid
-        self.ints = ints[order]
-        self.xi = self.ints * h
-        self.r = np.sqrt(np.sum(self.xi**2, axis=1))
-        self.count = self.ints.shape[0]
+        ints = _box(-((grid.points - 1) // 2), (grid.points - 1) // 2, grid.dim)
+        super().__init__(grid, ints[np.any(ints != 0, axis=1)])
         self._nu_cache: dict = {}
-        assert np.all(np.any(self.ints != 0, axis=1))
 
     def angular_factor(self, nu) -> np.ndarray:
         """xi^nu / |xi|^{|nu|} per offset, cached per multi-index."""
@@ -53,24 +56,39 @@ class PVOffsets:
         return self._nu_cache[nu]
 
 
+@lru_cache(maxsize=None)
 def pv_offsets(grid: GridSpec) -> PVOffsets:
-    key = (grid.dim, grid.points, grid.extent)
-    if key not in _CACHE:
-        _CACHE[key] = PVOffsets(grid)
-    return _CACHE[key]
+    return PVOffsets(grid)
 
 
-def lattice_sum(grid: GridSpec, term, shape=None) -> np.ndarray:
-    """Sum of ``term(t, roll_t)`` over the PV offsets t, accumulated in offset order.
+@lru_cache(maxsize=None)
+def face_ring(grid: GridSpec) -> OffsetSet:
+    """The outermost offset ring, sampling the cell faces |xi_j| = L/2, with face weights.
 
-    ``roll_t(u)`` is ``u`` periodically shifted by offset t on every axis, so
-    it holds u(x - xi_t) at x.  The accumulator has ``shape`` (default the
-    grid shape), which every term must broadcast to.  The fixed order keeps
-    results bit-identical across runs.
+    An offset's weight sums |xi_j| = (M//2) h over its face axes j, the outward
+    normal +-e_j dotted with xi on either face of axis j.  For even
+    M both faces xi_j = +-L/2 fall on the one Nyquist ring, so each offset of
+    it counts twice, and its other components span the PV range (no corners).
+    """
+    M, even = grid.points, grid.points % 2 == 0
+    ints = _box(-((M - 1) // 2), M // 2, grid.dim)
+    faces = np.sum(np.abs(ints) == M // 2, axis=1)
+    keep = faces == 1 if even else faces > 0
+    return OffsetSet(grid, ints[keep], (2 if even else 1) * faces[keep] * (M // 2) * grid.spacing)
+
+
+def lattice_sum(grid: GridSpec, term, shape=None, offsets=None) -> np.ndarray:
+    """Sum of ``term(t, roll_t)`` over the offsets t, accumulated in offset order.
+
+    The offsets default to the PV set of ``grid``.  ``roll_t(u)`` is ``u``
+    periodically shifted by offset t on every axis, so it holds u(x - xi_t)
+    at x.  The accumulator has ``shape`` (default the grid shape), which
+    every term must broadcast to.  The fixed order keeps results
+    bit-identical across runs.
     """
     axes = tuple(range(grid.dim))
     acc = np.zeros(grid.shape if shape is None else shape)
-    for t, shift in enumerate(pv_offsets(grid).ints.tolist()):
+    for t, shift in enumerate((offsets or pv_offsets(grid)).ints.tolist()):
         acc += term(t, lambda u, shift=shift: np.roll(u, shift, axis=axes))
     return acc
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import GridSpec, ScalarField, gradient, inner, integrate, l2_norm
 from .kernels import OperatorSpec, apply_B_frozen, core_fix_apply
-from .offsets import lattice_sum, pv_offsets, sphere_area
+from .offsets import face_ring, lattice_sum, pv_offsets, sphere_area
 from .profiles import phibar
 
 
@@ -56,24 +56,25 @@ def _check_grid(geom: InterfaceGeometry, *fields):
             raise ValueError("field grid does not match the interface grid")
 
 
-def _interface_sum(geom: InterfaceGeometry, numerator, shape=None) -> np.ndarray:
-    """h^N/|S^N| times the PV sum of numerator(xi, df, roll) / (|xi|^2 + df^2)^((N+1)/2).
+def _interface_sum(geom: InterfaceGeometry, numerator, shape=None, offsets=None) -> np.ndarray:
+    """h^N/|S^N| times the sum of numerator(xi, df, roll) / (|xi|^2 + df^2)^((N+1)/2).
 
-    The kernel shared by D, D*, A and AA: df = f(x) - f(x-xi) for the offset
-    xi, and ``roll`` maps a field u to u(x - xi); see
-    :func:`muskat.offsets.lattice_sum` for ``shape``.
+    The kernel shared by D, D*, A, AA and the torus flux: df = f(x) - f(x-xi)
+    for the offset xi, ``roll`` maps a field u to u(x - xi), and a weighted
+    offset set weights its terms; see :func:`muskat.offsets.lattice_sum`.
     """
     g = geom.grid
-    off = pv_offsets(g)
+    off = offsets or pv_offsets(g)
     fvals = geom.f.values
     power = (g.dim + 1) / 2.0
 
     def term(t, roll):
         df = fvals - roll(fvals)
         den = (off.r[t] ** 2 + df * df) ** power
-        return numerator(off.xi[t], df, roll) / den
+        out = numerator(off.xi[t], df, roll) / den
+        return out if off.weight is None else off.weight[t] * out
 
-    return g.spacing**g.dim / sphere_area(g.dim) * lattice_sum(g, term, shape)
+    return g.spacing**g.dim / sphere_area(g.dim) * lattice_sum(g, term, shape, off)
 
 
 def apply_D(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
@@ -183,42 +184,20 @@ def torus_byparts_flux(geom: InterfaceGeometry, beta: ScalarField) -> list:
         V_k(xi) = xi (d_k f(x) - d_k f(x-xi)) / (|xi|^2 + df^2)^((N+1)/2)
 
     through the cell faces |xi_j| = L/2.  The faces are sampled on the
-    outermost offset ring (the Nyquist ring for even M), which is O(h)
-    accurate; the approximation error refines along with the identity defect.
+    outermost offset ring (the Nyquist ring for even M, see
+    :func:`muskat.offsets.face_ring`), which is O(h) accurate; the
+    approximation error refines along with the identity defect.
     """
     _check_grid(geom, beta)
     g = geom.grid
-    M, N, h, L = g.points, g.dim, g.spacing, g.extent
-    axes = tuple(range(N))
-    fvals = geom.f.values
     gfv = [c.values for c in geom.grad_f]
-    scale = h ** (N - 1) / sphere_area(N)
-    even = M % 2 == 0
-    K = M // 2 if even else (M - 1) // 2
-    span = np.arange(-(M // 2 - 1) if even else -K, (M // 2 - 1 if even else K) + 1)
-    fluxes = []
-    for k in range(N):
-        acc = np.zeros(g.shape)
-        for j in range(N):
-            # outward normal +-e_j times V_j both reduce to +|xi_j| * rest;
-            # for even M the two faces share one lattice ring, counted twice
-            faces = ((K, 2.0),) if even else ((K, 1.0), (-K, 1.0))
-            for mj, factor in faces:
-                for rest in np.ndindex(*([len(span)] * (N - 1))):
-                    m = np.zeros(N, dtype=int)
-                    m[j] = mj
-                    others = [ax for ax in range(N) if ax != j]
-                    for pos, ax in enumerate(others):
-                        m[ax] = span[rest[pos]]
-                    shift = tuple(int(v) for v in m)
-                    xi = m * h
-                    df = fvals - np.roll(fvals, shift, axis=axes)
-                    den = (float(np.dot(xi, xi)) + df * df) ** ((N + 1) / 2.0)
-                    dgfk = gfv[k] - np.roll(gfv[k], shift, axis=axes)
-                    acc += factor * abs(xi[j]) * dgfk \
-                        * np.roll(beta.values, shift, axis=axes) / den
-        fluxes.append(ScalarField(g, -scale * acc))
-    return fluxes
+
+    def numerator(xi, df, roll):
+        rb = roll(beta.values)
+        return np.stack([(v - roll(v)) * rb for v in gfv])
+
+    acc = _interface_sum(geom, numerator, (g.dim,) + g.shape, face_ring(g))
+    return [ScalarField(g, -c / g.spacing) for c in acc]  # a face cell has measure h^(N-1)
 
 
 def gradient_identity_residual(geom: InterfaceGeometry, beta: ScalarField,

@@ -237,3 +237,35 @@ def test_step_equilibrium_3d():
     state = InterfaceState.compute(make_zero(g), params)
     out = step(state, params, 0.05)
     assert np.all(out.f.values == 0.0)
+
+
+def test_step_stamps_both_stages_at_t_plus_dt(monkeypatch):
+    g = GridSpec(1, 2 * np.pi, 32)
+    params = PhysicalParams(lam=1.0, a_mu=0.3)
+    state = InterfaceState.compute(make_gaussian_bump(g, 0.2, [np.pi], 0.5), params, t=0.5)
+    compute = InterfaceState.compute.__func__
+    stamps = []
+
+    def recording(cls, f, p, **kwargs):
+        stamps.append(kwargs["t"])
+        return compute(cls, f, p, **kwargs)
+
+    monkeypatch.setattr(InterfaceState, "compute", classmethod(recording))
+    step(state, params, 0.25)
+    assert stamps == [0.75, 0.75]
+
+
+def test_evolve_guards_the_final_state():
+    # one step of a steep bump at a_mu = 0.9 lowers the margin; a floor between
+    # the two margins must halt the run at its final state
+    g = GridSpec(1, 2 * np.pi, 64)
+    params = PhysicalParams(lam=1.0, a_mu=0.9)
+    f0 = make_gaussian_bump(g, 1.4, [np.pi], 0.45)
+    free = evolve(f0, params, StepperConfig(dt=0.01, t_end=0.01, rt_floor=0.01))
+    m0, m1 = free.series[0][1], free.series[1][1]
+    assert free.halted is None and m1 < m0
+    floor = 0.5 * (m0 + m1)
+    result = evolve(f0, params, StepperConfig(dt=0.01, t_end=0.01, rt_floor=floor))
+    assert result.halted == "rt-floor"
+    assert len(result.series) == 2 and result.final.t == 0.01
+    assert np.array_equal(result.final.f.values, free.final.f.values)
