@@ -159,6 +159,15 @@ def build_config(kv: dict) -> SimConfig:
             params = PhysicalParams(values["params.lambda"], values["params.a_mu"])
         stepper = StepperConfig(**{k: values[f"stepper.{k}"] for k in (
             "scheme", "dt", "cfl", "t_end", "snapshot_stride", "rt_floor")})
+        stepper.steps(grid, params.lam)
+    # the monitor's H^s weight (1+|k|^2)^s is largest at the grid's top frequency
+    k2_top = grid.dim * (grid.points // 2 * 2.0 * math.pi / grid.extent) ** 2
+    try:
+        (1.0 + k2_top) ** values["monitor.sobolev_s"]
+    except OverflowError:
+        raise ConfigError(f"monitor.sobolev_s = {values['monitor.sobolev_s']}: the weight "
+                          f"(1+|k|^2)^s overflows at the top frequency |k|^2 = {k2_top:.4g}"
+                          ) from None
     values["params.lambda"], values["params.a_mu"] = params.lam, params.a_mu
     values.setdefault("initial.center", [grid.extent / 2] * grid.dim)
     initial = {name: values[f"initial.{name}"] for name in _INITIAL_KINDS[kind]}

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import ScalarField, gradient, integrate, l2_norm, sobolev_norm
-from .kernels import OperatorSpec, apply_B_frozen
+from .kernels import phibar_transform
 from .potentials import InterfaceGeometry, apply_AA
-from .profiles import phibar
 from .resolvent import SolveReport, solve_beta
 
 
@@ -75,6 +74,9 @@ class PhysicalParams:
         return cls(lam=lam, a_mu=a_mu)
 
 
+MAX_STEPS = 10**6  # the most time steps one run may take
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     scheme: str = "rk2"            # 'rk2' (SSP) or 'euler'
@@ -100,6 +102,19 @@ class StepperConfig:
         if lam == 0:
             raise ValueError("auto dt needs Lambda != 0")
         return self.cfl * grid.spacing / abs(lam)
+
+    def steps(self, grid, lam) -> tuple:
+        """(n_steps, dt): the fewest equal steps of at most the resolved dt that end at t_end.
+
+        A ratio t_end/dt within 1e-9 relative above an integer counts as that
+        integer.  More than MAX_STEPS steps, or a ratio that overflows, is a
+        ValueError.
+        """
+        ratio = self.t_end / self.resolve_dt(grid, lam) * (1.0 - 1e-9)
+        if not ratio <= MAX_STEPS:
+            raise ValueError(f"t_end / dt asks for {ratio:.3g} steps, more than {MAX_STEPS}")
+        n_steps = max(1, math.ceil(ratio))
+        return n_steps, self.t_end / n_steps
 
 
 def compute_phi_tilde(geom: InterfaceGeometry, a_mu: float, tol: float = 1e-10,
@@ -166,11 +181,9 @@ def wow_residual(state: InterfaceState, params: PhysicalParams) -> float:
     lhs = state.rt_margin_field.values
     grad_beta = gradient(state.beta)
     gf_dot_gb = sum(geom.grad_f[j].values * grad_beta[j].values for j in range(g.dim))
-    pb = phibar(g.dim)
     riesz_sum = np.zeros(g.shape)
     for k in range(g.dim):
-        nu = tuple(1 if j == k else 0 for j in range(g.dim))
-        riesz_sum += apply_B_frozen(OperatorSpec(pb, 0, nu), geom.f, grad_beta[k]).values
+        riesz_sum += phibar_transform(geom.f, 0, k, grad_beta[k].values, "spectral")
     rhs = -gf_dot_gb + geom.omega.values * (1.0 + 2.0 * a * riesz_sum)
     return l2_norm(ScalarField(g, lhs - rhs))
 
@@ -228,19 +241,15 @@ def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
            solver_max_iter: int = 200) -> EvolutionResult:
     """Run the time loop with monitors; snapshots every ``snapshot_stride`` steps.
 
-    The run takes the fewest equal steps of at most the resolved dt that end
-    at t_end (a ratio t_end/dt within 1e-9 relative above an integer counts
-    as that integer), so the dt used is t_end / n_steps.
+    The run takes the equal steps of :meth:`StepperConfig.steps`, so the dt
+    used is t_end / n_steps.
 
     Monitor columns: t, min RT margin, volume integral of f, discrete H^s
     norm, density-solve iterations, dt.  An RT-floor breach (Lambda > 0), in
     any state including the last, or a stage that overflows stops the run
     and keeps the last finite state as the final snapshot.
     """
-    g = f0.grid
-    t_end = stepper.t_end
-    n_steps = math.ceil(t_end / stepper.resolve_dt(g, params.lam) * (1.0 - 1e-9))
-    dt = t_end / n_steps
+    n_steps, dt = stepper.steps(f0.grid, params.lam)
     state = InterfaceState.compute(f0, params, tol=solver_tol, max_iter=solver_max_iter)
     series = []
     snapshots = []

@@ -18,13 +18,14 @@ reproduce term by term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .grid import GridSpec, ScalarField, l2_norm, spectral_derivative
 from .multipliers import riesz_core_symbol_grid
 from .offsets import lattice_sum, pv_offsets, sphere_area
-from .profiles import SmoothProfile
+from .profiles import SmoothProfile, phibar
 
 RIESZ_CORE_MODES = ("spectral", "lattice")
 
@@ -50,35 +51,44 @@ class OperatorSpec:
         return self.profile.arity
 
 
-_LAT_SYMBOL_CACHE: dict = {}
-_FIX_CACHE: dict = {}
+def check_riesz_core(riesz_core: str) -> bool:
+    """True for the spectral core, False for the lattice one; ValueError for any other mode."""
+    if riesz_core not in RIESZ_CORE_MODES:
+        raise ValueError(f"riesz_core must be one of {RIESZ_CORE_MODES}, got {riesz_core!r}")
+    return riesz_core == "spectral"
 
 
-def lattice_core_symbol(grid: GridSpec, nu) -> np.ndarray:
+@lru_cache(maxsize=None)
+def riesz_core_weight(grid: GridSpec, nu: tuple) -> np.ndarray:
+    """h^N xi^nu / (|S^N| |xi|^{|nu|+N}) per PV offset: the unit Riesz core's lattice weight."""
+    if len(nu) != grid.dim or any(v < 0 for v in nu):
+        raise ValueError(f"bad multi-index {nu} for dim {grid.dim}")
+    off = pv_offsets(grid)
+    ang = np.ones(off.count)
+    for j, p in enumerate(nu):
+        ang = ang * off.xi[:, j] ** p
+    ang = ang / off.r ** sum(nu)
+    w = ang * grid.spacing**grid.dim / (off.r**grid.dim * sphere_area(grid.dim))
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=None)
+def lattice_core_symbol(grid: GridSpec, nu: tuple) -> np.ndarray:
     """Symbol of the naked punctured lattice sum of xi^nu/(|S^N| |xi|^{|nu|+N})."""
-    nu = tuple(int(v) for v in nu)
-    key = (grid.dim, grid.points, grid.extent, nu)
-    if key not in _LAT_SYMBOL_CACHE:
-        off = pv_offsets(grid)
-        w = (off.angular_factor(nu) * grid.spacing**grid.dim
-             / (off.r**grid.dim * sphere_area(grid.dim)))
-        arr = np.zeros(grid.shape)
-        arr[tuple((off.ints % grid.points).T)] = w
-        sym = np.fft.fftn(arr)
-        sym.setflags(write=False)
-        _LAT_SYMBOL_CACHE[key] = sym
-    return _LAT_SYMBOL_CACHE[key]
+    arr = np.zeros(grid.shape)
+    arr[tuple((pv_offsets(grid).ints % grid.points).T)] = riesz_core_weight(grid, nu)
+    sym = np.fft.fftn(arr)
+    sym.setflags(write=False)
+    return sym
 
 
-def riesz_core_fix(grid: GridSpec, nu) -> np.ndarray:
+@lru_cache(maxsize=None)
+def riesz_core_fix(grid: GridSpec, nu: tuple) -> np.ndarray:
     """Exact-minus-lattice symbol of the unit constant Riesz core."""
-    nu = tuple(int(v) for v in nu)
-    key = (grid.dim, grid.points, grid.extent, nu)
-    if key not in _FIX_CACHE:
-        fix = riesz_core_symbol_grid(grid, nu) - lattice_core_symbol(grid, nu)
-        fix.setflags(write=False)
-        _FIX_CACHE[key] = fix
-    return _FIX_CACHE[key]
+    fix = riesz_core_symbol_grid(grid, nu) - lattice_core_symbol(grid, nu)
+    fix.setflags(write=False)
+    return fix
 
 
 def core_fix_apply(grid: GridSpec, nu, values: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -109,10 +119,7 @@ def _slot_product(factors):
 
 def _naked_sum(spec: OperatorSpec, a_vals, b_vals, beta_vals, grid: GridSpec):
     off = pv_offsets(grid)
-    hN = grid.spacing**grid.dim
-    area = sphere_area(grid.dim)
-    ang = off.angular_factor(spec.nu)
-    w_geom = ang * hN / (off.r**grid.dim * area)
+    w_geom = riesz_core_weight(grid, spec.nu)
     # all-zero a collapses phi((D a)^2) to the constant phi(0); skip the rolls
     phi0 = None
     if not any(np.any(av) for av in a_vals):
@@ -139,8 +146,7 @@ def apply_B(spec: OperatorSpec, a, b, beta: ScalarField,
     ``a`` has the profile arity, ``b`` has n entries, all on one grid.  See
     the module docstring for the meaning of ``riesz_core``.
     """
-    if riesz_core not in RIESZ_CORE_MODES:
-        raise ValueError(f"riesz_core must be one of {RIESZ_CORE_MODES}")
+    spectral = check_riesz_core(riesz_core)
     a = list(a)
     b = list(b)
     if len(a) != spec.arity:
@@ -153,7 +159,7 @@ def apply_B(spec: OperatorSpec, a, b, beta: ScalarField,
             raise ValueError("all fields must share one grid")
     out = _naked_sum(spec, [f.values for f in a], [f.values for f in b],
                      beta.values, grid)
-    if spec.n == 0 and riesz_core == "spectral":
+    if spec.n == 0 and spectral:
         phi0 = float(spec.profile(tuple(0.0 for _ in range(spec.arity))))
         out = out + core_fix_apply(grid, spec.nu, beta.values, phi0)
     return ScalarField(grid, out)
@@ -163,6 +169,18 @@ def apply_B_frozen(spec: OperatorSpec, f: ScalarField, beta: ScalarField,
                    riesz_core: str = "spectral") -> ScalarField:
     """The single-function instance B^phi_{n,nu}(f)[f,...,f, beta]."""
     return apply_B(spec, [f] * spec.arity, [f] * spec.n, beta, riesz_core)
+
+
+def phibar_transform(f: ScalarField, n: int, axis, values: np.ndarray,
+                     riesz_core: str = "lattice") -> np.ndarray:
+    """B^phibar_{n,nu}(f)[f,...,f, values] as an array, nu = e_axis (0 when axis is None).
+
+    These are the transforms the interface operators are composed of.
+    """
+    g = f.grid
+    nu = tuple(int(j == axis) for j in range(g.dim))
+    return apply_B_frozen(OperatorSpec(phibar(g.dim), n, nu), f, ScalarField(g, values),
+                          riesz_core).values
 
 
 def chain_rule_residual(spec: OperatorSpec, a: ScalarField, b, beta: ScalarField,

@@ -22,6 +22,9 @@ class OffsetSet:
         self.grid, self.ints, self.count, self.weight = grid, ints, ints.shape[0], weight
         self.xi = ints * grid.spacing
         self.r = np.sqrt(np.sum(self.xi**2, axis=1))
+        for table in (ints, self.xi, self.r, weight):  # shared through the lru_caches below
+            if table is not None:
+                table.setflags(write=False)
 
 
 def _box(lo, hi, dim) -> np.ndarray:
@@ -31,29 +34,11 @@ def _box(lo, hi, dim) -> np.ndarray:
 
 
 class PVOffsets(OffsetSet):
-    """The PV offset table, with per-nu angular caches."""
+    """The PV offset table: every nonzero offset with a negative partner."""
 
     def __init__(self, grid: GridSpec):
         ints = _box(-((grid.points - 1) // 2), (grid.points - 1) // 2, grid.dim)
         super().__init__(grid, ints[np.any(ints != 0, axis=1)])
-        self._nu_cache: dict = {}
-
-    def angular_factor(self, nu) -> np.ndarray:
-        """xi^nu / |xi|^{|nu|} per offset, cached per multi-index."""
-        nu = tuple(int(v) for v in nu)
-        if len(nu) != self.grid.dim or any(v < 0 for v in nu):
-            raise ValueError(f"bad multi-index {nu} for dim {self.grid.dim}")
-        if nu not in self._nu_cache:
-            out = np.ones(self.count)
-            total = sum(nu)
-            for j, p in enumerate(nu):
-                if p:
-                    out = out * self.xi[:, j] ** p
-            if total:
-                out = out / self.r**total
-            out.setflags(write=False)
-            self._nu_cache[nu] = out
-        return self._nu_cache[nu]
 
 
 @lru_cache(maxsize=None)

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec, ScalarField, gradient, inner, integrate, l2_norm
-from .kernels import OperatorSpec, apply_B_frozen, core_fix_apply
+from .kernels import check_riesz_core, core_fix_apply, phibar_transform
 from .offsets import face_ring, lattice_sum, pv_offsets, sphere_area
-from .profiles import phibar
 
 
 @dataclass(frozen=True)
@@ -91,18 +90,14 @@ def apply_D(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
     return ScalarField(geom.grid, _interface_sum(geom, numerator))
 
 
-def apply_D_composed(geom: InterfaceGeometry, beta: ScalarField,
-                     riesz_core: str = "lattice") -> ScalarField:
+def apply_D_composed(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
     """B-transform representation of the double layer, for cross-checking."""
     _check_grid(geom, beta)
-    g = geom.grid
-    pb = phibar(g.dim)
-    out = apply_B_frozen(OperatorSpec(pb, 1, (0,) * g.dim), geom.f, beta, riesz_core).values
-    for i in range(g.dim):
-        nu = tuple(1 if j == i else 0 for j in range(g.dim))
-        weighted = ScalarField(g, beta.values * geom.grad_f[i].values)
-        out = out - apply_B_frozen(OperatorSpec(pb, 0, nu), geom.f, weighted, riesz_core).values
-    return ScalarField(g, out)
+    f, bv = geom.f, beta.values
+    out = phibar_transform(f, 1, None, bv)
+    for i, gi in enumerate(geom.grad_f):
+        out = out - phibar_transform(f, 0, i, bv * gi.values)
+    return ScalarField(geom.grid, out)
 
 
 def apply_D_star(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
@@ -119,17 +114,13 @@ def apply_D_star(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
     return ScalarField(geom.grid, _interface_sum(geom, numerator))
 
 
-def apply_D_star_composed(geom: InterfaceGeometry, beta: ScalarField,
-                          riesz_core: str = "lattice") -> ScalarField:
+def apply_D_star_composed(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
     _check_grid(geom, beta)
-    g = geom.grid
-    pb = phibar(g.dim)
-    out = -apply_B_frozen(OperatorSpec(pb, 1, (0,) * g.dim), geom.f, beta, riesz_core).values
-    for i in range(g.dim):
-        nu = tuple(1 if j == i else 0 for j in range(g.dim))
-        out = out + geom.grad_f[i].values * apply_B_frozen(
-            OperatorSpec(pb, 0, nu), geom.f, beta, riesz_core).values
-    return ScalarField(g, out)
+    f, bv = geom.f, beta.values
+    out = -phibar_transform(f, 1, None, bv)
+    for i, gi in enumerate(geom.grad_f):
+        out = out + gi.values * phibar_transform(f, 0, i, bv)
+    return ScalarField(geom.grid, out)
 
 
 def apply_A(geom: InterfaceGeometry, b) -> list:
@@ -154,23 +145,17 @@ def apply_A(geom: InterfaceGeometry, b) -> list:
     return [ScalarField(g, c) for c in _interface_sum(geom, numerator, (g.dim,) + g.shape)]
 
 
-def apply_A_composed(geom: InterfaceGeometry, b, riesz_core: str = "lattice") -> list:
+def apply_A_composed(geom: InterfaceGeometry, b) -> list:
     b = list(b)
     _check_grid(geom, *b)
-    g = geom.grid
-    pb = phibar(g.dim)
+    f, gfv, bv = geom.f, [c.values for c in geom.grad_f], [c.values for c in b]
     out = []
-    for k in range(g.dim):
-        acc = apply_B_frozen(OperatorSpec(pb, 1, (0,) * g.dim), geom.f, b[k], riesz_core).values
-        for i in range(g.dim):
-            nu = tuple(1 if j == i else 0 for j in range(g.dim))
-            spec = OperatorSpec(pb, 0, nu)
-            mixed = ScalarField(g, geom.grad_f[k].values * b[i].values
-                                - geom.grad_f[i].values * b[k].values)
-            acc = acc + apply_B_frozen(spec, geom.f, mixed, riesz_core).values
-            acc = acc - geom.grad_f[k].values * apply_B_frozen(
-                spec, geom.f, b[i], riesz_core).values
-        out.append(ScalarField(g, acc))
+    for k in range(geom.grid.dim):
+        acc = phibar_transform(f, 1, None, bv[k])
+        for i in range(geom.grid.dim):
+            acc = acc + phibar_transform(f, 0, i, gfv[k] * bv[i] - gfv[i] * bv[k])
+            acc = acc - gfv[k] * phibar_transform(f, 0, i, bv[i])
+        out.append(ScalarField(geom.grid, acc))
     return out
 
 
@@ -228,6 +213,7 @@ def apply_AA(geom: InterfaceGeometry, b, riesz_core: str = "spectral") -> Scalar
     The second integral contains the constant core -xi.b(x-xi)/|xi|^{N+1},
     which is evaluated spectrally unless ``riesz_core='lattice'``.
     """
+    spectral = check_riesz_core(riesz_core)
     b = list(b)
     if len(b) != geom.grid.dim:
         raise ValueError("b must have one component per axis")
@@ -247,10 +233,9 @@ def apply_AA(geom: InterfaceGeometry, b, riesz_core: str = "spectral") -> Scalar
         return (xigf - df) * gfb - xib * (1.0 + gfgf)
 
     out = _interface_sum(geom, numerator)
-    if riesz_core == "spectral":
+    if spectral:
         for d in range(g.dim):
-            nu = tuple(1 if j == d else 0 for j in range(g.dim))
-            out = out - core_fix_apply(g, nu, bv[d])
+            out = out - core_fix_apply(g, tuple(int(j == d) for j in range(g.dim)), bv[d])
     return ScalarField(g, out)
 
 
@@ -258,21 +243,14 @@ def apply_AA_composed(geom: InterfaceGeometry, b, riesz_core: str = "spectral") 
     """B-transform representation of the velocity operator (validation path)."""
     b = list(b)
     _check_grid(geom, *b)
-    g = geom.grid
-    pb = phibar(g.dim)
-    out = np.zeros(g.shape)
-    for i in range(g.dim):
-        nu = tuple(1 if j == i else 0 for j in range(g.dim))
-        spec = OperatorSpec(pb, 0, nu)
-        for k in range(g.dim):
-            mixed = ScalarField(g, b[k].values * geom.grad_f[i].values
-                                - b[i].values * geom.grad_f[k].values)
-            out = out + geom.grad_f[k].values * apply_B_frozen(
-                spec, geom.f, mixed, "lattice").values
-        out = out - apply_B_frozen(spec, geom.f, b[i], riesz_core).values
-        out = out - geom.grad_f[i].values * apply_B_frozen(
-            OperatorSpec(pb, 1, (0,) * g.dim), geom.f, b[i], "lattice").values
-    return ScalarField(g, out)
+    f, gfv, bv = geom.f, [c.values for c in geom.grad_f], [c.values for c in b]
+    out = np.zeros(geom.grid.shape)
+    for i in range(geom.grid.dim):
+        for k in range(geom.grid.dim):
+            out = out + gfv[k] * phibar_transform(f, 0, i, bv[k] * gfv[i] - bv[i] * gfv[k])
+        out = out - phibar_transform(f, 0, i, bv[i], riesz_core)
+        out = out - gfv[i] * phibar_transform(f, 1, None, bv[i])
+    return ScalarField(geom.grid, out)
 
 
 def boundary_trace(geom: InterfaceGeometry, beta: ScalarField) -> list:
@@ -283,14 +261,10 @@ def boundary_trace(geom: InterfaceGeometry, beta: ScalarField) -> list:
     decaying kernel and stays on the lattice.
     """
     _check_grid(geom, beta)
-    g = geom.grid
-    pb = phibar(g.dim)
-    comps = []
-    for i in range(g.dim):
-        nu = tuple(1 if j == i else 0 for j in range(g.dim))
-        comps.append(apply_B_frozen(OperatorSpec(pb, 0, nu), geom.f, beta, "spectral"))
-    comps.append(apply_B_frozen(OperatorSpec(pb, 1, (0,) * g.dim), geom.f, beta, "lattice"))
-    return comps
+    f, bv = geom.f, beta.values
+    comps = [phibar_transform(f, 0, i, bv, "spectral") for i in range(geom.grid.dim)]
+    comps.append(phibar_transform(f, 1, None, bv))
+    return [ScalarField(geom.grid, c) for c in comps]
 
 
 def rellich_residual(geom: InterfaceGeometry, beta: ScalarField) -> float:

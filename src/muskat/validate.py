@@ -28,8 +28,8 @@ class Row:
     def __init__(self, suite, check, value, threshold, passed, note=""):
         self.suite = suite
         self.check = check
-        self.value = value
-        self.threshold = threshold
+        self.value = float(value)
+        self.threshold = float(threshold)
         self.passed = bool(passed)
         self.note = note
 

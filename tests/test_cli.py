@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -146,9 +147,13 @@ stepper.rt_floor = 0.9
 
 def test_validate_cli(tmp_path):
     cfg = write(tmp_path / "c.cfg", MINIMAL + f"output.dir = {tmp_path}/v\n")
-    assert main(["validate", "--suite", "difference", cfg]) == 0
+    assert main(["validate", "--suite", "difference,symbols", cfg]) == 0
     report = (tmp_path / "v" / "validate_report.csv").read_text()
     assert report.startswith("suite,check,value,threshold,passed")
+    rows = list(csv.DictReader(report.splitlines()))
+    assert {row["suite"] for row in rows} == {"difference", "symbols"}
+    for row in rows:
+        float(row["value"]), float(row["threshold"])  # a ValueError for anything but a number
     assert main(["validate", "--suite", "nonsense", cfg]) == 2
 
 
@@ -240,6 +245,9 @@ BAD_INPUT = {
     "t-end-inf": ({"stepper.t_end": "inf"}, []),
     "stride-negative": ({"stepper.snapshot_stride": "-1"}, []),
     "sobolev-negative": ({"monitor.sobolev_s": "-1"}, []),
+    "sobolev-weight-overflows": ({"monitor.sobolev_s": "1e6"}, []),
+    "step-count-overflows": ({"stepper.dt": "1e-320", "stepper.t_end": "1e10"}, []),
+    "step-count-beyond-ceiling": ({"stepper.dt": "1e-300"}, []),
     "tol-negative": ({"params.a_mu": "0.5", "solver.tol": "-1"}, []),
     "tol-nan": ({"params.a_mu": "0.5", "solver.tol": "nan"}, []),
     "wide-gaussian": ({"initial.width": "3"}, []),
@@ -325,7 +333,7 @@ FUZZ_VALUES = {
     "stepper.rt_floor": (["0.05", "0.5", "0.99"], ["0", "1", "nan"]),
     "solver.tol": (["1e-10", "1e-3"], ["0", "-1", "nan"]),
     "solver.max_iter": (["200", "1"], ["0", "x"]),
-    "monitor.sobolev_s": (["2", "0", "1e6"], ["-1", "nan"]),
+    "monitor.sobolev_s": (["2", "0"], ["-1", "nan", "1e6"]),
     "seed": (["0", "7"], ["-1", "x"]),
 }
 

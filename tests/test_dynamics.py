@@ -194,6 +194,16 @@ def test_evolve_ends_at_t_end():
     assert np.allclose(np.diff(t), dt, rtol=0.0, atol=1e-12)
 
 
+def test_step_count_is_bounded():
+    g = GridSpec(1, 2 * np.pi, 16)
+    assert StepperConfig(dt=0.05, t_end=0.1).steps(g, 1.0) == (2, 0.05)
+    # a ratio that underflows to 0 is one step of t_end
+    assert StepperConfig(dt=1e10, t_end=1e-320).steps(g, 1.0) == (1, 1e-320)
+    for dt, t_end in ((1e-300, 0.1), (1e-320, 1e10)):
+        with pytest.raises(ValueError, match="steps"):
+            StepperConfig(dt=dt, t_end=t_end).steps(g, 1.0)
+
+
 def test_evolve_volume_conservation_short_horizon():
     # brute-force short-horizon check, not asserted from theory
     g = GridSpec(1, 2 * np.pi, 64)

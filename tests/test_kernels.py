@@ -266,7 +266,7 @@ def test_lattice_core_symbol_is_fft_of_weights():
     sym = lattice_core_symbol(g, (1,))
     # reconstruct mode-3 response directly
     k = 3
-    direct = sum(off.angular_factor((1,))[t] * g.spacing / (off.r[t] * sphere_area(1))
+    direct = sum(off.xi[t, 0] / off.r[t] * g.spacing / (off.r[t] * sphere_area(1))
                  * np.exp(-2j * np.pi * k * off.ints[t, 0] / g.points)
                  for t in range(off.count))
     assert abs(sym[k] - direct) < 1e-14

@@ -177,6 +177,14 @@ def test_AA_direct_equals_composed():
         assert rel_err(dl.values, cl.values) < 1e-10
 
 
+def test_misspelled_core_mode_is_rejected():
+    geom = gaussian_geometry(32)
+    b = [band_limited_random(geom.grid, 3, np.random.default_rng(0))]
+    for op in (apply_AA, apply_AA_composed):
+        with pytest.raises(ValueError, match="riesz_core"):
+            op(geom, b, riesz_core="spectra")
+
+
 def test_rellich_flat_interface():
     # reduces to the exact discrete Riesz identity plus the torus flux term
     g = GridSpec(1, 2 * np.pi, 64)
