@@ -14,28 +14,24 @@ __version__ = "0.1.0"
 from .dynamics import (InterfaceState, PhysicalParams, RTFloorBreach,
                        StepperConfig, compute_phi_tilde, evolve, rt_margin,
                        step, wow_residual)
-from .grid import (FrequencyIndex, GridSpec, ScalarField, SobolevOrder,
-                   integrate, l2_norm, load_field, make_field, save_field,
-                   sobolev_norm, spectral_derivative)
-from .kernels import OperatorSpec, apply_B, apply_B_frozen, chain_rule_residual
-from .multipliers import (MultiplierSpec, SphereRule, apply_multiplier,
-                          reduction_identity_residual, symbol_D, symbol_T)
+from .grid import (GridSpec, ScalarField, integrate, l2_norm, load_field, make_field,
+                   save_field, sobolev_norm, spectral_derivative)
+from .kernels import OperatorSpec, apply_B, chain_rule_residual
+from .multipliers import MultiplierSpec, SphereRule, symbol_D, symbol_T
 from .potentials import (InterfaceGeometry, apply_A, apply_AA, apply_D,
                          apply_D_star, gradient_identity_residual,
                          rellich_residual)
 from .profiles import SmoothProfile, make_difference_profile, phibar
-from .resolvent import SolveFailure, SolveReport, probe_resolvent_bound, solve_beta
+from .resolvent import SolveFailure, SolveReport, solve_beta
 
 __all__ = [
-    "FrequencyIndex", "GridSpec", "InterfaceGeometry", "InterfaceState",
-    "MultiplierSpec", "OperatorSpec", "PhysicalParams", "RTFloorBreach",
-    "ScalarField", "SmoothProfile", "SobolevOrder", "SolveFailure",
-    "SolveReport", "SphereRule", "StepperConfig", "apply_A", "apply_AA",
-    "apply_B", "apply_B_frozen", "apply_D", "apply_D_star", "apply_multiplier",
-    "chain_rule_residual", "compute_phi_tilde", "evolve",
+    "GridSpec", "InterfaceGeometry", "InterfaceState", "MultiplierSpec",
+    "OperatorSpec", "PhysicalParams", "RTFloorBreach", "ScalarField",
+    "SmoothProfile", "SolveFailure", "SolveReport", "SphereRule",
+    "StepperConfig", "apply_A", "apply_AA", "apply_B", "apply_D",
+    "apply_D_star", "chain_rule_residual", "compute_phi_tilde", "evolve",
     "gradient_identity_residual", "integrate", "l2_norm", "load_field",
-    "make_difference_profile", "make_field", "phibar", "probe_resolvent_bound",
-    "reduction_identity_residual", "rellich_residual", "rt_margin",
-    "save_field", "sobolev_norm", "solve_beta", "spectral_derivative", "step",
-    "symbol_D", "symbol_T", "wow_residual",
+    "make_difference_profile", "make_field", "phibar", "rellich_residual",
+    "rt_margin", "save_field", "sobolev_norm", "solve_beta",
+    "spectral_derivative", "step", "symbol_D", "symbol_T", "wow_residual",
 ]

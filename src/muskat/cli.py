@@ -122,6 +122,8 @@ def cmd_symbol(args) -> int:
         raise ConfigError("--ray must be a nonzero direction of the same dimension")
     if not np.isfinite(args.zmax):
         raise ConfigError(f"--zmax must be finite, got {args.zmax}")
+    if args.num < 1:
+        raise ConfigError(f"--num must be >= 1, got {args.num}")
     ray = ray / np.linalg.norm(ray)
     rows = []
     for i in range(1, args.num + 1):

@@ -29,7 +29,7 @@ class ProbePoint:
     distance: float
 
     @classmethod
-    def locate(cls, geom: InterfaceGeometry, x, y: float, side: str = "auto"):
+    def locate(cls, geom: InterfaceGeometry, x, y: float):
         g = geom.grid
         x = tuple(float(v) % g.extent for v in np.atleast_1d(np.asarray(x, dtype=float)))
         if len(x) != g.dim:
@@ -38,14 +38,7 @@ class ProbePoint:
         fval = float(geom.f.values[idx])
         omega = float(geom.omega.values[idx])
         dist = abs(y - fval) / np.sqrt(omega)
-        auto = 1 if y >= fval else -1
-        if side == "auto":
-            tag = auto
-        else:
-            tag = {"above": 1, "below": -1}[side]
-            if tag != auto:
-                raise ValueError(f"side tag {side!r} contradicts y - f(x) sign")
-        return cls(x=x, y=float(y), side=tag, distance=float(dist))
+        return cls(x=x, y=float(y), side=1 if y >= fval else -1, distance=float(dist))
 
 
 def _displacements(geom: InterfaceGeometry, probe: ProbePoint):
@@ -121,26 +114,6 @@ def eval_pressure(geom: InterfaceGeometry, beta: ScalarField, probes) -> list:
     return out
 
 
-def eval_generic_potential(geom: InterfaceGeometry, beta: ScalarField, probes) -> list:
-    """Single-density potential V_i(z) = (1/|S^N|) int_Gamma (z - zbar)_i |z - zbar|^{-N-1} beta~ dGamma."""
-    g = geom.grid
-    if beta.grid != g:
-        raise ValueError("density grid mismatch")
-    area_w = np.sqrt(geom.omega.values)
-    scale = g.spacing**g.dim / sphere_area(g.dim)
-    out = []
-    for probe in probes:
-        check_clearance(geom, probe)
-        dxs, dy, r2 = _displacements(geom, probe)
-        denom = r2 ** ((g.dim + 1) / 2.0)
-        vec = np.empty(g.dim + 1)
-        for i in range(g.dim):
-            vec[i] = scale * np.sum(dxs[i] * beta.values * area_w / denom)
-        vec[g.dim] = scale * np.sum(dy * beta.values * area_w / denom)
-        out.append(vec)
-    return out
-
-
 def analytic_velocity_jump(geom: InterfaceGeometry, beta: ScalarField, idx) -> np.ndarray:
     """The trace jump (grad beta - (grad f . grad beta) grad f / omega, (grad f . grad beta)/omega)."""
     g = geom.grid
@@ -166,17 +139,16 @@ class JumpReport:
         return self.max_deviation[d] / self.jump_scale if self.jump_scale else 0.0
 
 
-def jump_check(geom: InterfaceGeometry, beta: ScalarField, sample_indices,
-               offsets_h=(8.0, 4.0, 2.0)) -> JumpReport:
+def jump_check(geom: InterfaceGeometry, beta: ScalarField, sample_indices) -> JumpReport:
     """Compare V+ - V- of the velocity against the analytic trace jump.
 
     For each lattice sample x the probes sit at z = z_x +- d nu(x) for
-    d = c h, c in ``offsets_h``; reports the worst absolute deviation per d
+    d = c h, c in (8, 4, 2); reports the worst absolute deviation per d
     and the observed decay order in d.
     """
     g = geom.grid
     h = g.spacing
-    offsets = sorted((float(c) * h for c in offsets_h), reverse=True)
+    offsets = [c * h for c in (8.0, 4.0, 2.0)]
     coords = g.meshgrid()
     max_dev = {d: 0.0 for d in offsets}
     scale = 0.0

@@ -8,7 +8,7 @@ measured by the refinement tests, not assumed away.
 
 from __future__ import annotations
 
-import csv
+import os
 import struct
 from dataclasses import dataclass
 
@@ -68,43 +68,6 @@ class GridSpec:
         return [np.broadcast_to(self.frequencies(j), self.shape) for j in range(self.dim)]
 
 
-@dataclass(frozen=True)
-class FrequencyIndex:
-    """Integer frequency vector; physical frequency is 2*pi*k/L per axis."""
-
-    k: tuple
-    grid: GridSpec
-
-    def __post_init__(self):
-        kk = tuple(int(v) for v in self.k)
-        object.__setattr__(self, "k", kk)
-        if len(kk) != self.grid.dim:
-            raise ValueError("frequency index length must match grid dimension")
-        if any(abs(v) > self.grid.points // 2 for v in kk):
-            raise ValueError(f"|k_j| <= M/2 required, got {kk}")
-
-    def physical(self) -> np.ndarray:
-        return 2.0 * np.pi * np.asarray(self.k, dtype=float) / self.grid.extent
-
-
-@dataclass(frozen=True)
-class SobolevOrder:
-    """Order s >= 0 of the discrete H^s norm proxy.
-
-    ``subcritical(N)`` records whether s exceeds the critical exponent
-    1 + N/2; nothing downstream enforces it.
-    """
-
-    s: float
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("Sobolev order must be nonnegative")
-
-    def subcritical(self, dim: int) -> bool:
-        return self.s > 1.0 + 0.5 * dim
-
-
 class ScalarField:
     """Real samples of a function on the lattice, immutable after construction."""
 
@@ -123,9 +86,6 @@ class ScalarField:
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
-
-    def same_grid(self, other: "ScalarField") -> bool:
-        return self.grid == other.grid
 
 
 def _require_same_grid(*fields):
@@ -160,9 +120,13 @@ def gradient(u: ScalarField) -> list:
     return [spectral_derivative(u, j) for j in range(u.grid.dim)]
 
 
-def sobolev_norm(u: ScalarField, order) -> float:
-    """Discrete H^s proxy: (sum_k (1+|2 pi k/L|^2)^s |u_k|^2 L^N / M^{2N})^(1/2)."""
-    s = order.s if isinstance(order, SobolevOrder) else float(order)
+def sobolev_norm(u: ScalarField, s: float) -> float:
+    """Discrete H^s proxy: (sum_k (1+|2 pi k/L|^2)^s |u_k|^2 L^N / M^{2N})^(1/2).
+
+    Computed as a scaled 2-norm, with the largest (1+|k|^2)^(s/2) |u_k|
+    factored out, so the squares cannot overflow.
+    """
+    s = float(s)
     if s < 0:
         raise ValueError("Sobolev order must be nonnegative")
     g = u.grid
@@ -170,9 +134,11 @@ def sobolev_norm(u: ScalarField, order) -> float:
     k2 = np.zeros(g.shape)
     for j in range(g.dim):
         k2 = k2 + g.frequencies(j) ** 2
-    weight = (1.0 + k2) ** s
-    total = np.sum(weight * np.abs(uh) ** 2) * g.extent**g.dim / g.size**2
-    return float(np.sqrt(total))
+    terms = (1.0 + k2) ** (0.5 * s) * np.abs(uh)
+    peak = float(np.max(terms))
+    if peak == 0.0:
+        return 0.0
+    return peak * float(np.sqrt(np.sum((terms / peak) ** 2) * g.extent**g.dim / g.size**2))
 
 
 def l2_norm(u: ScalarField) -> float:
@@ -197,21 +163,24 @@ def make_zero(grid: GridSpec) -> ScalarField:
 
 
 def make_mode(grid: GridSpec, amplitude: float, k) -> ScalarField:
-    """amplitude * cos(2*pi*k.x/L) for an integer mode vector k."""
-    ki = FrequencyIndex(tuple(k), grid)
+    """amplitude * cos(2*pi*k.x/L) for an integer mode vector k, |k_j| <= M/2."""
+    k = tuple(int(v) for v in k)
+    if len(k) != grid.dim:
+        raise ValueError("frequency index length must match grid dimension")
+    if any(abs(v) > grid.points // 2 for v in k):
+        raise ValueError(f"|k_j| <= M/2 required, got {k}")
     phase = np.zeros(grid.shape)
     coords = grid.meshgrid()
-    for j, kj in enumerate(ki.k):
+    for j, kj in enumerate(k):
         phase = phase + (2.0 * np.pi / grid.extent) * kj * coords[j]
     return ScalarField(grid, amplitude * np.cos(phase))
 
 
-def make_gaussian_bump(grid: GridSpec, amplitude: float, center, width: float,
-                       strict: bool = True) -> ScalarField:
+def make_gaussian_bump(grid: GridSpec, amplitude: float, center, width: float) -> ScalarField:
     """amplitude * exp(-|x-center|^2 / (2 width^2)), minimal-image displacement.
 
-    In strict mode a bump whose relative boundary value exceeds 1e-8 is
-    rejected; such a bump is not decayed enough for the torus proxy.
+    A bump whose relative boundary value exceeds 1e-8 is rejected; such a
+    bump is not decayed enough for the torus proxy.
     """
     if width <= 0:
         raise ValueError("width must be positive")
@@ -226,12 +195,12 @@ def make_gaussian_bump(grid: GridSpec, amplitude: float, center, width: float,
         d = (d + 0.5 * L) % L - 0.5 * L
         r2 = r2 + d * d
     values = amplitude * np.exp(-r2 / (2.0 * width * width))
-    if strict and amplitude != 0.0:
+    if amplitude != 0.0:
         edge = np.exp(-((0.5 * L) ** 2) / (2.0 * width * width))
         if edge > 1e-8:
             raise ValueError(
                 f"bump does not decay at the torus boundary (relative edge value {edge:.3e} > 1e-8); "
-                "reduce width or pass strict=False")
+                "reduce width")
     return ScalarField(grid, values)
 
 
@@ -243,7 +212,7 @@ def make_field(grid: GridSpec, kind: str, **params) -> ScalarField:
         return make_mode(grid, params["amplitude"], params["k"])
     if kind == "gaussian_bump":
         return make_gaussian_bump(grid, params["amplitude"], params["center"],
-                                  params["width"], params.get("strict", True))
+                                  params["width"])
     raise ValueError(f"unknown field kind {kind!r}")
 
 
@@ -290,18 +259,12 @@ def load_field(path) -> ScalarField:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        if not (dim.is_integer() and points.is_integer()):
+            raise ValueError(f"{path}: header N = {dim}, M = {points} must be integers")
         grid = GridSpec(int(dim), extent, int(points))
+        # checked before reading, so a header cannot ask for more than the file holds
+        size, expected = os.fstat(fh.fileno()).st_size, _HEADER.size + 8 * grid.size
+        if size != expected:
+            raise ValueError(f"{path}: {size} bytes, but the header's grid needs {expected}")
         data = np.frombuffer(fh.read(8 * grid.size), dtype="<f8")
-        if data.size != grid.size:
-            raise ValueError(f"{path}: truncated data")
         return ScalarField(grid, data.reshape(grid.shape))
-
-
-def export_csv(path, u: ScalarField) -> None:
-    """CSV export: integer index coordinates per axis followed by the value."""
-    g = u.grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"i{j}" for j in range(g.dim)] + ["value"])
-        for idx in np.ndindex(g.shape):
-            writer.writerow(list(idx) + [repr(float(u.values[idx]))])

@@ -165,12 +165,6 @@ def apply_B(spec: OperatorSpec, a, b, beta: ScalarField,
     return ScalarField(grid, out)
 
 
-def apply_B_frozen(spec: OperatorSpec, f: ScalarField, beta: ScalarField,
-                   riesz_core: str = "spectral") -> ScalarField:
-    """The single-function instance B^phi_{n,nu}(f)[f,...,f, beta]."""
-    return apply_B(spec, [f] * spec.arity, [f] * spec.n, beta, riesz_core)
-
-
 def phibar_transform(f: ScalarField, n: int, axis, values: np.ndarray,
                      riesz_core: str = "lattice") -> np.ndarray:
     """B^phibar_{n,nu}(f)[f,...,f, values] as an array, nu = e_axis (0 when axis is None).
@@ -179,8 +173,8 @@ def phibar_transform(f: ScalarField, n: int, axis, values: np.ndarray,
     """
     g = f.grid
     nu = tuple(int(j == axis) for j in range(g.dim))
-    return apply_B_frozen(OperatorSpec(phibar(g.dim), n, nu), f, ScalarField(g, values),
-                          riesz_core).values
+    return apply_B(OperatorSpec(phibar(g.dim), n, nu), [f], [f] * n, ScalarField(g, values),
+                   riesz_core).values
 
 
 def chain_rule_residual(spec: OperatorSpec, a: ScalarField, b, beta: ScalarField,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import GridSpec, ScalarField
+from .grid import GridSpec
 from .offsets import sphere_area
 
 
@@ -44,6 +44,10 @@ def _orthonormal_frame(direction):
     return e1, e2, zhat
 
 
+# sphere-rule resolution: nodes on S^1; Gauss nodes per hemisphere and azimuthal nodes on S^2
+_N_ANGLE, _N_HEMISPHERE, _N_AZIMUTH = 256, 32, 128
+
+
 @dataclass(frozen=True)
 class SphereRule:
     """Quadrature nodes/weights on S^{N-1}; weights positive, sum |S^{N-1}|."""
@@ -53,8 +57,7 @@ class SphereRule:
     weights: np.ndarray      # (n,)
 
     @classmethod
-    def for_direction(cls, dim: int, direction=None, n_angle: int = 256,
-                      n_polar: int = 64, n_azimuth: int = 128) -> "SphereRule":
+    def for_direction(cls, dim: int, direction=None) -> "SphereRule":
         """Rule with panel boundaries on the great circle {w.direction = 0}.
 
         With ``direction=None`` the boundaries sit at multiples of pi/4
@@ -72,36 +75,25 @@ class SphereRule:
                 upper = np.linspace(alpha - np.pi / 2.0, alpha + np.pi / 2.0, 5)
                 lower = np.linspace(alpha + np.pi / 2.0, alpha + 3.0 * np.pi / 2.0, 5)
                 bounds = np.concatenate([upper, lower[1:]])
-            per_panel = max(2, n_angle // (len(bounds) - 1))
+            per_panel = _N_ANGLE // (len(bounds) - 1)
             theta, w = _gl_panels(bounds, per_panel)
             nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
             return cls(2, nodes, w)
         if dim == 3:
             d = np.asarray(direction, dtype=float) if direction is not None else np.array([0.0, 0.0, 1.0])
             e1, e2, zhat = _orthonormal_frame(d)
-            half = max(2, n_polar // 2)
-            u, wu = _gl_panels(np.array([-1.0, 0.0, 1.0]), half)
-            psi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-            wpsi = 2.0 * np.pi / n_azimuth
+            u, wu = _gl_panels(np.array([-1.0, 0.0, 1.0]), _N_HEMISPHERE)
+            psi = 2.0 * np.pi * np.arange(_N_AZIMUTH) / _N_AZIMUTH
+            wpsi = 2.0 * np.pi / _N_AZIMUTH
             s = np.sqrt(np.clip(1.0 - u**2, 0.0, None))
             nodes = (s[:, None, None] * (np.cos(psi)[None, :, None] * e1 + np.sin(psi)[None, :, None] * e2)
                      + u[:, None, None] * zhat)
-            weights = np.repeat(wu * wpsi, n_azimuth)
+            weights = np.repeat(wu * wpsi, _N_AZIMUTH)
             return cls(3, nodes.reshape(-1, 3), weights)
         raise ValueError(f"unsupported dimension {dim}")
 
     def integrate(self, values) -> float:
         return float(np.sum(self.weights * values))
-
-    def self_test(self, tol: float = 1e-10) -> None:
-        """Weights sum to |S^{N-1}| and integrate w_1^2 to |S^{N-1}|/N."""
-        area = 2.0 if self.dim == 1 else sphere_area(self.dim - 1)
-        total = float(np.sum(self.weights))
-        if abs(total - area) > tol * area:
-            raise AssertionError(f"weight sum {total} != |S^{self.dim-1}| = {area}")
-        second = self.integrate(self.nodes[:, 0] ** 2)
-        if abs(second - area / self.dim) > tol * area:
-            raise AssertionError(f"second moment {second} != {area / self.dim}")
 
 
 @dataclass(frozen=True)
@@ -200,49 +192,3 @@ def riesz_core_symbol_grid(grid: GridSpec, nu, phi0: float = 1.0) -> np.ndarray:
         if np.any(z):
             sym[idx] = phi0 * symbol_D(mspec, z)
     return sym
-
-
-def apply_multiplier(symbol, u: ScalarField) -> ScalarField:
-    """Apply a Fourier multiplier to a real field.
-
-    ``symbol`` is either an fft-layout complex array on the grid or a callable
-    z_vector -> complex.  The multiplier must map real to real (m odd);
-    a residual imaginary part above 1e-10 of the field scale is an error.
-    """
-    g = u.grid
-    if callable(symbol):
-        zs = g.frequency_grid()
-        arr = np.zeros(g.shape, dtype=complex)
-        for idx in np.ndindex(g.shape):
-            arr[idx] = symbol(np.array([float(zs[j][idx]) for j in range(g.dim)]))
-        symbol = arr
-    symbol = np.asarray(symbol)
-    if symbol.shape != g.shape:
-        raise ValueError("symbol array shape must match the grid")
-    if np.all(symbol == 1.0):
-        return ScalarField(g, u.values)
-    out = np.fft.ifftn(np.fft.fftn(u.values) * symbol)
-    scale = max(1.0, float(np.max(np.abs(out.real))))
-    if float(np.max(np.abs(out.imag))) > 1e-10 * scale:
-        raise ValueError("multiplier output has a nonreal part; symbol is not odd-real")
-    return ScalarField(g, out.real)
-
-
-def reduction_identity_residual(mspec: MultiplierSpec, z_samples) -> float:
-    """max_z |sym(n,nu)(z) - sum_k A_k sym(n-1, nu+e_k)(z)|, n >= 1."""
-    if mspec.n < 1:
-        raise ValueError("reduction identity needs n >= 1")
-    worst = 0.0
-    for z in z_samples:
-        z = np.asarray(z, dtype=float)
-        lhs = symbol_D(mspec, z)
-        rhs = 0.0 + 0.0j
-        for k in range(mspec.dim):
-            if mspec.A[k] == 0.0:
-                continue
-            nu2 = list(mspec.nu)
-            nu2[k] += 1
-            sub = MultiplierSpec(mspec.profile, mspec.n - 1, tuple(nu2), mspec.A)
-            rhs += mspec.A[k] * symbol_D(sub, z)
-        worst = max(worst, abs(lhs - rhs))
-    return worst

@@ -22,13 +22,9 @@ class SmoothProfile:
     """Evaluation rule for phi and each first partial d_i phi, arity p >= 1."""
 
     arity = 1
-    tag = "base"
 
     def __call__(self, args):
         raise NotImplementedError
-
-    def partial(self, i, args):
-        return self.partial_profile(i)(args)
 
     def partial_profile(self, i) -> "SmoothProfile":
         raise NotImplementedError
@@ -37,27 +33,6 @@ class SmoothProfile:
         if len(args) != self.arity:
             raise ValueError(f"profile arity {self.arity}, got {len(args)} arguments")
 
-    def check_partials(self, points, step=1e-5, tol=1e-6):
-        """Verify stored partials against central differences at probe points.
-
-        ``points`` is a sequence of arity-length tuples.  Raises AssertionError
-        on disagreement beyond ``tol`` (absolute + relative mix).
-        """
-        for pt in points:
-            pt = [float(v) for v in pt]
-            for i in range(self.arity):
-                up = list(pt)
-                dn = list(pt)
-                up[i] += step
-                dn[i] = max(dn[i] - step, 0.0)
-                fd = (self(tuple(np.asarray(v) for v in up))
-                      - self(tuple(np.asarray(v) for v in dn))) / (up[i] - dn[i])
-                an = self.partial(i, tuple(np.asarray(v) for v in pt))
-                err = abs(float(fd) - float(an))
-                scale = max(1.0, abs(float(an)))
-                assert err <= tol * scale, (
-                    f"partial {i} of {self.tag} off by {err:.3e} at {pt}")
-
 
 class ConstProfile(SmoothProfile):
     """Constant profile, any arity; all partials vanish."""
@@ -65,7 +40,6 @@ class ConstProfile(SmoothProfile):
     def __init__(self, value=1.0, arity=1):
         self.value = float(value)
         self.arity = arity
-        self.tag = f"const({value})"
 
     def __call__(self, args):
         self._check_args(args)
@@ -81,10 +55,9 @@ class PowerProfile(SmoothProfile):
 
     arity = 1
 
-    def __init__(self, coeff, exponent, tag=None):
+    def __init__(self, coeff, exponent):
         self.coeff = float(coeff)
         self.exponent = float(exponent)
-        self.tag = tag or f"power({coeff:g},{exponent:g})"
 
     def __call__(self, args):
         self._check_args(args)
@@ -98,11 +71,7 @@ class PowerProfile(SmoothProfile):
 
 def phibar(dim: int) -> PowerProfile:
     """The reference profile (1+x)^(-(N+1)/2) for space dimension ``dim``."""
-    return PowerProfile(1.0, -(dim + 1) / 2.0, tag=f"phibar(N={dim})")
-
-
-def phibar_prime(dim: int) -> PowerProfile:
-    return phibar(dim).partial_profile(0)
+    return PowerProfile(1.0, -(dim + 1) / 2.0)
 
 
 class DifferenceProfile(SmoothProfile):
@@ -118,7 +87,6 @@ class DifferenceProfile(SmoothProfile):
         self.base = base
         self.slot = i
         self.arity = 2 * base.arity
-        self.tag = f"diff({base.tag},{i})"
 
     def _blend(self, args, s):
         p = self.base.arity
@@ -132,36 +100,6 @@ class DifferenceProfile(SmoothProfile):
         for s, w in zip(_GL_S, _GL_W):
             acc = acc + w * dphi(self._blend(args, s))
         return acc
-
-    def partial_profile(self, i):
-        return _DifferencePartial(self, i)
-
-
-class _DifferencePartial(SmoothProfile):
-    """d/d(arg_i) of a DifferenceProfile: int s-or-(1-s) * d_j d_slot phi ds."""
-
-    def __init__(self, parent: DifferenceProfile, i: int):
-        if not 0 <= i < parent.arity:
-            raise IndexError
-        self.parent = parent
-        self.index = i
-        self.arity = parent.arity
-        self.tag = f"d{i}[{parent.tag}]"
-
-    def __call__(self, args):
-        self._check_args(args)
-        p = self.parent.base.arity
-        j = self.index % p
-        first_half = self.index < p
-        d2 = self.parent.base.partial_profile(self.parent.slot).partial_profile(j)
-        acc = 0.0
-        for s, w in zip(_GL_S, _GL_W):
-            factor = s if first_half else (1.0 - s)
-            acc = acc + w * factor * d2(self.parent._blend(args, s))
-        return acc
-
-    def partial_profile(self, i):
-        raise NotImplementedError("second derivatives of difference profiles are not needed")
 
 
 def make_difference_profile(phi: SmoothProfile, i: int) -> DifferenceProfile:

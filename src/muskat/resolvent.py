@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, l2_norm
+from .grid import ScalarField
 from .potentials import InterfaceGeometry, apply_D
 
 
@@ -33,22 +33,16 @@ class SolveReport:
     iterations: int
     residual: float
     wall_time: float
-    probe: float | None = None
 
-    def csv_row(self, run_id) -> str:
-        probe = "" if self.probe is None else repr(self.probe)
-        return f"{run_id},{self.iterations},{self.residual!r},{self.wall_time!r},{probe}"
 
-    @staticmethod
-    def csv_header() -> str:
-        return "run_id,iterations,residual,wall_time,probe"
+GMRES_RESTART = 30
 
 
 def _dot(u, v):
     return float(np.sum(u * v))
 
 
-def _gmres(apply_op, rhs, x0, tol, max_iter, restart=30):
+def _gmres(apply_op, rhs, x0, tol, max_iter):
     """Restarted GMRES with modified Gram-Schmidt and Givens rotations.
 
     Returns (x, iterations, ||rhs - apply_op(x)|| / ||rhs||), the residual
@@ -66,7 +60,7 @@ def _gmres(apply_op, rhs, x0, tol, max_iter, restart=30):
             return x, total, rnorm / bnorm
         if total >= max_iter:
             return x, total, rnorm / bnorm
-        m = restart
+        m = GMRES_RESTART
         V = [r / rnorm]
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)
@@ -133,24 +127,3 @@ def solve_beta(geom: InterfaceGeometry, a_mu: float, tol: float = 1e-10,
     if true_resid > tol:
         raise SolveFailure(report)
     return ScalarField(g, sol), report
-
-
-def probe_resolvent_bound(geom: InterfaceGeometry, a: float, trials: int = 10,
-                          seed: int = 0) -> float:
-    """min over random unit beta of ||(1 - a D(f)) beta||_2.
-
-    An empirical lower-bound witness for the resolvent constant; the theory
-    guarantees positivity for a in [-2, 2], not a value.
-    """
-    if not -2.0 <= a <= 2.0:
-        raise ValueError(f"a must lie in [-2, 2], got {a}")
-    g = geom.grid
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(trials):
-        vals = rng.standard_normal(g.shape)
-        vals /= np.sqrt(np.sum(vals**2)) * g.spacing ** (g.dim / 2.0)
-        beta = ScalarField(g, vals)
-        out = ScalarField(g, beta.values - a * apply_D(geom, beta).values)
-        worst = min(worst, l2_norm(out) / l2_norm(beta))
-    return float(worst)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -256,12 +257,22 @@ BAD_INPUT = {
     "mode-beyond-nyquist": ({"initial.kind": "mode", "initial.k": "40"}, []),
     "amplitude-nan": ({"initial.amplitude": "nan"}, []),
     "missing-snapshot": ({}, ["rt-check", "--snapshot", "{tmp}/missing.bin"]),
+    "snapshot-header-beyond-file": ({}, ["rt-check", "--snapshot", "{tmp}/huge.bin"]),
+    "snapshot-trailing-bytes": ({}, ["rt-check", "--snapshot", "{tmp}/trailing.bin"]),
+    "snapshot-fractional-header": ({}, ["rt-check", "--snapshot", "{tmp}/fractional.bin"]),
     "missing-probes": ({}, ["field", "--probes", "{tmp}/missing.csv"]),
     "probe-not-a-number": ({}, ["field", "--probes", "{tmp}/probes.csv"]),
     "probe-within-half-h": ({}, ["field", "--probes", "{tmp}/near.csv"]),
     "symbol-not-a-number": (None, ["symbol", "--A", "0.5,x", "--nu", "1,0",
                                    "--ray", "1,1"]),
+    "symbol-no-samples": (None, ["symbol", "--A", "0.5,0", "--nu", "1,0",
+                                 "--ray", "1,1", "--num", "0"]),
 }
+
+
+def snapshot_bytes(dim, points, n_values):
+    """A snapshot header (magic, version, N, M, L) followed by n_values zeros."""
+    return struct.pack("<4sIddd", b"MUSK", 1, dim, points, 2 * np.pi) + bytes(8 * n_values)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
@@ -269,6 +280,9 @@ def test_bad_input_is_config_error(case, tmp_path, capsys):
     keys, tail = BAD_INPUT[case]
     write(tmp_path / "probes.csv", "x0,y\n1.0,abc\n")
     write(tmp_path / "near.csv", "x0,y\n3.1,0.2\n")  # the bump is 0.199 at x = 3.1
+    (tmp_path / "huge.bin").write_bytes(snapshot_bytes(1, 2**34, 64))  # 128 GiB of data
+    (tmp_path / "trailing.bin").write_bytes(snapshot_bytes(1, 64, 64 + 100))
+    (tmp_path / "fractional.bin").write_bytes(snapshot_bytes(1.7, 64.9, 64))
     tail = [a.format(tmp=tmp_path) for a in tail]
     if keys is None:
         argv = tail

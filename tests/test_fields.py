@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from muskat.fields import (ProbePoint, analytic_velocity_jump,
-                           eval_generic_potential, eval_pressure,
+from muskat.fields import (ProbePoint, analytic_velocity_jump, eval_pressure,
                            eval_velocity, jump_check)
 from muskat.grid import GridSpec, ScalarField, make_gaussian_bump, make_zero
 from muskat.potentials import InterfaceGeometry
@@ -22,8 +21,6 @@ def test_probe_side_and_rejection():
     assert p.side == 1
     p = ProbePoint.locate(geom, [np.pi], -1.0)
     assert p.side == -1
-    with pytest.raises(ValueError):
-        ProbePoint.locate(geom, [np.pi], 2.0, side="below")
     near = ProbePoint.locate(geom, [np.pi], float(geom.f.values[g.points // 2]) + 0.1 * g.spacing)
     with pytest.raises(ValueError):
         eval_velocity(geom, beta, [near])
@@ -99,23 +96,6 @@ def test_pressure_harmonic_stencil():
     lap = (q(x0 + d, y0) + q(x0 - d, y0) + q(x0, y0 + d) + q(x0, y0 - d)
            - 4 * q(x0, y0)) / d**2
     assert abs(lap) < 1e-3
-
-
-def test_generic_potential_flat_jump_is_density():
-    # flat interface: the vertical component jumps by exactly beta (PV term
-    # vanishes, +-beta/2 on either side); the probe pair approaches the trace
-    # linearly in d
-    g = GridSpec(1, 2 * np.pi, 512)
-    geom = InterfaceGeometry(make_zero(g))
-    beta = make_gaussian_bump(g, 1.0, [np.pi], 0.5)
-    idx = g.points // 2
-    x0 = float(g.axis_coords()[idx])
-    d = 2 * g.spacing
-    vp = eval_generic_potential(geom, beta, [ProbePoint.locate(geom, [x0], d)])[0]
-    vm = eval_generic_potential(geom, beta, [ProbePoint.locate(geom, [x0], -d)])[0]
-    jump = vp - vm
-    assert abs(jump[1] - beta.values[idx]) < 0.05 * abs(beta.values[idx])
-    assert abs(jump[0]) < 0.05
 
 
 def test_jump_constant_windowed_density():
