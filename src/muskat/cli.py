@@ -20,11 +20,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, SimConfig, initial_field, load_probes, parse_config,
-                     parse_numbers, parse_value, reading)
+from .config import (ConfigError, SimConfig, initial_field, load_probes, load_snapshot,
+                     parse_config, parse_numbers, parse_value, reading)
 from .dynamics import InterfaceState, NonFiniteInterface, evolve, overflow_guard, rt_margin
 from .fields import eval_pressure, eval_velocity
-from .grid import load_field, save_field
+from .grid import save_field
 from .multipliers import MultiplierSpec, symbol_D
 from .potentials import InterfaceGeometry
 from .profiles import phibar
@@ -164,8 +164,7 @@ def cmd_field(args) -> int:
 
 def cmd_rt_check(args) -> int:
     cfg = parse_config(args.config)
-    with reading("--snapshot"):
-        f = load_field(args.snapshot)
+    f = load_snapshot("--snapshot", args.snapshot, cfg.grid)
     state = InterfaceState.compute(f, cfg.params, tol=cfg.solver_tol,
                                    max_iter=cfg.solver_max_iter)
     _, mn, holds = rt_margin(state, cfg.params)

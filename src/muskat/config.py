@@ -197,11 +197,15 @@ def initial_field(cfg: SimConfig) -> ScalarField:
         kind = "gaussian_bump" if cfg.initial_kind == "gaussian" else cfg.initial_kind
         with reading(f"initial.kind = {cfg.initial_kind}"):
             return make_field(cfg.grid, kind, **cfg.initial)
-    with reading("initial.path: cannot load snapshot"):
-        snap = load_field(cfg.initial["path"])
-    if snap.grid != cfg.grid:
-        raise ConfigError(
-            f"snapshot grid {snap.grid} does not match config grid {cfg.grid}")
+    return load_snapshot("initial.path", cfg.initial["path"], cfg.grid)
+
+
+def load_snapshot(source: str, path, grid) -> ScalarField:
+    """The snapshot at ``path`` (named ``source`` in errors); a ConfigError unless on ``grid``."""
+    with reading(f"{source}: cannot load snapshot"):
+        snap = load_field(path)
+    if snap.grid != grid:
+        raise ConfigError(f"{source}: snapshot grid {snap.grid} does not match config grid {grid}")
     return snap
 
 

@@ -142,9 +142,16 @@ def sobolev_norm(u: ScalarField, s: float) -> float:
 
 
 def l2_norm(u: ScalarField) -> float:
-    """Discrete L2 norm (h^N sum u^2)^(1/2)."""
+    """Discrete L2 norm (h^N sum u^2)^(1/2).
+
+    Computed as a scaled 2-norm, with the largest |u| factored out, so the
+    squares of a small nonzero field cannot underflow to a zero norm.
+    """
     g = u.grid
-    return float(np.sqrt(g.spacing**g.dim * np.sum(u.values**2)))
+    peak = float(np.max(np.abs(u.values)))
+    if peak == 0.0 or not np.isfinite(peak):
+        return peak
+    return peak * float(np.sqrt(g.spacing**g.dim * np.sum((u.values / peak) ** 2)))
 
 
 def inner(u: ScalarField, v: ScalarField) -> float:

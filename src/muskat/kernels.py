@@ -120,20 +120,23 @@ def _slot_product(factors):
 def _naked_sum(spec: OperatorSpec, a_vals, b_vals, beta_vals, grid: GridSpec):
     off = pv_offsets(grid)
     w_geom = riesz_core_weight(grid, spec.nu)
-    # all-zero a collapses phi((D a)^2) to the constant phi(0); skip the rolls
+    # all-zero a collapses phi((D a)^2) to the constant phi(0); skip its differences
     phi0 = None
     if not any(np.any(av) for av in a_vals):
         phi0 = float(spec.profile(tuple(0.0 for _ in range(spec.arity))))
+    # phibar_transform passes one field as a and as every b: difference it once
+    fields = {id(v): v for v in (b_vals if phi0 is not None else a_vals + b_vals)}
 
-    def term(t, roll):
+    def term(t, shifted):
         r = off.r[t]
+        quot = {key: (v - shifted(v)) / r for key, v in fields.items()}
         if phi0 is not None:
             phiv = phi0
         else:
-            phiv = spec.profile(tuple(((av - roll(av)) / r) ** 2 for av in a_vals))
-        out = phiv * roll(beta_vals)
+            phiv = spec.profile(tuple(quot[id(av)] ** 2 for av in a_vals))
+        out = phiv * shifted(beta_vals)
         if b_vals:
-            out = out * _slot_product([(bv - roll(bv)) / r for bv in b_vals])
+            out = out * _slot_product([quot[id(bv)] for bv in b_vals])
         return w_geom[t] * out
 
     return lattice_sum(grid, term)

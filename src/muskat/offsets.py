@@ -11,12 +11,24 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import GridSpec
 
 
+# Byte cap of one block-shaped temporary (a field for every offset of a block).
+# At 2D M=64 a 128 KB cap made the velocity operator slower than 64 KB did.
+BLOCK_BYTES = 64 * 1024
+
+
 class OffsetSet:
-    """Integer offsets in a fixed order: displacements xi, norms, optional weights."""
+    """Integer offsets in a fixed order: displacements xi, norms, optional weights.
+
+    ``blocks`` splits the order into runs of consecutive offsets that share
+    every component but the last, which goes up by 1 along the run; each run
+    holds at most BLOCK_BYTES / (8 * grid size) offsets (at least one).  A
+    block is a pair (t, view) of indices, see :func:`lattice_sum`.
+    """
 
     def __init__(self, grid: GridSpec, ints, weight=None):
         self.grid, self.ints, self.count, self.weight = grid, ints, ints.shape[0], weight
@@ -25,6 +37,25 @@ class OffsetSet:
         for table in (ints, self.xi, self.r, weight):  # shared through the lru_caches below
             if table is not None:
                 table.setflags(write=False)
+        cap = max(1, BLOCK_BYTES // (8 * grid.size))
+        breaks = (np.flatnonzero(np.any(ints[1:, :-1] != ints[:-1, :-1], axis=1)
+                                 | (ints[1:, -1] != ints[:-1, -1] + 1)) + 1).tolist()
+        self.blocks = [_block(grid, ints, lo, min(lo + cap, hi))
+                       for run_lo, hi in zip([0] + breaks, breaks + [self.count])
+                       for lo in range(run_lo, hi, cap)]
+
+
+def _block(grid: GridSpec, ints, lo, hi) -> tuple:
+    """(t, view) for offsets lo..hi-1: table rows as columns, and the window index of the run.
+
+    In a field wrap-padded by M//2 per axis, window index M//2 - s holds
+    u(x - s h), so the run's last axis is read backwards from M//2 - ints[lo].
+    """
+    pad = grid.points // 2
+    stop = pad - ints[hi - 1, -1] - 1
+    view = tuple((pad - ints[lo, :-1]).tolist()) + (
+        slice(pad - ints[lo, -1], stop if stop >= 0 else None, -1),)
+    return (slice(lo, hi),) + (None,) * grid.dim, view
 
 
 def _box(lo, hi, dim) -> np.ndarray:
@@ -63,18 +94,32 @@ def face_ring(grid: GridSpec) -> OffsetSet:
 
 
 def lattice_sum(grid: GridSpec, term, shape=None, offsets=None) -> np.ndarray:
-    """Sum of ``term(t, roll_t)`` over the offsets t, accumulated in offset order.
+    """Sum of ``term(t, shifted)`` over the blocks of the offsets, in offset order.
 
-    The offsets default to the PV set of ``grid``.  ``roll_t(u)`` is ``u``
-    periodically shifted by offset t on every axis, so it holds u(x - xi_t)
-    at x.  The accumulator has ``shape`` (default the grid shape), which
-    every term must broadcast to.  The fixed order keeps results
+    The offsets default to the PV set of ``grid``; ``offsets.blocks`` fixes
+    the blocks.  For a block of n offsets, ``t`` indexes a per-offset table
+    of shape (count,) into a column of shape (n, 1, ..., 1), and
+    ``shifted(u)`` is a read-only view of shape (n,) + grid shape holding
+    u(x - xi) for each offset xi of the block.  Each distinct array passed to
+    ``shifted`` is wrap-padded once per call by M//2 per axis (the face ring
+    reaches +M//2) and read through a sliding window, so no block copies a
+    field.  The term returns an array with the block on the axis before the
+    grid axes; that axis is summed in order and added to an accumulator of
+    ``shape`` (default the grid shape).  The fixed blocks and order keep results
     bit-identical across runs.
     """
-    axes = tuple(range(grid.dim))
+    off = offsets or pv_offsets(grid)
+    windows = {}
+
+    def window(u):
+        if id(u) not in windows:  # keep u, so its id stays unique during the call
+            padded = np.pad(u, grid.points // 2, mode="wrap")
+            windows[id(u)] = (u, sliding_window_view(padded, grid.shape))
+        return windows[id(u)][1]
+
     acc = np.zeros(grid.shape if shape is None else shape)
-    for t, shift in enumerate((offsets or pv_offsets(grid)).ints.tolist()):
-        acc += term(t, lambda u, shift=shift: np.roll(u, shift, axis=axes))
+    for t, view in off.blocks:
+        acc += np.sum(term(t, lambda u: window(u)[view]), axis=-1 - grid.dim)
     return acc
 
 

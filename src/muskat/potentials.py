@@ -55,22 +55,36 @@ def _check_grid(geom: InterfaceGeometry, *fields):
             raise ValueError("field grid does not match the interface grid")
 
 
-def _interface_sum(geom: InterfaceGeometry, numerator, shape=None, offsets=None) -> np.ndarray:
-    """h^N/|S^N| times the sum of numerator(xi, df, roll) / (|xi|^2 + df^2)^((N+1)/2).
+def _dot(xs, ys):
+    """sum_j xs[j] * ys[j], accumulated in axis order."""
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc += x * y
+    return acc
 
-    The kernel shared by D, D*, A, AA and the torus flux: df = f(x) - f(x-xi)
-    for the offset xi, ``roll`` maps a field u to u(x - xi), and a weighted
-    offset set weights its terms; see :func:`muskat.offsets.lattice_sum`.
+
+def _interface_sum(geom: InterfaceGeometry, numerator, shape=None, offsets=None) -> np.ndarray:
+    """h^N/|S^N| times the sum of numerator(xi, df, shifted) / (|xi|^2 + df^2)^((N+1)/2).
+
+    The kernel shared by D, D*, A, AA and the torus flux, evaluated a block of
+    offsets at a time: df = f(x) - f(x-xi) for each offset xi of the block,
+    ``xi[j]`` is the block's column of j-th components, ``shifted`` maps a
+    field u to u(x - xi), and a weighted offset set weights its terms; see
+    :func:`muskat.offsets.lattice_sum`.
     """
     g = geom.grid
     off = offsets or pv_offsets(g)
-    fvals = geom.f.values
-    power = (g.dim + 1) / 2.0
+    fvals, xi_cols = geom.f.values, off.xi.T
 
-    def term(t, roll):
-        df = fvals - roll(fvals)
-        den = (off.r[t] ** 2 + df * df) ** power
-        out = numerator(off.xi[t], df, roll) / den
+    def term(t, shifted):
+        df = fvals - shifted(fvals)
+        den = df * df
+        den += off.r[t] ** 2
+        if g.dim == 2:
+            den *= np.sqrt(den)  # x * sqrt(x) is faster than x ** 1.5
+        elif g.dim == 3:
+            den *= den
+        out = numerator([col[t] for col in xi_cols], df, shifted) / den
         return out if off.weight is None else off.weight[t] * out
 
     return g.spacing**g.dim / sphere_area(g.dim) * lattice_sum(g, term, shape, off)
@@ -81,11 +95,11 @@ def apply_D(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
     _check_grid(geom, beta)
     gfv = [c.values for c in geom.grad_f]
 
-    def numerator(xi, df, roll):
+    def numerator(xi, df, shifted):
         num = df
         for j, gj in enumerate(gfv):
-            num = num - xi[j] * roll(gj)
-        return num * roll(beta.values)
+            num = num - xi[j] * shifted(gj)
+        return num * shifted(beta.values)
 
     return ScalarField(geom.grid, _interface_sum(geom, numerator))
 
@@ -105,11 +119,11 @@ def apply_D_star(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
     _check_grid(geom, beta)
     gfv = [c.values for c in geom.grad_f]
 
-    def numerator(xi, df, roll):
+    def numerator(xi, df, shifted):
         num = -df
         for j, gj in enumerate(gfv):
             num = num + xi[j] * gj
-        return num * roll(beta.values)
+        return num * shifted(beta.values)
 
     return ScalarField(geom.grid, _interface_sum(geom, numerator))
 
@@ -133,13 +147,12 @@ def apply_A(geom: InterfaceGeometry, b) -> list:
     gfv = [c.values for c in geom.grad_f]
     bv = [c.values for c in b]
 
-    def numerator(xi, df, roll):
-        rgf = [roll(v) for v in gfv]
-        rb = [roll(v) for v in bv]
-        dl, xib = df, 0.0
+    def numerator(xi, df, shifted):
+        rgf = [shifted(v) for v in gfv]
+        rb = [shifted(v) for v in bv]
+        dl, xib = df, _dot(xi, rb)
         for j in range(g.dim):
             dl = dl - xi[j] * rgf[j]
-            xib = xib + xi[j] * rb[j]
         return np.stack([dl * rb[k] - xib * (gfv[k] - rgf[k]) for k in range(g.dim)])
 
     return [ScalarField(g, c) for c in _interface_sum(geom, numerator, (g.dim,) + g.shape)]
@@ -177,9 +190,9 @@ def torus_byparts_flux(geom: InterfaceGeometry, beta: ScalarField) -> list:
     g = geom.grid
     gfv = [c.values for c in geom.grad_f]
 
-    def numerator(xi, df, roll):
-        rb = roll(beta.values)
-        return np.stack([(v - roll(v)) * rb for v in gfv])
+    def numerator(xi, df, shifted):
+        rb = shifted(beta.values)
+        return np.stack([(v - shifted(v)) * rb for v in gfv])
 
     acc = _interface_sum(geom, numerator, (g.dim,) + g.shape, face_ring(g))
     return [ScalarField(g, -c / g.spacing) for c in acc]  # a face cell has measure h^(N-1)
@@ -222,15 +235,10 @@ def apply_AA(geom: InterfaceGeometry, b, riesz_core: str = "spectral") -> Scalar
     gfv = [c.values for c in geom.grad_f]
     bv = [c.values for c in b]
 
-    def numerator(xi, df, roll):
-        xigf = xib = gfgf = gfb = 0.0
-        for j in range(g.dim):
-            rgf, rb = roll(gfv[j]), roll(bv[j])
-            xigf = xigf + xi[j] * rgf
-            xib = xib + xi[j] * rb
-            gfgf = gfgf + gfv[j] * rgf
-            gfb = gfb + gfv[j] * rb
-        return (xigf - df) * gfb - xib * (1.0 + gfgf)
+    def numerator(xi, df, shifted):
+        rgf = [shifted(v) for v in gfv]
+        rb = [shifted(v) for v in bv]
+        return (_dot(xi, rgf) - df) * _dot(gfv, rb) - _dot(xi, rb) * (1.0 + _dot(gfv, rgf))
 
     out = _interface_sum(geom, numerator)
     if spectral:

@@ -89,10 +89,26 @@ def test_evolve_cli_and_outputs(tmp_path):
     assert f.grid == GridSpec(1, 6.283185307179586, 32)
 
 
-def test_evolve_rerun_is_bit_identical(tmp_path):
-    cfg = write(tmp_path / "c.cfg", MINIMAL + f"output.dir = {tmp_path}/o1\n")
+# a 2D M=16 bump at a_mu = 0.5: every step solves for the density with GMRES
+GMRES_2D = """
+grid.dim = 2
+grid.extent = 6.283185307179586
+grid.points = 16
+params.lambda = 1.0
+params.a_mu = 0.5
+initial.kind = gaussian
+initial.amplitude = 0.5
+initial.width = 0.5
+stepper.dt = 0.05
+stepper.t_end = 0.1
+"""
+
+
+@pytest.mark.parametrize("text", [MINIMAL, GMRES_2D], ids=["1d", "2d-gmres"])
+def test_evolve_rerun_is_bit_identical(text, tmp_path):
+    cfg = write(tmp_path / "c.cfg", text + f"output.dir = {tmp_path}/o1\n")
     assert main(["evolve", cfg]) == 0
-    cfg2 = write(tmp_path / "c2.cfg", MINIMAL + f"output.dir = {tmp_path}/o2\n")
+    cfg2 = write(tmp_path / "c2.cfg", text + f"output.dir = {tmp_path}/o2\n")
     assert main(["evolve", cfg2]) == 0
     a = (tmp_path / "o1" / "series.csv").read_bytes()
     b = (tmp_path / "o2" / "series.csv").read_bytes()
@@ -107,21 +123,9 @@ def test_config_error_exit_code(tmp_path):
 
 
 def test_solver_max_iter_reaches_solver(tmp_path):
-    # one GMRES iteration cannot reach 1e-10 on a 2D bump at a_mu = 0.5
-    text = """
-grid.dim = 2
-grid.extent = 6.283185307179586
-grid.points = 16
-params.lambda = 1.0
-params.a_mu = 0.5
-initial.kind = gaussian
-initial.amplitude = 0.5
-initial.width = 0.5
-stepper.dt = 0.05
-stepper.t_end = 0.05
-solver.max_iter = 1
-"""
-    cfg = write(tmp_path / "c.cfg", text + f"output.dir = {tmp_path}/out\n")
+    # one GMRES iteration cannot reach 1e-10 on the first step's solve
+    cfg = write(tmp_path / "c.cfg",
+                GMRES_2D + f"solver.max_iter = 1\noutput.dir = {tmp_path}/out\n")
     assert main(["evolve", cfg]) == 3
 
 
@@ -260,6 +264,8 @@ BAD_INPUT = {
     "snapshot-header-beyond-file": ({}, ["rt-check", "--snapshot", "{tmp}/huge.bin"]),
     "snapshot-trailing-bytes": ({}, ["rt-check", "--snapshot", "{tmp}/trailing.bin"]),
     "snapshot-fractional-header": ({}, ["rt-check", "--snapshot", "{tmp}/fractional.bin"]),
+    "snapshot-on-another-grid": ({"grid.dim": "2", "grid.points": "8"},
+                                 ["rt-check", "--snapshot", "{tmp}/other.bin"]),
     "missing-probes": ({}, ["field", "--probes", "{tmp}/missing.csv"]),
     "probe-not-a-number": ({}, ["field", "--probes", "{tmp}/probes.csv"]),
     "probe-within-half-h": ({}, ["field", "--probes", "{tmp}/near.csv"]),
@@ -283,6 +289,7 @@ def test_bad_input_is_config_error(case, tmp_path, capsys):
     (tmp_path / "huge.bin").write_bytes(snapshot_bytes(1, 2**34, 64))  # 128 GiB of data
     (tmp_path / "trailing.bin").write_bytes(snapshot_bytes(1, 64, 64 + 100))
     (tmp_path / "fractional.bin").write_bytes(snapshot_bytes(1.7, 64.9, 64))
+    (tmp_path / "other.bin").write_bytes(snapshot_bytes(1, 16, 16))
     tail = [a.format(tmp=tmp_path) for a in tail]
     if keys is None:
         argv = tail

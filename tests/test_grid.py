@@ -94,11 +94,14 @@ def test_sobolev_parseval():
 
 
 def test_sobolev_constant():
+    # the squares of the last two constants underflow and overflow; the norms do not
     g = GridSpec(1, 4.0, 32)
-    c = -1.7
-    u = ScalarField(g, np.full(g.shape, c))
-    for s in (0.0, 1.0, 2.5):
-        assert abs(sobolev_norm(u, s) - abs(c) * g.extent**0.5) < 1e-12
+    for c in (-1.7, 1e-200, 1e200):
+        u = ScalarField(g, np.full(g.shape, c))
+        expected = abs(c) * g.extent**0.5
+        assert abs(l2_norm(u) - expected) < 1e-13 * expected
+        for s in (0.0, 1.0, 2.5):
+            assert abs(sobolev_norm(u, s) - expected) < 1e-13 * expected
 
 
 def test_sobolev_single_mode():

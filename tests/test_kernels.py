@@ -128,6 +128,9 @@ def test_argument_count_checks():
     (1, 12, 2, (1,)),
     (2, 8, 0, (1, 0)),
     (2, 8, 1, (0, 0)),
+    (1, 15, 1, (0,)),
+    (2, 9, 0, (0, 1)),
+    (3, 8, 1, (0, 0, 0)),
 ])
 def test_apply_B_matches_bruteforce(dim, M, n, nu):
     g = GridSpec(dim, 2 * np.pi, M)

@@ -7,7 +7,9 @@ from muskat.potentials import (InterfaceGeometry, adjointness_defect, apply_A,
                                apply_A_composed, apply_AA, apply_AA_composed,
                                apply_D, apply_D_composed, apply_D_star,
                                apply_D_star_composed, boundary_trace,
-                               gradient_identity_residual, rellich_residual)
+                               gradient_identity_residual, rellich_residual,
+                               torus_byparts_flux)
+from muskat.offsets import face_ring, sphere_area
 
 
 def rel_err(a, b):
@@ -142,6 +144,28 @@ def test_gradient_identity_flux_floor_documented():
     with_flux = gradient_identity_residual(geom, beta)
     without = gradient_identity_residual(geom, beta, include_torus_flux=False)
     assert with_flux < 0.5 * without
+
+
+@pytest.mark.parametrize("dim,M", [(1, 32), (1, 33), (2, 16), (2, 15)])
+def test_torus_flux_matches_per_offset_roll(dim, M):
+    # reference: the flux kernel summed one face-ring offset at a time with np.roll
+    g = GridSpec(dim, 2 * np.pi, M)
+    rng = np.random.default_rng(M)
+    geom = InterfaceGeometry(band_limited_random(g, 3, rng, amplitude=0.8))
+    beta = band_limited_random(g, 3, rng)
+    f, gfv = geom.f.values, [c.values for c in geom.grad_f]
+    ring = face_ring(g)
+    ref = np.zeros((dim,) + g.shape)
+    for t, shift in enumerate(ring.ints.tolist()):
+        def roll(u):
+            return np.roll(u, shift, axis=tuple(range(dim)))
+        df = f - roll(f)
+        den = (ring.r[t] ** 2 + df * df) ** ((dim + 1) / 2)
+        for k in range(dim):
+            ref[k] += ring.weight[t] * (gfv[k] - roll(gfv[k])) * roll(beta.values) / den
+    ref *= -g.spacing ** (dim - 1) / sphere_area(dim)
+    for got, want in zip(torus_byparts_flux(geom, beta), ref):
+        assert rel_err(got.values, want) < 1e-13
 
 
 def test_AA_flat_interface_is_half_derivative_symbol():

@@ -1,14 +1,16 @@
 """Property tests of the interface operators on random band-limited data.
 
-Adjointness of D and D*, and agreement of every direct operator with its
-composition out of the B-transforms, are exact on the lattice up to rounding,
-so they must hold for any interface and density, not only for the fixed cases
-of the validate suites.
+Adjointness of D and D*, agreement of every direct operator with its
+composition out of the B-transforms, and the Lambda-rescaling of discrete
+trajectories are exact on the lattice up to rounding and the solver
+tolerance, so they must hold for any interface and density, not only for the
+fixed cases of the validate suites.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from muskat.dynamics import InterfaceState, PhysicalParams, step
 from muskat.grid import GridSpec, band_limited_random, inner, l2_norm
 from muskat.potentials import (InterfaceGeometry, apply_A, apply_A_composed, apply_AA,
                                apply_AA_composed, apply_D, apply_D_composed, apply_D_star,
@@ -57,3 +59,19 @@ def test_direct_operators_equal_their_compositions(data):
     for core in ("spectral", "lattice"):
         assert rel_err(apply_AA(geom, b, riesz_core=core).values,
                        apply_AA_composed(geom, b, riesz_core=core).values) < 1e-10
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(8, 16), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 0.5), st.floats(-0.9, 0.9), st.floats(0.25, 4.0), st.integers(1, 3))
+def test_lambda_rescaling_on_random_data(M, kmax, seed, amplitude, a_mu, lam, steps):
+    # f_Lambda(t) = f_1(Lambda t): Lambda at dt / Lambda retraces Lambda = 1 at dt
+    g = GridSpec(1, 2 * np.pi, M)
+    f0 = band_limited_random(g, kmax, np.random.default_rng(seed), amplitude=amplitude)
+    dt = 0.02
+    ones, scaled = PhysicalParams(lam=1.0, a_mu=a_mu), PhysicalParams(lam=lam, a_mu=a_mu)
+    s1, s2 = InterfaceState.compute(f0, ones), InterfaceState.compute(f0, scaled)
+    for _ in range(steps):
+        s1, s2 = step(s1, ones, dt), step(s2, scaled, dt / lam)
+    diff = np.max(np.abs(s1.f.values - s2.f.values))
+    assert diff <= 1e-8 * max(1.0, np.max(np.abs(s1.f.values)))
