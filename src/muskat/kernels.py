@@ -59,8 +59,12 @@ def check_riesz_core(riesz_core: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def riesz_core_weight(grid: GridSpec, nu: tuple) -> np.ndarray:
-    """h^N xi^nu / (|S^N| |xi|^{|nu|+N}) per PV offset: the unit Riesz core's lattice weight."""
+def riesz_core_weight(grid: GridSpec, nu: tuple, q: int) -> np.ndarray:
+    """h^N xi^nu / (|S^N| |xi|^q) per PV offset.
+
+    q = |nu| + N is the unit Riesz core's lattice weight; larger q are the
+    kernels of the velocity operator's small-slope expansion.
+    """
     if len(nu) != grid.dim or any(v < 0 for v in nu):
         raise ValueError(f"bad multi-index {nu} for dim {grid.dim}")
     off = pv_offsets(grid)
@@ -68,16 +72,16 @@ def riesz_core_weight(grid: GridSpec, nu: tuple) -> np.ndarray:
     for j, p in enumerate(nu):
         ang = ang * off.xi[:, j] ** p
     ang = ang / off.r ** sum(nu)
-    w = ang * grid.spacing**grid.dim / (off.r**grid.dim * sphere_area(grid.dim))
+    w = ang * grid.spacing**grid.dim / (off.r ** (q - sum(nu)) * sphere_area(grid.dim))
     w.setflags(write=False)
     return w
 
 
 @lru_cache(maxsize=None)
-def lattice_core_symbol(grid: GridSpec, nu: tuple) -> np.ndarray:
-    """Symbol of the naked punctured lattice sum of xi^nu/(|S^N| |xi|^{|nu|+N})."""
+def lattice_core_symbol(grid: GridSpec, nu: tuple, q: int) -> np.ndarray:
+    """Symbol of the naked punctured lattice sum of xi^nu/(|S^N| |xi|^q)."""
     arr = np.zeros(grid.shape)
-    arr[tuple((pv_offsets(grid).ints % grid.points).T)] = riesz_core_weight(grid, nu)
+    arr[tuple((pv_offsets(grid).ints % grid.points).T)] = riesz_core_weight(grid, nu, q)
     sym = np.fft.fftn(arr)
     sym.setflags(write=False)
     return sym
@@ -85,8 +89,14 @@ def lattice_core_symbol(grid: GridSpec, nu: tuple) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def riesz_core_fix(grid: GridSpec, nu: tuple) -> np.ndarray:
-    """Exact-minus-lattice symbol of the unit constant Riesz core."""
-    fix = riesz_core_symbol_grid(grid, nu) - lattice_core_symbol(grid, nu)
+    """Exact-minus-lattice symbol of the unit constant Riesz core, as it acts on real fields.
+
+    That is the Hermitian part (S(k) + conj S(-k)) / 2 of the difference S;
+    the exact symbol has a non-Hermitian part on the Nyquist planes of even M,
+    which the real part of an inverse FFT drops but an inverse real FFT would not.
+    """
+    fix = riesz_core_symbol_grid(grid, nu) - lattice_core_symbol(grid, nu, sum(nu) + grid.dim)
+    fix = 0.5 * (fix + np.conj(fix[np.ix_(*[-np.arange(grid.points) % grid.points] * grid.dim)]))
     fix.setflags(write=False)
     return fix
 
@@ -119,7 +129,7 @@ def _slot_product(factors):
 
 def _naked_sum(spec: OperatorSpec, a_vals, b_vals, beta_vals, grid: GridSpec):
     off = pv_offsets(grid)
-    w_geom = riesz_core_weight(grid, spec.nu)
+    w_geom = riesz_core_weight(grid, spec.nu, sum(spec.nu) + grid.dim)
     # all-zero a collapses phi((D a)^2) to the constant phi(0); skip its differences
     phi0 = None
     if not any(np.any(av) for av in a_vals):

@@ -8,18 +8,32 @@ term on the lattice, so the cross-checks hold near rounding.
 The velocity operator carries the non-decaying constant Riesz core
 (-xi . b(x-xi) in its kernel); as in :mod:`muskat.kernels`, that core is
 evaluated spectrally by default and on the bare lattice when
-``riesz_core='lattice'``.
+``riesz_core='lattice'``.  Near a flat interface the velocity operator
+re-sums its lattice sum by FFT within an a-priori error bound; the direct
+sum stays as the private ``_apply_AA_direct``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import GridSpec, ScalarField, gradient, inner, integrate, l2_norm
-from .kernels import check_riesz_core, core_fix_apply, phibar_transform
+from .kernels import (check_riesz_core, core_fix_apply, lattice_core_symbol, phibar_transform,
+                      riesz_core_fix)
 from .offsets import face_ring, lattice_sum, pv_offsets, sphere_area
+
+# The velocity operator's small-slope path runs when its error bound, relative
+# to the scale ||b||_inf W_0 (see _small_slope_order), is at most
+# SMALL_SLOPE_TOL for an expansion order K <= SMALL_SLOPE_MAX_ORDER.
+SMALL_SLOPE_TOL = 1e-13
+SMALL_SLOPE_MAX_ORDER = 4
+# Rounding model: an FFT convolution is off by at most ROUNDING_GROWTH * eps *
+# log2(M^N) times its absolute mass (sum of |weight| times the largest |field|).
+ROUNDING_GROWTH = 4.0
 
 
 @dataclass(frozen=True)
@@ -47,6 +61,11 @@ class InterfaceGeometry:
     @property
     def grid(self) -> GridSpec:
         return self.f.grid
+
+    @cached_property
+    def _small_slope(self):
+        """(order, bound) of the velocity operator's small-slope path; see _small_slope_order."""
+        return _small_slope_order(self.f)
 
 
 def _check_grid(geom: InterfaceGeometry, *fields):
@@ -220,31 +239,195 @@ def gradient_identity_residual(geom: InterfaceGeometry, beta: ScalarField,
     return float(np.sqrt(total))
 
 
-def apply_AA(geom: InterfaceGeometry, b, riesz_core: str = "spectral") -> ScalarField:
-    """Velocity operator: the two-integral kernel of the evolution's right side.
+def _aa_numerator(gfv, bv) -> list:
+    """The velocity operator's numerator as (field, monomials) pairs.
 
-    The second integral contains the constant core -xi.b(x-xi)/|xi|^{N+1},
-    which is evaluated spectrally unless ``riesz_core='lattice'``.
+    The numerator (xi.grad f(x-xi) - df) grad f(x).b(x-xi)
+    - xi.b(x-xi) (1 + grad f(x).grad f(x-xi)) loses its j = k terms:
+
+        sum_{j<k} xi_j d_k f(x) w_jk(x-xi) - xi_k d_j f(x) w_jk(x-xi)
+        - sum_k (xi_k + d_k f(x) df) b_k(x-xi),   w_jk = d_j f b_k - b_j d_k f,
+
+    in 1D -b(x-xi) (xi + f'(x) df).  A pair (u, monomials) stands for
+    u(x-xi) times the sum of sign * coef(x) * xi^nu * df^m over its monomials
+    (sign, c, axis, m): coef = d_c f, or 1 for c None; nu = e_axis, or 0 for
+    axis None; m is 0 or 1.  Both evaluation paths of :func:`apply_AA` read
+    this one table.
     """
+    dim = len(bv)
+    table = [(bv[k], ((-1.0, None, k, 0), (-1.0, k, None, 1))) for k in range(dim)]
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            table.append((gfv[j] * bv[k] - bv[j] * gfv[k], ((1.0, k, j, 0), (-1.0, j, k, 0))))
+    return table
+
+
+def _unit(dim: int, axis) -> tuple:
+    return tuple(int(j == axis) for j in range(dim))
+
+
+def _aa_operands(geom: InterfaceGeometry, b, riesz_core: str):
     spectral = check_riesz_core(riesz_core)
     b = list(b)
     if len(b) != geom.grid.dim:
         raise ValueError("b must have one component per axis")
     _check_grid(geom, *b)
-    g = geom.grid
     gfv = [c.values for c in geom.grad_f]
-    bv = [c.values for c in b]
+    return gfv, _aa_numerator(gfv, [c.values for c in b]), spectral
+
+
+def _apply_AA_direct(geom: InterfaceGeometry, b, riesz_core: str = "spectral") -> ScalarField:
+    """The velocity operator as the blocked PV lattice sum; see :func:`apply_AA`."""
+    gfv, table, spectral = _aa_operands(geom, b, riesz_core)
+    g = geom.grid
 
     def numerator(xi, df, shifted):
-        rgf = [shifted(v) for v in gfv]
-        rb = [shifted(v) for v in bv]
-        return (_dot(xi, rgf) - df) * _dot(gfv, rb) - _dot(xi, rb) * (1.0 + _dot(gfv, rgf))
+        out = None
+        for u, monomials in table:
+            fac = None
+            for sign, c, axis, m in monomials:
+                val = xi[axis] if axis is not None else 1.0
+                if c is not None:
+                    val = val * gfv[c]
+                if m:
+                    val = val * df
+                if fac is None:
+                    fac = val if sign > 0 else -val
+                else:
+                    fac = fac + val if sign > 0 else fac - val
+            if out is None:
+                out = fac * shifted(u)
+            else:
+                out += fac * shifted(u)
+        return out
 
     out = _interface_sum(geom, numerator)
-    if spectral:
-        for d in range(g.dim):
-            out = out - core_fix_apply(g, tuple(int(j == d) for j in range(g.dim)), bv[d])
+    if spectral:  # the constant-coefficient cores sign * xi_axis u(x-xi) / |xi|^(N+1)
+        for u, monomials in table:
+            for sign, c, axis, m in monomials:
+                if c is None and m == 0:
+                    out = out + core_fix_apply(g, _unit(g.dim, axis), u, sign)
     return ScalarField(g, out)
+
+
+class _SmallSlope(NamedTuple):
+    order: int | None  # None: the direct sum
+    bound: float       # relative to ||b||_inf W_0, see _small_slope_order
+
+
+def _binom(x: float, k: int) -> float:
+    out = 1.0
+    for i in range(k):
+        out = out * (x - i) / (i + 1)
+    return out
+
+
+def _small_slope_order(f: ScalarField) -> _SmallSlope:
+    """The velocity operator's expansion order K for interface f, and its error bound.
+
+    Bound the slope by s = sum_k |k| |f^_k| (Fourier coefficients, any alias
+    of the Nyquist mode): s >= sup |grad f| and s >= |df| / |xi| for every PV
+    offset, so u = (df/|xi|)^2 <= s^2.  With p = (N+1)/2 the kernel is
+    sum_k c_k df^(2k) / |xi|^(2p+2k), c_k = binom(-p, k); cut after k = K it is
+    off by at most T_K |xi|^(-2p), where
+
+        T_K = sum_{k>K} |c_k| s^(2k) <= |c_{K+1}| s^(2K+2) / (1 - rho s^2),
+        rho = (p+K+1)/(K+2) >= |c_{k+1}/c_k| for k > K.
+
+    The numerator is at most |xi| |b| (1 + 3 s^2), so the truncation is at most
+    (1 + 3 s^2) T_K relative to the scale ||b||_inf W_0, where ||b||_inf is
+    the largest |b(x)| and W_0 = h^N/|S^N| sum |xi|^-N over the PV offsets.
+
+    Rounding: the binomial pieces f(x)^a f(x-xi)^(e-a) of df^e add up to at
+    most (2A)^e in absolute value, A = (max f - min f)/2, where df^e itself is
+    at most (s |xi|)^e, and |xi| >= h.  So the convolutions of order k have absolute mass at most
+    N |c_k| (t^(2k) (1 + 2(N-1) s^2) + s t^(2k+1)) ||b||_inf W_0, t = 2A/h,
+    and the rounding term is ROUNDING_GROWTH eps log2(M^N) times their sum.
+    The model, not a proof, is meant to cover the direct sum's rounding as
+    well; the slope-ladder test checks it against the direct sum.
+
+    K is the smallest order whose truncation plus rounding is at most
+    SMALL_SLOPE_TOL; without one, or for s >= 1, the order is None.
+    """
+    g = f.grid
+    k2 = sum(g.frequencies(j) ** 2 for j in range(g.dim))
+    s = float(np.sum(np.sqrt(k2) * np.abs(np.fft.fftn(f.values)))) / g.size
+    if not s < 1.0:
+        return _SmallSlope(None, np.inf)
+    u = s * s
+    t = float(np.max(f.values) - np.min(f.values)) / g.spacing
+    p, dim = (g.dim + 1) / 2, g.dim
+    rounding = ROUNDING_GROWTH * np.finfo(float).eps * np.log2(g.size) * dim
+    for K in range(SMALL_SLOPE_MAX_ORDER + 1):
+        rho = (p + K + 1) / (K + 2)
+        if rho * u >= 1.0:
+            continue
+        tail = (1 + 3 * u) * abs(_binom(-p, K + 1)) * u ** (K + 1) / (1 - rho * u)
+        mass = sum(abs(_binom(-p, k)) * (t ** (2 * k) * (1 + 2 * (dim - 1) * u)
+                                         + s * t ** (2 * k + 1)) for k in range(K + 1))
+        bound = tail + rounding * mass
+        if bound <= SMALL_SLOPE_TOL:
+            return _SmallSlope(K, bound)
+    return _SmallSlope(None, np.inf)
+
+
+def _apply_AA_small_slope(geom: InterfaceGeometry, b, riesz_core: str, order: int) -> ScalarField:
+    """The velocity operator's PV lattice sum re-summed as FFT convolutions, to order K.
+
+    Each monomial of :func:`_aa_numerator` times c_k df^(2k) / |xi|^(N+1+2k),
+    k <= K, with df^e = sum_a binom(e, a) f(x)^a (-f(x-xi))^(e-a), is the
+    x-coefficient coef(x) f(x)^a times the convolution of the lattice kernel
+    xi^nu / |xi|^(N+1+2k) with f^(e-a) u.  One forward FFT per distinct
+    (field, power) and one inverse FFT per distinct x-coefficient.
+    """
+    gfv, table, spectral = _aa_operands(geom, b, riesz_core)
+    g = geom.grid
+    f = geom.f.values
+    powers = [1.0, f - 0.5 * (np.max(f) + np.min(f))]  # AA sees f only through df
+    while len(powers) <= 2 * order + 1:
+        powers.append(powers[-1] * powers[1])
+    half = (Ellipsis, slice(0, g.points // 2 + 1))  # the rfftn half of a full symbol
+    spectra, acc = {}, {}
+    for u, monomials in table:
+        for sign, c, axis, m in monomials:
+            nu = _unit(g.dim, axis)
+            for k in range(order + 1):
+                sym = lattice_core_symbol(g, nu, g.dim + 1 + 2 * k)
+                if spectral and c is None and m == 0 and k == 0:
+                    sym = sym + riesz_core_fix(g, nu)  # the exact core symbol
+                sym = sym[half] * (sign * _binom(-(g.dim + 1) / 2, k))
+                e = m + 2 * k
+                for a in range(e + 1):
+                    key = (id(u), e - a)
+                    if key not in spectra:
+                        spectra[key] = np.fft.rfftn(powers[e - a] * u)
+                    term = (_binom(e, a) * (-1) ** (e - a)) * sym * spectra[key]
+                    acc[c, a] = acc[c, a] + term if (c, a) in acc else term
+    out = np.zeros(g.shape)
+    for (c, a), spectrum in acc.items():
+        v = np.fft.irfftn(spectrum, s=g.shape, axes=range(g.dim))
+        if a:
+            v = v * powers[a]
+        if c is not None:
+            v = v * gfv[c]
+        out += v
+    return ScalarField(g, out)
+
+
+def apply_AA(geom: InterfaceGeometry, b, riesz_core: str = "spectral") -> ScalarField:
+    """Velocity operator: the two-integral kernel of the evolution's right side.
+
+    The second integral contains the constant core -xi.b(x-xi)/|xi|^{N+1},
+    which is evaluated spectrally unless ``riesz_core='lattice'``.
+
+    Near a flat interface the PV lattice sum is re-summed by FFT, to the
+    order :func:`_small_slope_order` picks; otherwise it is the direct blocked
+    sum.
+    """
+    order = geom._small_slope.order
+    if order is None:
+        return _apply_AA_direct(geom, b, riesz_core)
+    return _apply_AA_small_slope(geom, b, riesz_core, order)
 
 
 def apply_AA_composed(geom: InterfaceGeometry, b, riesz_core: str = "spectral") -> ScalarField:

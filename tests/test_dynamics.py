@@ -1,15 +1,20 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from muskat.config import parse_config
+import muskat.dynamics
+from muskat.cli import main
+from muskat.config import initial_field, parse_config
 from muskat.dynamics import (InterfaceState, PhysicalParams,
                              RTFloorBreach, StepperConfig, compute_phi_tilde,
                              evolve, rt_margin, step, wow_residual)
 from muskat.grid import (GridSpec, ScalarField, l2_norm,
                          make_gaussian_bump, make_mode, make_zero)
-from muskat.potentials import InterfaceGeometry
+from muskat.potentials import InterfaceGeometry, _apply_AA_direct
+
+DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "decay_demo.cfg")
 
 
 def test_params_reduction():
@@ -182,8 +187,7 @@ def test_evolve_zero_data():
 def test_evolve_ends_at_t_end():
     # the demo's step rule (cfl dt on its spacing, t_end 2) on a 32-point cell
     # of the same spacing; t_end/dt = 65.2 must give 66 steps, not 65
-    cfg = parse_config(os.path.join(os.path.dirname(__file__), os.pardir,
-                                    "configs", "decay_demo.cfg"))
+    cfg = parse_config(DEMO)
     g = GridSpec(1, 32 * cfg.grid.spacing, 32)
     result = evolve(make_zero(g), cfg.params, cfg.stepper)
     t = np.array([row[0] for row in result.series])
@@ -192,6 +196,32 @@ def test_evolve_ends_at_t_end():
     assert len(t) - 1 == 66
     assert dt <= cfg.stepper.resolve_dt(cfg.grid, cfg.params.lam)
     assert np.allclose(np.diff(t), dt, rtol=0.0, atol=1e-12)
+
+
+def test_demo_decay_small_slope_path_matches_the_direct_sum(monkeypatch):
+    # 8 RK2 steps of the demo, velocity by the automatic path and by the direct sum
+    cfg = parse_config(DEMO)
+    f0 = initial_field(cfg)
+    stepper = dataclasses.replace(cfg.stepper, t_end=8 * cfg.stepper.resolve_dt(
+        cfg.grid, cfg.params.lam), snapshot_stride=0)
+    auto = evolve(f0, cfg.params, stepper).final
+    assert auto.geom._small_slope.order is not None
+    monkeypatch.setattr(muskat.dynamics, "apply_AA", _apply_AA_direct)
+    direct = evolve(f0, cfg.params, stepper).final
+    assert auto.t == direct.t
+    diff = np.max(np.abs(auto.f.values - direct.f.values))
+    assert diff <= 1e-12 * np.max(np.abs(direct.f.values))
+
+
+@pytest.mark.parametrize("amplitude", ["1e200", "1e307"])
+def test_huge_interface_ends_with_exit_6(tmp_path, amplitude):
+    # far too steep for the small-slope path; the arithmetic overflows, at
+    # 1e307 already in the interface's FFTs
+    with open(DEMO) as fh:
+        text = fh.read().replace("initial.amplitude = 1e-3", f"initial.amplitude = {amplitude}")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text.replace("output.dir = out", f"output.dir = {tmp_path / 'out'}"))
+    assert main(["evolve", str(cfg)]) == 6
 
 
 def test_step_count_is_bounded():

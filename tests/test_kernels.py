@@ -264,7 +264,7 @@ def test_chain_rule_linear_a():
 def test_lattice_core_symbol_is_fft_of_weights():
     g = GridSpec(1, 2 * np.pi, 16)
     off = pv_offsets(g)
-    sym = lattice_core_symbol(g, (1,))
+    sym = lattice_core_symbol(g, (1,), 2)
     # reconstruct mode-3 response directly
     k = 3
     direct = sum(off.xi[t, 0] / off.r[t] * g.spacing / (off.r[t] * sphere_area(1))

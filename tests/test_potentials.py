@@ -3,13 +3,13 @@ import pytest
 
 from muskat.grid import (GridSpec, ScalarField, band_limited_random, gradient,
                          l2_norm, make_gaussian_bump, make_mode, make_zero)
-from muskat.potentials import (InterfaceGeometry, adjointness_defect, apply_A,
-                               apply_A_composed, apply_AA, apply_AA_composed,
-                               apply_D, apply_D_composed, apply_D_star,
+from muskat.potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _apply_AA_direct,
+                               adjointness_defect, apply_A, apply_A_composed, apply_AA,
+                               apply_AA_composed, apply_D, apply_D_composed, apply_D_star,
                                apply_D_star_composed, boundary_trace,
                                gradient_identity_residual, rellich_residual,
                                torus_byparts_flux)
-from muskat.offsets import face_ring, sphere_area
+from muskat.offsets import face_ring, pv_offsets, sphere_area
 
 
 def rel_err(a, b):
@@ -199,6 +199,43 @@ def test_AA_direct_equals_composed():
         dl = apply_AA(geom, b, riesz_core="lattice")
         cl = apply_AA_composed(geom, b, riesz_core="lattice")
         assert rel_err(dl.values, cl.values) < 1e-10
+
+
+@pytest.mark.parametrize("dim,M", [(1, 64), (1, 512), (2, 16)])
+def test_AA_small_slope_path_within_its_bound(dim, M):
+    # a ladder of slopes: the small-slope path must stay within its own bound,
+    # the direct sum must be taken as it is
+    g = GridSpec(dim, 2 * np.pi, M)
+    rng = np.random.default_rng(3)
+    shape = band_limited_random(g, 3, rng)
+    # every mode, so the Nyquist planes of the spectral core are exercised
+    b = [band_limited_random(g, M // 2, rng) for _ in range(dim)]
+    # the stated scale ||b||_inf W_0, W_0 = h^N/|S^N| sum |xi|^-N
+    w0 = g.spacing**dim / sphere_area(dim) * np.sum(pv_offsets(g).r ** -dim)
+    scale = w0 * np.max(np.sqrt(sum(c.values**2 for c in b)))
+    lip0 = np.max(np.sqrt(sum(c.values**2 for c in gradient(shape))))
+    orders = []
+    for lip in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.9):
+        geom = InterfaceGeometry(ScalarField(g, shape.values * (lip / lip0)))
+        order, bound = geom._small_slope
+        orders.append(order)
+        for core in ("spectral", "lattice"):
+            auto = apply_AA(geom, b, riesz_core=core).values
+            direct = _apply_AA_direct(geom, b, riesz_core=core).values
+            if order is None:
+                assert np.array_equal(auto, direct), (lip, core)
+            else:
+                assert bound <= SMALL_SLOPE_TOL
+                assert np.max(np.abs(auto - direct)) <= bound * scale, (lip, core)
+    assert orders[0] is not None and orders[-1] is None, orders
+
+
+def test_AA_path_choice_on_the_benchmark_interfaces():
+    # the demo decay (Lip 4e-4) is re-summed, the 2D contrast bump (Lip 0.85) is not
+    demo = make_mode(GridSpec(1, 20 * np.pi, 512), 1e-3, (4,))
+    assert InterfaceGeometry(demo)._small_slope.order is not None
+    bump = make_gaussian_bump(GridSpec(2, 2 * np.pi, 64), 0.7, [np.pi] * 2, 0.5)
+    assert InterfaceGeometry(bump)._small_slope.order is None
 
 
 def test_misspelled_core_mode_is_rejected():
