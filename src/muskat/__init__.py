@@ -1,9 +1,9 @@
 """Boundary-integral engine for the gravity-driven Muskat interface evolution.
 
 The interface y = f(x) between two fluids in a porous medium evolves by
-df/dt = Lambda * A(f)[grad beta(f)], where beta solves a second-kind singular
-integral equation built from the double layer potential of the Lipschitz
-graph.  This package realizes the singular operators as principal-value
+df/dt = Lambda * AA(f)[grad beta(f)], with AA the velocity operator, where
+beta solves a second-kind singular integral equation built from the double
+layer potential of the Lipschitz graph.  This package realizes the singular operators as principal-value
 lattice sums on a periodic grid, solves the density equation matrix-free,
 advances the interface explicitly, and ships validation suites for every
 exact operator identity the construction rests on.

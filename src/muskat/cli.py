@@ -3,9 +3,7 @@
 Subcommands: evolve, validate, symbol, field, rt-check.  Exit codes:
 0 success, 2 configuration error (any bad outside input), 3 solver failure,
 4 RT-floor halt, 5 validation failure, 6 non-finite interface; main() is the
-one place that maps an exception to its code.  MUSKAT_THREADS must be an
-integer; it is recorded in manifest.json and selects nothing, so outputs are
-bit-identical for any value.
+one place that maps an exception to its code.
 """
 
 from __future__ import annotations
@@ -40,12 +38,6 @@ EXIT_NONFINITE = 6
 EXIT_HALTED = {None: EXIT_OK, "rt-floor": EXIT_RT, "non-finite": EXIT_NONFINITE}
 
 
-def thread_count() -> int:
-    """MUSKAT_THREADS (default 1, at least 1); raises ConfigError if not an integer."""
-    with reading("MUSKAT_THREADS must be an integer"):
-        return max(1, int(os.environ.get("MUSKAT_THREADS", "1")))
-
-
 def _output_dir(args, cfg: SimConfig) -> str:
     outdir = args.output or cfg.output_dir
     with reading("output directory"):
@@ -62,7 +54,6 @@ def _write_manifest(cfg: SimConfig, outdir, extra=None):
         "seed": cfg.seed,
         "grid": {"dim": cfg.grid.dim, "extent": cfg.grid.extent,
                  "points": cfg.grid.points, "spacing": cfg.grid.spacing},
-        "thread_count": thread_count(),
     }
     if extra:
         manifest.update(extra)
@@ -99,10 +90,12 @@ def cmd_validate(args) -> int:
     selection = (parse_value("validate.suites", args.suite, "--suite") if args.suite
                  else cfg.suites or "all")
     rows, ok = run_validate(cfg, selection)
-    with open(os.path.join(outdir, "validate_report.csv"), "w") as fh:
-        fh.write(CSV_HEADER + "\n")
+    with open(os.path.join(outdir, "validate_report.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
         for r in rows:
-            fh.write(r.csv() + "\n")
+            writer.writerow([r.suite, r.check, repr(r.value), repr(r.threshold),
+                             int(r.passed), r.note])
     _write_manifest(cfg, outdir, {"validate_passed": ok})
     for r in rows:
         print(r.line())
@@ -213,7 +206,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        thread_count()
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

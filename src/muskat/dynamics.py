@@ -1,4 +1,6 @@
-"""Interface evolution df/dt = Lambda * A(f)[grad beta(f)] with monitoring.
+"""Interface evolution df/dt = Lambda * AA(f)[grad beta(f)] with monitoring.
+
+AA is the velocity operator :func:`muskat.potentials.apply_AA`.
 
 The reduced parameters are the characteristic velocity Lambda and the
 viscosity contrast a_mu; the scaled right side depends on a_mu only, so
@@ -119,7 +121,10 @@ class StepperConfig:
 
 def compute_phi_tilde(geom: InterfaceGeometry, a_mu: float, tol: float = 1e-10,
                       warm_start: ScalarField | None = None, max_iter: int = 200):
-    """Scaled right side A(f)[grad beta(f)]; returns (field, beta, report)."""
+    """Scaled right side AA(f)[grad beta(f)], AA the velocity operator.
+
+    Returns (field, beta, report).
+    """
     beta, report = solve_beta(geom, a_mu, tol=tol, max_iter=max_iter,
                               warm_start=warm_start)
     phi = apply_AA(geom, gradient(beta))

@@ -10,9 +10,10 @@ isolates, for n = 0, the constant-coefficient Riesz core
 phi(0) * xi^nu / |xi|^{|nu|+N}: its lattice realization carries an O(h)
 puncture error plus an O(1/|k|) periodization tail, both of which are removed
 by replacing the core's lattice symbol with the exact continuum symbol
-(``riesz_core='spectral'``, the default).  ``riesz_core='lattice'`` keeps the
-bare sum, which the brute-force oracle and the composed-form validators
-reproduce term by term.
+(``riesz_core='spectral'``, the default; |nu| = 1, the only cores the
+interface operators have).  ``riesz_core='lattice'`` keeps the bare sum,
+which the brute-force oracle and the composed-form validators reproduce
+term by term.
 """
 
 from __future__ import annotations
@@ -103,8 +104,6 @@ def riesz_core_fix(grid: GridSpec, nu: tuple) -> np.ndarray:
 
 def core_fix_apply(grid: GridSpec, nu, values: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """scale * F^-1[ riesz_core_fix * F[values] ], as a plain array."""
-    if scale == 0.0:
-        return np.zeros(grid.shape)
     out = np.fft.ifftn(np.fft.fftn(values) * riesz_core_fix(grid, nu)).real
     return scale * out
 
@@ -130,20 +129,13 @@ def _slot_product(factors):
 def _naked_sum(spec: OperatorSpec, a_vals, b_vals, beta_vals, grid: GridSpec):
     off = pv_offsets(grid)
     w_geom = riesz_core_weight(grid, spec.nu, sum(spec.nu) + grid.dim)
-    # all-zero a collapses phi((D a)^2) to the constant phi(0); skip its differences
-    phi0 = None
-    if not any(np.any(av) for av in a_vals):
-        phi0 = float(spec.profile(tuple(0.0 for _ in range(spec.arity))))
     # phibar_transform passes one field as a and as every b: difference it once
-    fields = {id(v): v for v in (b_vals if phi0 is not None else a_vals + b_vals)}
+    fields = {id(v): v for v in a_vals + b_vals}
 
     def term(t, shifted):
         r = off.r[t]
         quot = {key: (v - shifted(v)) / r for key, v in fields.items()}
-        if phi0 is not None:
-            phiv = phi0
-        else:
-            phiv = spec.profile(tuple(quot[id(av)] ** 2 for av in a_vals))
+        phiv = spec.profile(tuple(quot[id(av)] ** 2 for av in a_vals))
         out = phiv * shifted(beta_vals)
         if b_vals:
             out = out * _slot_product([quot[id(bv)] for bv in b_vals])
@@ -190,8 +182,7 @@ def phibar_transform(f: ScalarField, n: int, axis, values: np.ndarray,
                    riesz_core).values
 
 
-def chain_rule_residual(spec: OperatorSpec, a: ScalarField, b, beta: ScalarField,
-                        riesz_core: str = "spectral") -> float:
+def chain_rule_residual(spec: OperatorSpec, a: ScalarField, b, beta: ScalarField) -> float:
     """Defect of the derivative representation of B^phi_{n,nu}(a)[b, beta].
 
     For each axis j compares the spectral derivative of the output against
@@ -203,16 +194,16 @@ def chain_rule_residual(spec: OperatorSpec, a: ScalarField, b, beta: ScalarField
     b = list(b)
     grid = beta.grid
     prime_spec = OperatorSpec(spec.profile.partial_profile(0), spec.n + 2, spec.nu)
-    base = apply_B(spec, [a], b, beta, riesz_core)
+    base = apply_B(spec, [a], b, beta)
     worst = 0.0
     for j in range(grid.dim):
         lhs = spectral_derivative(base, j)
-        rhs = apply_B(spec, [a], b, spectral_derivative(beta, j), riesz_core).values
+        rhs = apply_B(spec, [a], b, spectral_derivative(beta, j)).values
         for i in range(len(b)):
             bi = list(b)
             bi[i] = spectral_derivative(b[i], j)
-            rhs = rhs + apply_B(spec, [a], bi, beta, riesz_core).values
+            rhs = rhs + apply_B(spec, [a], bi, beta).values
         da = spectral_derivative(a, j)
-        rhs = rhs + 2.0 * apply_B(prime_spec, [a], [da, a] + b, beta, riesz_core).values
+        rhs = rhs + 2.0 * apply_B(prime_spec, [a], [da, a] + b, beta).values
         worst = max(worst, l2_norm(ScalarField(grid, lhs.values - rhs)))
     return worst

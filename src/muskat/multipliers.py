@@ -20,6 +20,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .grid import GridSpec
 from .offsets import sphere_area
+from .profiles import phibar
 
 
 def _gl_panels(bounds, order):
@@ -57,31 +58,22 @@ class SphereRule:
     weights: np.ndarray      # (n,)
 
     @classmethod
-    def for_direction(cls, dim: int, direction=None) -> "SphereRule":
-        """Rule with panel boundaries on the great circle {w.direction = 0}.
-
-        With ``direction=None`` the boundaries sit at multiples of pi/4
-        (N=2) or align with the last axis (N=3), which also matches the kinks
-        of cube-geometry factors used elsewhere.
-        """
+    def for_direction(cls, dim: int, direction) -> "SphereRule":
+        """Rule with panel boundaries on the great circle {w.direction = 0}."""
         if dim == 1:
             return cls(1, np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
         if dim == 2:
-            if direction is None:
-                bounds = np.arange(9) * (np.pi / 4.0)
-            else:
-                # split the circle at the kink points alpha +- pi/2 of sgn(w.z)
-                alpha = np.arctan2(direction[1], direction[0])
-                upper = np.linspace(alpha - np.pi / 2.0, alpha + np.pi / 2.0, 5)
-                lower = np.linspace(alpha + np.pi / 2.0, alpha + 3.0 * np.pi / 2.0, 5)
-                bounds = np.concatenate([upper, lower[1:]])
+            # split the circle at the kink points alpha +- pi/2 of sgn(w.z)
+            alpha = np.arctan2(direction[1], direction[0])
+            upper = np.linspace(alpha - np.pi / 2.0, alpha + np.pi / 2.0, 5)
+            lower = np.linspace(alpha + np.pi / 2.0, alpha + 3.0 * np.pi / 2.0, 5)
+            bounds = np.concatenate([upper, lower[1:]])
             per_panel = _N_ANGLE // (len(bounds) - 1)
             theta, w = _gl_panels(bounds, per_panel)
             nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
             return cls(2, nodes, w)
         if dim == 3:
-            d = np.asarray(direction, dtype=float) if direction is not None else np.array([0.0, 0.0, 1.0])
-            e1, e2, zhat = _orthonormal_frame(d)
+            e1, e2, zhat = _orthonormal_frame(np.asarray(direction, dtype=float))
             u, wu = _gl_panels(np.array([-1.0, 0.0, 1.0]), _N_HEMISPHERE)
             psi = 2.0 * np.pi * np.arange(_N_AZIMUTH) / _N_AZIMUTH
             wpsi = 2.0 * np.pi / _N_AZIMUTH
@@ -146,7 +138,7 @@ def symbol_D(mspec: MultiplierSpec, z) -> complex:
     return 1j * m
 
 
-def symbol_T(A, z, profile=None) -> float:
+def symbol_T(A, z) -> float:
     """m_T(z) >= 0 for T = sum_k D^{phibar,A}_{0,e_k} d_k.
 
     m_T(z) = (pi / (2 |S^N|)) int_{S^{N-1}} |w.z| phibar((A.w)^2) dS(w);
@@ -159,36 +151,22 @@ def symbol_T(A, z, profile=None) -> float:
         raise ValueError("A and z must have equal length")
     if not np.any(z):
         return 0.0
-    if profile is None:
-        from .profiles import phibar
-        profile = phibar(dim)
     rule = SphereRule.for_direction(dim, z)
-    vals = np.abs(rule.nodes @ z) * profile(((rule.nodes @ A) ** 2,))
+    vals = np.abs(rule.nodes @ z) * phibar(dim)(((rule.nodes @ A) ** 2,))
     return float(np.pi / (2.0 * sphere_area(dim)) * rule.integrate(vals))
 
 
-def riesz_core_symbol_grid(grid: GridSpec, nu, phi0: float = 1.0) -> np.ndarray:
-    """Exact symbol array of the constant kernel phi0 * xi^nu / |xi|^{|nu|+N}.
+def riesz_core_symbol_grid(grid: GridSpec, nu) -> np.ndarray:
+    """Exact symbol array -(i/2) z_d/|z| of the unit core xi_d / |xi|^{N+1}, nu = e_d.
 
-    Closed form -(phi0/2) z_d/|z| for |nu| = 1; sphere quadrature otherwise.
     Returned in fft layout on the grid's integer modes, zero at z = 0.
     """
     nu = tuple(int(v) for v in nu)
-    if len(nu) != grid.dim or sum(nu) % 2 == 0:
-        raise ValueError(f"nu must have odd degree and length {grid.dim}")
+    if len(nu) != grid.dim or sorted(nu) != [0] * (grid.dim - 1) + [1]:
+        raise ValueError(f"nu must be a unit multi-index of length {grid.dim}, got {nu}")
     zs = grid.frequency_grid()
-    if sum(nu) == 1:
-        d = nu.index(1)
-        norm = np.sqrt(sum(z**2 for z in zs))
-        norm[(0,) * grid.dim] = 1.0
-        sym = -0.5j * phi0 * zs[d] / norm
-        sym[(0,) * grid.dim] = 0.0
-        return sym
-    from .profiles import ConstProfile
-    mspec = MultiplierSpec(ConstProfile(1.0), 0, nu, (0.0,) * grid.dim)
-    sym = np.zeros(grid.shape, dtype=complex)
-    for idx in np.ndindex(grid.shape):
-        z = np.array([float(zs[j][idx]) for j in range(grid.dim)])
-        if np.any(z):
-            sym[idx] = phi0 * symbol_D(mspec, z)
+    norm = np.sqrt(sum(z**2 for z in zs))
+    norm[(0,) * grid.dim] = 1.0
+    sym = -0.5j * zs[nu.index(1)] / norm
+    sym[(0,) * grid.dim] = 0.0
     return sym

@@ -6,11 +6,10 @@ composed form is the validator.  The two are algebraically identical term by
 term on the lattice, so the cross-checks hold near rounding.
 
 The velocity operator carries the non-decaying constant Riesz core
-(-xi . b(x-xi) in its kernel); as in :mod:`muskat.kernels`, that core is
-evaluated spectrally by default and on the bare lattice when
-``riesz_core='lattice'``.  Near a flat interface the velocity operator
-re-sums its lattice sum by FFT within an a-priori error bound; the direct
-sum stays as the private ``_apply_AA_direct``.
+(-xi . b(x-xi) in its kernel); that core is always evaluated with its exact
+continuum symbol (see :mod:`muskat.kernels`).  Near a flat interface the
+velocity operator re-sums its lattice sum by FFT within an a-priori error
+bound; the direct sum stays as the private ``_apply_AA_direct``.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import GridSpec, ScalarField, gradient, inner, integrate, l2_norm
-from .kernels import (check_riesz_core, core_fix_apply, lattice_core_symbol, phibar_transform,
-                      riesz_core_fix)
+from .kernels import core_fix_apply, lattice_core_symbol, phibar_transform, riesz_core_fix
 from .offsets import face_ring, lattice_sum, pv_offsets, sphere_area
 
 # The velocity operator's small-slope path runs when its error bound, relative
@@ -217,23 +215,19 @@ def torus_byparts_flux(geom: InterfaceGeometry, beta: ScalarField) -> list:
     return [ScalarField(g, -c / g.spacing) for c in acc]  # a face cell has measure h^(N-1)
 
 
-def gradient_identity_residual(geom: InterfaceGeometry, beta: ScalarField,
-                               include_torus_flux: bool = True) -> float:
+def gradient_identity_residual(geom: InterfaceGeometry, beta: ScalarField) -> float:
     """Discrete defect of grad(D(f)[beta]) = A(f)[grad beta], spectral gradients.
 
-    With ``include_torus_flux`` the exact single-cell boundary flux of the
-    underlying integration by parts is subtracted (see
-    :func:`torus_byparts_flux`); without it the defect saturates at an
-    O(1/L) floor for data with overlapping supports.
+    The exact single-cell boundary flux of the underlying integration by parts
+    is subtracted (see :func:`torus_byparts_flux`); without it the defect
+    saturates at an O(1/L) floor for data with overlapping supports.
     """
     _check_grid(geom, beta)
     d = apply_D(geom, beta)
     lhs = gradient(d)
     rhs = apply_A(geom, gradient(beta))
-    if include_torus_flux:
-        flux = torus_byparts_flux(geom, beta)
-        rhs = [ScalarField(geom.grid, r.values + fl.values)
-               for r, fl in zip(rhs, flux)]
+    flux = torus_byparts_flux(geom, beta)
+    rhs = [ScalarField(geom.grid, r.values + fl.values) for r, fl in zip(rhs, flux)]
     total = sum(l2_norm(ScalarField(geom.grid, a.values - b.values)) ** 2
                 for a, b in zip(lhs, rhs))
     return float(np.sqrt(total))
@@ -266,19 +260,18 @@ def _unit(dim: int, axis) -> tuple:
     return tuple(int(j == axis) for j in range(dim))
 
 
-def _aa_operands(geom: InterfaceGeometry, b, riesz_core: str):
-    spectral = check_riesz_core(riesz_core)
+def _aa_operands(geom: InterfaceGeometry, b):
     b = list(b)
     if len(b) != geom.grid.dim:
         raise ValueError("b must have one component per axis")
     _check_grid(geom, *b)
     gfv = [c.values for c in geom.grad_f]
-    return gfv, _aa_numerator(gfv, [c.values for c in b]), spectral
+    return gfv, _aa_numerator(gfv, [c.values for c in b])
 
 
-def _apply_AA_direct(geom: InterfaceGeometry, b, riesz_core: str = "spectral") -> ScalarField:
+def _apply_AA_direct(geom: InterfaceGeometry, b) -> ScalarField:
     """The velocity operator as the blocked PV lattice sum; see :func:`apply_AA`."""
-    gfv, table, spectral = _aa_operands(geom, b, riesz_core)
+    gfv, table = _aa_operands(geom, b)
     g = geom.grid
 
     def numerator(xi, df, shifted):
@@ -302,11 +295,11 @@ def _apply_AA_direct(geom: InterfaceGeometry, b, riesz_core: str = "spectral") -
         return out
 
     out = _interface_sum(geom, numerator)
-    if spectral:  # the constant-coefficient cores sign * xi_axis u(x-xi) / |xi|^(N+1)
-        for u, monomials in table:
-            for sign, c, axis, m in monomials:
-                if c is None and m == 0:
-                    out = out + core_fix_apply(g, _unit(g.dim, axis), u, sign)
+    # the constant-coefficient cores sign * xi_axis u(x-xi) / |xi|^(N+1)
+    for u, monomials in table:
+        for sign, c, axis, m in monomials:
+            if c is None and m == 0:
+                out = out + core_fix_apply(g, _unit(g.dim, axis), u, sign)
     return ScalarField(g, out)
 
 
@@ -371,7 +364,7 @@ def _small_slope_order(f: ScalarField) -> _SmallSlope:
     return _SmallSlope(None, np.inf)
 
 
-def _apply_AA_small_slope(geom: InterfaceGeometry, b, riesz_core: str, order: int) -> ScalarField:
+def _apply_AA_small_slope(geom: InterfaceGeometry, b, order: int) -> ScalarField:
     """The velocity operator's PV lattice sum re-summed as FFT convolutions, to order K.
 
     Each monomial of :func:`_aa_numerator` times c_k df^(2k) / |xi|^(N+1+2k),
@@ -380,7 +373,7 @@ def _apply_AA_small_slope(geom: InterfaceGeometry, b, riesz_core: str, order: in
     xi^nu / |xi|^(N+1+2k) with f^(e-a) u.  One forward FFT per distinct
     (field, power) and one inverse FFT per distinct x-coefficient.
     """
-    gfv, table, spectral = _aa_operands(geom, b, riesz_core)
+    gfv, table = _aa_operands(geom, b)
     g = geom.grid
     f = geom.f.values
     powers = [1.0, f - 0.5 * (np.max(f) + np.min(f))]  # AA sees f only through df
@@ -393,7 +386,7 @@ def _apply_AA_small_slope(geom: InterfaceGeometry, b, riesz_core: str, order: in
             nu = _unit(g.dim, axis)
             for k in range(order + 1):
                 sym = lattice_core_symbol(g, nu, g.dim + 1 + 2 * k)
-                if spectral and c is None and m == 0 and k == 0:
+                if c is None and m == 0 and k == 0:
                     sym = sym + riesz_core_fix(g, nu)  # the exact core symbol
                 sym = sym[half] * (sign * _binom(-(g.dim + 1) / 2, k))
                 e = m + 2 * k
@@ -414,11 +407,11 @@ def _apply_AA_small_slope(geom: InterfaceGeometry, b, riesz_core: str, order: in
     return ScalarField(g, out)
 
 
-def apply_AA(geom: InterfaceGeometry, b, riesz_core: str = "spectral") -> ScalarField:
+def apply_AA(geom: InterfaceGeometry, b) -> ScalarField:
     """Velocity operator: the two-integral kernel of the evolution's right side.
 
     The second integral contains the constant core -xi.b(x-xi)/|xi|^{N+1},
-    which is evaluated spectrally unless ``riesz_core='lattice'``.
+    which is evaluated with its exact symbol.
 
     Near a flat interface the PV lattice sum is re-summed by FFT, to the
     order :func:`_small_slope_order` picks; otherwise it is the direct blocked
@@ -426,11 +419,11 @@ def apply_AA(geom: InterfaceGeometry, b, riesz_core: str = "spectral") -> Scalar
     """
     order = geom._small_slope.order
     if order is None:
-        return _apply_AA_direct(geom, b, riesz_core)
-    return _apply_AA_small_slope(geom, b, riesz_core, order)
+        return _apply_AA_direct(geom, b)
+    return _apply_AA_small_slope(geom, b, order)
 
 
-def apply_AA_composed(geom: InterfaceGeometry, b, riesz_core: str = "spectral") -> ScalarField:
+def apply_AA_composed(geom: InterfaceGeometry, b) -> ScalarField:
     """B-transform representation of the velocity operator (validation path)."""
     b = list(b)
     _check_grid(geom, *b)
@@ -439,7 +432,7 @@ def apply_AA_composed(geom: InterfaceGeometry, b, riesz_core: str = "spectral") 
     for i in range(geom.grid.dim):
         for k in range(geom.grid.dim):
             out = out + gfv[k] * phibar_transform(f, 0, i, bv[k] * gfv[i] - bv[i] * gfv[k])
-        out = out - phibar_transform(f, 0, i, bv[i], riesz_core)
+        out = out - phibar_transform(f, 0, i, bv[i], "spectral")
         out = out - gfv[i] * phibar_transform(f, 1, None, bv[i])
     return ScalarField(geom.grid, out)
 

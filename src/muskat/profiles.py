@@ -34,22 +34,6 @@ class SmoothProfile:
             raise ValueError(f"profile arity {self.arity}, got {len(args)} arguments")
 
 
-class ConstProfile(SmoothProfile):
-    """Constant profile, any arity; all partials vanish."""
-
-    def __init__(self, value=1.0, arity=1):
-        self.value = float(value)
-        self.arity = arity
-
-    def __call__(self, args):
-        self._check_args(args)
-        shape = np.broadcast(*[np.asarray(a) for a in args]).shape
-        return np.full(shape, self.value) if shape else self.value
-
-    def partial_profile(self, i):
-        return ConstProfile(0.0, self.arity)
-
-
 class PowerProfile(SmoothProfile):
     """phi(x) = c * (1 + x)^e on [0, inf); closed under differentiation."""
 

@@ -33,17 +33,13 @@ class Row:
         self.passed = bool(passed)
         self.note = note
 
-    def csv(self):
-        return (f"{self.suite},{self.check},{self.value!r},{self.threshold!r},"
-                f"{int(self.passed)},{self.note}")
-
     def line(self):
         status = "pass" if self.passed else "FAIL"
         return (f"[{status}] {self.suite}/{self.check}: value={self.value:.3e} "
                 f"threshold={self.threshold:.3e} {self.note}")
 
 
-CSV_HEADER = "suite,check,value,threshold,passed,note"
+CSV_HEADER = ("suite", "check", "value", "threshold", "passed", "note")
 
 
 def _geometry(M, seed, amp=0.7, dim=1, L=2 * np.pi):
@@ -187,6 +183,16 @@ def suite_composed(cfg):
             scale = max(np.max(np.abs(composed)), 1e-300)
             worst = max(worst, float(np.max(np.abs(direct - composed)) / scale))
         rows.append(Row("composed", f"M={M}", worst, 1e-10, worst <= 1e-10))
+    # a near-flat interface, where the velocity operator takes its small-slope path
+    for M in (64, 128):
+        geom, rng = _geometry(M, cfg.seed, amp=1e-3)
+        b = [band_limited_random(geom.grid, 3, rng)]
+        composed = apply_AA_composed(geom, b).values
+        rel = float(np.max(np.abs(apply_AA(geom, b).values - composed))
+                    / max(np.max(np.abs(composed)), 1e-300))
+        order = geom._small_slope.order
+        rows.append(Row("composed", f"AA small-slope M={M}", rel, 1e-10,
+                        order is not None and rel <= 1e-10, note=f"K={order}"))
     return rows
 
 

@@ -162,6 +162,18 @@ def test_validate_cli(tmp_path):
     assert main(["validate", "--suite", "nonsense", cfg]) == 2
 
 
+def test_validate_report_quotes_notes_with_commas(tmp_path):
+    # the resolvent suite's note lists its Neumann remainders, commas and all
+    cfg = write(tmp_path / "c.cfg", MINIMAL + f"output.dir = {tmp_path}/v\n")
+    assert main(["validate", "--suite", "resolvent", cfg]) == 0
+    with open(tmp_path / "v" / "validate_report.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["suite", "check", "value", "threshold", "passed", "note"]
+    assert rows and all(list(row) == reader.fieldnames for row in rows)
+    assert any("," in row["note"] for row in rows)
+
+
 def test_symbol_cli(tmp_path):
     out = str(tmp_path / "sym.csv")
     assert main(["symbol", "--A", "0.5,0.0", "--n", "0", "--nu", "1,0",
@@ -205,17 +217,6 @@ def test_missing_snapshot_is_config_error(tmp_path):
                      if not l.startswith(("initial.amplitude", "initial.width")))
     cfg = write(tmp_path / "c.cfg", text)
     assert main(["evolve", cfg]) == 2
-
-
-def test_bad_thread_env_is_config_error(tmp_path):
-    cfg = write(tmp_path / "c.cfg", MINIMAL + f"output.dir = {tmp_path}/out\n")
-    env = dict(os.environ, MUSKAT_THREADS="abc")
-    proc = subprocess.run(
-        [sys.executable, "-m", "muskat.cli", "evolve", cfg],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert "config error: MUSKAT_THREADS" in proc.stderr
-    assert "Traceback" not in proc.stderr
 
 
 def test_thread_env_bit_identity(tmp_path):

@@ -13,8 +13,8 @@ def test_sphere_rule_self_tests():
     # weights sum to |S^{N-1}| and integrate w_1^2 to |S^{N-1}|/N
     for dim in (1, 2, 3):
         area = 2.0 if dim == 1 else sphere_area(dim - 1)
-        for rule in (SphereRule.for_direction(dim),
-                     SphereRule.for_direction(dim, np.ones(dim) if dim > 1 else None)):
+        for direction in (np.eye(dim)[-1], np.ones(dim)):
+            rule = SphereRule.for_direction(dim, direction)
             assert abs(np.sum(rule.weights) - area) <= 1e-10 * area
             assert abs(rule.integrate(rule.nodes[:, 0] ** 2) - area / dim) <= 1e-10 * area
 
@@ -112,6 +112,9 @@ def test_apply_multiplier_riesz_on_cosine():
     out = np.fft.ifft(np.fft.fft(u.values) * sym).real
     x = g.axis_coords()
     np.testing.assert_allclose(out, 0.5 * np.sin(x), atol=1e-12)
+    for nu in ((3,), (0,)):  # only the unit cores e_d have a symbol grid
+        with pytest.raises(ValueError, match="unit multi-index"):
+            riesz_core_symbol_grid(g, nu)
 
 
 def reduction_residual(mspec, z_samples):

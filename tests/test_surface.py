@@ -27,3 +27,55 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 def test_every_exported_name_is_bound():
     assert [name for name in muskat.__all__ if not hasattr(muskat, name)] == []
+
+
+# main(argv) is the entry point: the console script calls it with no arguments
+# and tests pass argv, so no call inside the package ever sets it.
+DEFAULT_EXEMPT = {("cli.py", "main", "argv")}
+
+
+def _defaulted(fn, method):
+    """(position or None, name) of each defaulted parameter; self/cls dropped for methods."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    if method and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list):
+        pos = pos[1:]
+    out = [(i, p.arg) for i, p in enumerate(pos) if i >= len(pos) - len(a.defaults)]
+    return out + [(None, k.arg) for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    # a parameter that no call inside the package sets is a constant in disguise;
+    # calls match by name, and a class-name call counts for its __init__
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    defs = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defs.append((mod, node.name, node.name, node, False))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and (
+                            item.name == "__init__" or not item.name.startswith("_")):
+                        callee = node.name if item.name == "__init__" else item.name
+                        defs.append((mod, f"{node.name}.{item.name}", callee, item, True))
+    calls = {}
+    for tree in trees.values():
+        for c in ast.walk(tree):
+            if isinstance(c, ast.Call):
+                name = getattr(c.func, "id", None) or getattr(c.func, "attr", None)
+                calls.setdefault(name, []).append(c)
+
+    def passed(c, i, arg):
+        if any(isinstance(x, ast.Starred) for x in c.args):
+            return True
+        if any(k.arg is None for k in c.keywords):  # **kwargs
+            return True
+        return (i is not None and len(c.args) > i) or any(k.arg == arg for k in c.keywords)
+
+    unset = [f"{mod}:{qual}({arg})"
+             for mod, qual, callee, fn, method in defs
+             for i, arg in _defaulted(fn, method)
+             if (mod, qual, arg) not in DEFAULT_EXEMPT
+             and not any(passed(c, i, arg) for c in calls.get(callee, []))]
+    assert unset == []
