@@ -11,11 +11,10 @@ exact operator identity the construction rests on.
 
 __version__ = "0.1.0"
 
-from .dynamics import (InterfaceState, PhysicalParams, RTFloorBreach,
-                       StepperConfig, compute_phi_tilde, evolve, rt_margin,
-                       step, wow_residual)
-from .grid import (GridSpec, ScalarField, integrate, l2_norm, load_field, make_field,
-                   save_field, sobolev_norm, spectral_derivative)
+from .dynamics import (InterfaceState, PhysicalParams, StepperConfig, evolve,
+                       rt_margin, step, wow_residual)
+from .grid import (GridSpec, ScalarField, integrate, l2_norm, load_field, save_field,
+                   sobolev_norm, spectral_derivative)
 from .kernels import OperatorSpec, apply_B, chain_rule_residual
 from .multipliers import MultiplierSpec, SphereRule, symbol_D, symbol_T
 from .potentials import (InterfaceGeometry, apply_A, apply_AA, apply_D,
@@ -26,12 +25,11 @@ from .resolvent import SolveFailure, SolveReport, solve_beta
 
 __all__ = [
     "GridSpec", "InterfaceGeometry", "InterfaceState", "MultiplierSpec",
-    "OperatorSpec", "PhysicalParams", "RTFloorBreach", "ScalarField",
-    "SmoothProfile", "SolveFailure", "SolveReport", "SphereRule",
-    "StepperConfig", "apply_A", "apply_AA", "apply_B", "apply_D",
-    "apply_D_star", "chain_rule_residual", "compute_phi_tilde", "evolve",
-    "gradient_identity_residual", "integrate", "l2_norm", "load_field",
-    "make_difference_profile", "make_field", "phibar", "rellich_residual",
+    "OperatorSpec", "PhysicalParams", "ScalarField", "SmoothProfile",
+    "SolveFailure", "SolveReport", "SphereRule", "StepperConfig", "apply_A",
+    "apply_AA", "apply_B", "apply_D", "apply_D_star", "chain_rule_residual",
+    "evolve", "gradient_identity_residual", "integrate", "l2_norm",
+    "load_field", "make_difference_profile", "phibar", "rellich_residual",
     "rt_margin", "save_field", "sobolev_norm", "solve_beta",
     "spectral_derivative", "step", "symbol_D", "symbol_T", "wow_residual",
 ]

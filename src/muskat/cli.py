@@ -14,6 +14,7 @@ import json
 import os
 import platform
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -45,7 +46,23 @@ def _output_dir(args, cfg: SimConfig) -> str:
     return outdir
 
 
-def _write_manifest(cfg: SimConfig, outdir, extra=None):
+@contextmanager
+def _writing(path):
+    """``path`` opened for text; a path that cannot be written is a ConfigError."""
+    with reading(f"cannot write {path}"), open(path, "w", newline="") as fh:
+        yield fh
+
+
+def _write_csv(path, header, rows):
+    """The one CSV writer: Python's csv quoting, LF line ends, each float as its repr."""
+    with _writing(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
+
+
+def _write_manifest(cfg: SimConfig, outdir, extra):
     manifest = {
         "config": cfg.echo,
         "package_version": __version__,
@@ -54,10 +71,9 @@ def _write_manifest(cfg: SimConfig, outdir, extra=None):
         "seed": cfg.seed,
         "grid": {"dim": cfg.grid.dim, "extent": cfg.grid.extent,
                  "points": cfg.grid.points, "spacing": cfg.grid.spacing},
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
+    with _writing(os.path.join(outdir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -67,13 +83,11 @@ def cmd_evolve(args) -> int:
     outdir = _output_dir(args, cfg)
     result = evolve(initial_field(cfg), cfg.params, cfg.stepper, solver_tol=cfg.solver_tol,
                     sobolev_s=cfg.sobolev_s, solver_max_iter=cfg.solver_max_iter)
-    with open(os.path.join(outdir, "series.csv"), "w") as fh:
-        fh.write(result.SERIES_HEADER + "\n")
-        for row in result.series:
-            fh.write(",".join(repr(v) for v in row) + "\n")
-    for index, snap in result.snapshots:
-        save_field(os.path.join(outdir, f"snapshot_{index:06d}.bin"), snap)
-    save_field(os.path.join(outdir, "final.bin"), result.final.f)
+    _write_csv(os.path.join(outdir, "series.csv"), result.SERIES_HEADER, result.series)
+    with reading(f"cannot write snapshots to {outdir}"):
+        for index, snap in result.snapshots:
+            save_field(os.path.join(outdir, f"snapshot_{index:06d}.bin"), snap)
+        save_field(os.path.join(outdir, "final.bin"), result.final.f)
     steps = len(result.series) - 1
     _write_manifest(cfg, outdir, {"halted": result.halted, "steps": steps})
     if result.halted:
@@ -90,12 +104,8 @@ def cmd_validate(args) -> int:
     selection = (parse_value("validate.suites", args.suite, "--suite") if args.suite
                  else cfg.suites or "all")
     rows, ok = run_validate(cfg, selection)
-    with open(os.path.join(outdir, "validate_report.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow([r.suite, r.check, repr(r.value), repr(r.threshold),
-                             int(r.passed), r.note])
+    _write_csv(os.path.join(outdir, "validate_report.csv"), CSV_HEADER,
+               [(r.suite, r.check, r.value, r.threshold, int(r.passed), r.note) for r in rows])
     _write_manifest(cfg, outdir, {"validate_passed": ok})
     for r in rows:
         print(r.line())
@@ -124,11 +134,7 @@ def cmd_symbol(args) -> int:
         s = symbol_D(mspec, z)
         rows.append(list(z) + [s.real, s.imag])
     out = args.out or "symbol.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"z{j}" for j in range(dim)] + ["re_symbol", "im_symbol"])
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(out, [f"z{j}" for j in range(dim)] + ["re_symbol", "im_symbol"], rows)
     print(f"wrote {len(rows)} symbol samples to {out}")
     return EXIT_OK
 
@@ -143,14 +149,8 @@ def cmd_field(args) -> int:
         vs = eval_velocity(geom, beta, probes)
         qs = eval_pressure(geom, beta, probes)
     out = args.out or "field.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["probe"]
-                        + [f"v{j}" for j in range(cfg.grid.dim + 1)]
-                        + ["q", "side"])
-        for i, (v, q, p) in enumerate(zip(vs, qs, probes)):
-            writer.writerow([i] + [repr(float(c)) for c in v]
-                            + [repr(float(q)), p.side])
+    _write_csv(out, ["probe"] + [f"v{j}" for j in range(cfg.grid.dim + 1)] + ["q", "side"],
+               [[i, *v, q, p.side] for i, (v, q, p) in enumerate(zip(vs, qs, probes))])
     print(f"wrote {len(probes)} probes to {out}")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import PhysicalParams, StepperConfig
 from .fields import ProbePoint, check_clearance
-from .grid import GridSpec, ScalarField, load_field, make_field
+from .grid import GridSpec, ScalarField, load_field, make_gaussian_bump, make_mode, make_zero
 from .validate import SUITES
 
 
@@ -46,8 +46,13 @@ def _finite_and(test):
 _POSITIVE = ("be finite and > 0", _finite_and(lambda v: v > 0))
 _RAW_PARAM_KEYS = ("params.porosity", "params.gravity", "params.mu_plus",
                    "params.mu_minus", "params.rho_plus", "params.rho_minus")
-_INITIAL_KINDS = {"zero": (), "mode": ("amplitude", "k"),
-                  "gaussian": ("amplitude", "center", "width"), "snapshot": ("path",)}
+# initial.kind: (constructor, the initial.* keys it takes by name after the grid)
+_INITIAL_KINDS = {
+    "zero": (make_zero, ()),
+    "mode": (make_mode, ("amplitude", "k")),
+    "gaussian": (make_gaussian_bump, ("amplitude", "center", "width")),
+    "snapshot": (lambda grid, path: load_snapshot("initial.path", path, grid), ("path",)),
+}
 
 # key: (parser, default or None, domain, test of the parsed value)
 KEYS = {
@@ -170,7 +175,7 @@ def build_config(kv: dict) -> SimConfig:
                           ) from None
     values["params.lambda"], values["params.a_mu"] = params.lam, params.a_mu
     values.setdefault("initial.center", [grid.extent / 2] * grid.dim)
-    initial = {name: values[f"initial.{name}"] for name in _INITIAL_KINDS[kind]}
+    initial = {name: values[f"initial.{name}"] for name in _INITIAL_KINDS[kind][1]}
 
     cfg = SimConfig(grid=grid, params=params, initial_kind=kind, initial=initial,
                     stepper=stepper, solver_tol=values["solver.tol"],
@@ -193,11 +198,9 @@ def parse_config(path) -> SimConfig:
 
 def initial_field(cfg: SimConfig) -> ScalarField:
     """The run's initial interface, or a ConfigError for data the grid cannot hold."""
-    if cfg.initial_kind != "snapshot":
-        kind = "gaussian_bump" if cfg.initial_kind == "gaussian" else cfg.initial_kind
-        with reading(f"initial.kind = {cfg.initial_kind}"):
-            return make_field(cfg.grid, kind, **cfg.initial)
-    return load_snapshot("initial.path", cfg.initial["path"], cfg.grid)
+    make = _INITIAL_KINDS[cfg.initial_kind][0]
+    with reading(f"initial.kind = {cfg.initial_kind}"):
+        return make(cfg.grid, **cfg.initial)
 
 
 def load_snapshot(source: str, path, grid) -> ScalarField:

@@ -25,16 +25,6 @@ from .potentials import InterfaceGeometry, apply_AA
 from .resolvent import SolveReport, solve_beta
 
 
-class RTFloorBreach(RuntimeError):
-    """Rayleigh-Taylor margin fell below the configured floor."""
-
-    def __init__(self, t, margin):
-        super().__init__(f"RT margin {margin:.4f} below floor at t={t:.6f}; "
-                         "parabolicity is no longer certified")
-        self.t = t
-        self.margin = margin
-
-
 class NonFiniteInterface(ArithmeticError):
     """The arithmetic of a state (interface, density or velocity) overflowed."""
 
@@ -119,21 +109,12 @@ class StepperConfig:
         return n_steps, self.t_end / n_steps
 
 
-def compute_phi_tilde(geom: InterfaceGeometry, a_mu: float, tol: float = 1e-10,
-                      warm_start: ScalarField | None = None, max_iter: int = 200):
-    """Scaled right side AA(f)[grad beta(f)], AA the velocity operator.
-
-    Returns (field, beta, report).
-    """
-    beta, report = solve_beta(geom, a_mu, tol=tol, max_iter=max_iter,
-                              warm_start=warm_start)
-    phi = apply_AA(geom, gradient(beta))
-    return phi, beta, report
-
-
 @dataclass(frozen=True)
 class InterfaceState:
-    """Interface plus caches: beta(f), the scaled velocity, the RT margin."""
+    """Interface plus caches: beta(f), the scaled velocity, the RT margin.
+
+    The scaled velocity is Phi~ = AA(f)[grad beta(f)], the right side without Lambda.
+    """
 
     geom: InterfaceGeometry
     beta: ScalarField
@@ -148,8 +129,9 @@ class InterfaceState:
                 max_iter: int = 200):
         with overflow_guard(t):
             geom = InterfaceGeometry(f)
-            phi, beta, report = compute_phi_tilde(geom, params.a_mu, tol, warm_start,
-                                                  max_iter)
+            beta, report = solve_beta(geom, params.a_mu, tol=tol, max_iter=max_iter,
+                                      warm_start=warm_start)
+            phi = apply_AA(geom, gradient(beta))
             margin = ScalarField(f.grid, 1.0 - 2.0 * params.a_mu * phi.values)
         return cls(geom=geom, beta=beta, phi_tilde=phi, rt_margin_field=margin,
                    t=t, beta_report=report)
@@ -193,29 +175,14 @@ def wow_residual(state: InterfaceState, params: PhysicalParams) -> float:
     return l2_norm(ScalarField(g, lhs - rhs))
 
 
-def rt_guard(state: InterfaceState, params: PhysicalParams, rt_floor: float | None):
-    """Raise RTFloorBreach if the margin of ``state`` is at most ``rt_floor``.
-
-    Only for Lambda > 0: the paper leaves open whether Lambda > 0 alone
-    implies the condition for a_mu != 0, so the run monitors and halts.
-    """
-    if rt_floor is not None and params.lam > 0:
-        mn = float(np.min(state.rt_margin_field.values))
-        if mn <= rt_floor:
-            raise RTFloorBreach(state.t, mn)
-
-
 def step(state: InterfaceState, params: PhysicalParams, dt: float,
-         scheme: str = "rk2", tol: float = 1e-10, rt_floor: float | None = None,
-         max_iter: int = 200) -> InterfaceState:
+         scheme: str = "rk2", tol: float = 1e-10, max_iter: int = 200) -> InterfaceState:
     """Advance one explicit step: an Euler stage, plus the SSP-RK2 correction for 'rk2'.
 
-    Raises RTFloorBreach when ``state`` breaches the guard (see
-    :func:`rt_guard`) and NonFiniteInterface when a stage overflows.
+    Raises NonFiniteInterface when a stage overflows.
     """
     if scheme not in ("rk2", "euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    rt_guard(state, params, rt_floor)
     g, t = state.f.grid, state.t + dt
 
     def stage(values, warm_start):
@@ -238,7 +205,7 @@ class EvolutionResult:
     snapshots: list             # (step index, ScalarField)
     halted: str | None = None   # 'rt-floor' or 'non-finite' when the run stopped early
 
-    SERIES_HEADER = "t,min_rt_margin,volume,sobolev_norm_s,beta_iters,dt"
+    SERIES_HEADER = ("t", "min_rt_margin", "volume", "sobolev_norm_s", "beta_iters", "dt")
 
 
 def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
@@ -250,34 +217,34 @@ def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
     used is t_end / n_steps.
 
     Monitor columns: t, min RT margin, volume integral of f, discrete H^s
-    norm, density-solve iterations, dt.  An RT-floor breach (Lambda > 0), in
-    any state including the last, or a stage that overflows stops the run
-    and keeps the last finite state as the final snapshot.
+    norm, density-solve iterations, dt.  Each state is recorded, and
+    snapshotted on the stride, before the RT floor is checked on it.  A
+    margin at most ``rt_floor`` (for Lambda > 0 only: the paper leaves open
+    whether Lambda > 0 alone implies the condition for a_mu != 0, so the
+    run monitors and halts) or a stage that overflows stops the run and
+    keeps the last finite state as the final snapshot.
     """
     n_steps, dt = stepper.steps(f0.grid, params.lam)
     state = InterfaceState.compute(f0, params, tol=solver_tol, max_iter=solver_max_iter)
     series = []
     snapshots = []
-
-    def record(st):
-        series.append((st.t, float(np.min(st.rt_margin_field.values)),
-                       integrate(st.f), sobolev_norm(st.f, sobolev_s),
-                       st.beta_report.iterations, dt))
-
-    record(state)
     halted = None
-    try:
-        for i in range(n_steps):
-            state = step(state, params, dt, scheme=stepper.scheme, tol=solver_tol,
-                         rt_floor=stepper.rt_floor, max_iter=solver_max_iter)
-            record(state)
-            if stepper.snapshot_stride and (i + 1) % stepper.snapshot_stride == 0:
-                snapshots.append((i + 1, state.f))
-        rt_guard(state, params, stepper.rt_floor)
-    except RTFloorBreach:
-        halted = "rt-floor"
-    except NonFiniteInterface:
-        halted = "non-finite"
+    for i in range(n_steps + 1):
+        if i:
+            try:
+                state = step(state, params, dt, scheme=stepper.scheme, tol=solver_tol,
+                             max_iter=solver_max_iter)
+            except NonFiniteInterface:
+                halted = "non-finite"
+                break
+        series.append((state.t, float(np.min(state.rt_margin_field.values)),
+                       integrate(state.f), sobolev_norm(state.f, sobolev_s),
+                       state.beta_report.iterations, dt))
+        if i and stepper.snapshot_stride and i % stepper.snapshot_stride == 0:
+            snapshots.append((i, state.f))
+        if params.lam > 0 and series[-1][1] <= stepper.rt_floor:
+            halted = "rt-floor"
+            break
     snapshots.append((len(series) - 1, state.f))
     return EvolutionResult(final=state, series=series, snapshots=snapshots,
                            halted=halted)

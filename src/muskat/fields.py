@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, gradient
+from .grid import ScalarField, gradient, require_same_grid
 from .offsets import sphere_area
 from .potentials import InterfaceGeometry
 
@@ -72,9 +72,7 @@ def eval_velocity(geom: InterfaceGeometry, beta: ScalarField, probes) -> list:
     K_ij = [(-(x-xi).grad f(xi) + y - f(xi)) delta_ij + (x_j - xi_j) d_i f(xi)] / |z-z_xi|^{N+1}
     K_(N+1)j = -(x_j - xi_j) / |z-z_xi|^{N+1}.
     """
-    g = geom.grid
-    if beta.grid != g:
-        raise ValueError("density grid mismatch")
+    g = require_same_grid(geom.f, beta)
     grad_beta = [c.values for c in gradient(beta)]
     gf = [c.values for c in geom.grad_f]
     scale = g.spacing**g.dim / sphere_area(g.dim)
@@ -98,9 +96,7 @@ def eval_velocity(geom: InterfaceGeometry, beta: ScalarField, probes) -> list:
 
 def eval_pressure(geom: InterfaceGeometry, beta: ScalarField, probes) -> list:
     """Pressure potential q(z) = -(1/|S^N|) sum_xi G(z, xi) beta(xi) h^N."""
-    g = geom.grid
-    if beta.grid != g:
-        raise ValueError("density grid mismatch")
+    g = require_same_grid(geom.f, beta)
     gf = [c.values for c in geom.grad_f]
     scale = g.spacing**g.dim / sphere_area(g.dim)
     out = []

@@ -88,7 +88,8 @@ class ScalarField:
         raise AttributeError("ScalarField is immutable")
 
 
-def _require_same_grid(*fields):
+def require_same_grid(*fields) -> GridSpec:
+    """The one grid all ``fields`` live on; ValueError if they live on several."""
     g = fields[0].grid
     for f in fields[1:]:
         if f.grid != g:
@@ -155,7 +156,7 @@ def l2_norm(u: ScalarField) -> float:
 
 
 def inner(u: ScalarField, v: ScalarField) -> float:
-    g = _require_same_grid(u, v)
+    g = require_same_grid(u, v)
     return float(g.spacing**g.dim * np.sum(u.values * v.values))
 
 
@@ -209,18 +210,6 @@ def make_gaussian_bump(grid: GridSpec, amplitude: float, center, width: float) -
                 f"bump does not decay at the torus boundary (relative edge value {edge:.3e} > 1e-8); "
                 "reduce width")
     return ScalarField(grid, values)
-
-
-def make_field(grid: GridSpec, kind: str, **params) -> ScalarField:
-    """Named field constructor: kind in {'zero', 'mode', 'gaussian_bump'}."""
-    if kind == "zero":
-        return make_zero(grid)
-    if kind == "mode":
-        return make_mode(grid, params["amplitude"], params["k"])
-    if kind == "gaussian_bump":
-        return make_gaussian_bump(grid, params["amplitude"], params["center"],
-                                  params["width"])
-    raise ValueError(f"unknown field kind {kind!r}")
 
 
 def band_limited_random(grid: GridSpec, kmax: int, rng, amplitude: float = 1.0) -> ScalarField:

@@ -10,10 +10,10 @@ isolates, for n = 0, the constant-coefficient Riesz core
 phi(0) * xi^nu / |xi|^{|nu|+N}: its lattice realization carries an O(h)
 puncture error plus an O(1/|k|) periodization tail, both of which are removed
 by replacing the core's lattice symbol with the exact continuum symbol
-(``riesz_core='spectral'``, the default; |nu| = 1, the only cores the
-interface operators have).  ``riesz_core='lattice'`` keeps the bare sum,
-which the brute-force oracle and the composed-form validators reproduce
-term by term.
+(``riesz_core='spectral'``, the default of :func:`apply_B`; |nu| = 1, the
+only cores the interface operators have).  ``riesz_core='lattice'``, the
+default of :func:`phibar_transform`, keeps the bare sum, which the
+brute-force oracle and the composed-form validators reproduce term by term.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, l2_norm, spectral_derivative
+from .grid import GridSpec, ScalarField, l2_norm, require_same_grid, spectral_derivative
 from .multipliers import riesz_core_symbol_grid
 from .offsets import lattice_sum, pv_offsets, sphere_area
 from .profiles import SmoothProfile, phibar
@@ -158,10 +158,7 @@ def apply_B(spec: OperatorSpec, a, b, beta: ScalarField,
         raise ValueError(f"profile arity {spec.arity}, got {len(a)} a-fields")
     if len(b) != spec.n:
         raise ValueError(f"operator has n={spec.n} linear slots, got {len(b)}")
-    grid = beta.grid
-    for f in a + b:
-        if f.grid != grid:
-            raise ValueError("all fields must share one grid")
+    grid = require_same_grid(beta, *a, *b)
     out = _naked_sum(spec, [f.values for f in a], [f.values for f in b],
                      beta.values, grid)
     if spec.n == 0 and spectral:

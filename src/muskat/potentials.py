@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, gradient, inner, integrate, l2_norm
+from .grid import (GridSpec, ScalarField, gradient, inner, integrate, l2_norm,
+                   require_same_grid)
 from .kernels import core_fix_apply, lattice_core_symbol, phibar_transform, riesz_core_fix
 from .offsets import face_ring, lattice_sum, pv_offsets, sphere_area
 
@@ -66,12 +67,6 @@ class InterfaceGeometry:
         return _small_slope_order(self.f)
 
 
-def _check_grid(geom: InterfaceGeometry, *fields):
-    for u in fields:
-        if u.grid != geom.grid:
-            raise ValueError("field grid does not match the interface grid")
-
-
 def _dot(xs, ys):
     """sum_j xs[j] * ys[j], accumulated in axis order."""
     acc = xs[0] * ys[0]
@@ -109,7 +104,7 @@ def _interface_sum(geom: InterfaceGeometry, numerator, shape=None, offsets=None)
 
 def apply_D(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
     """Double layer potential: PV sum of (df - xi.grad f(x-xi)) / (|xi|^2 + df^2)^((N+1)/2)."""
-    _check_grid(geom, beta)
+    require_same_grid(geom.f, beta)
     gfv = [c.values for c in geom.grad_f]
 
     def numerator(xi, df, shifted):
@@ -123,7 +118,7 @@ def apply_D(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
 
 def apply_D_composed(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
     """B-transform representation of the double layer, for cross-checking."""
-    _check_grid(geom, beta)
+    require_same_grid(geom.f, beta)
     f, bv = geom.f, beta.values
     out = phibar_transform(f, 1, None, bv)
     for i, gi in enumerate(geom.grad_f):
@@ -133,7 +128,7 @@ def apply_D_composed(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
 
 def apply_D_star(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
     """L2-adjoint of the double layer: kernel (-df + xi.grad f(x)) / (...)^((N+1)/2)."""
-    _check_grid(geom, beta)
+    require_same_grid(geom.f, beta)
     gfv = [c.values for c in geom.grad_f]
 
     def numerator(xi, df, shifted):
@@ -146,7 +141,7 @@ def apply_D_star(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
 
 
 def apply_D_star_composed(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
-    _check_grid(geom, beta)
+    require_same_grid(geom.f, beta)
     f, bv = geom.f, beta.values
     out = -phibar_transform(f, 1, None, bv)
     for i, gi in enumerate(geom.grad_f):
@@ -159,8 +154,7 @@ def apply_A(geom: InterfaceGeometry, b) -> list:
     b = list(b)
     if len(b) != geom.grid.dim:
         raise ValueError("b must have one component per axis")
-    _check_grid(geom, *b)
-    g = geom.grid
+    g = require_same_grid(geom.f, *b)
     gfv = [c.values for c in geom.grad_f]
     bv = [c.values for c in b]
 
@@ -177,7 +171,7 @@ def apply_A(geom: InterfaceGeometry, b) -> list:
 
 def apply_A_composed(geom: InterfaceGeometry, b) -> list:
     b = list(b)
-    _check_grid(geom, *b)
+    require_same_grid(geom.f, *b)
     f, gfv, bv = geom.f, [c.values for c in geom.grad_f], [c.values for c in b]
     out = []
     for k in range(geom.grid.dim):
@@ -203,8 +197,7 @@ def torus_byparts_flux(geom: InterfaceGeometry, beta: ScalarField) -> list:
     :func:`muskat.offsets.face_ring`), which is O(h) accurate; the
     approximation error refines along with the identity defect.
     """
-    _check_grid(geom, beta)
-    g = geom.grid
+    g = require_same_grid(geom.f, beta)
     gfv = [c.values for c in geom.grad_f]
 
     def numerator(xi, df, shifted):
@@ -222,7 +215,7 @@ def gradient_identity_residual(geom: InterfaceGeometry, beta: ScalarField) -> fl
     is subtracted (see :func:`torus_byparts_flux`); without it the defect
     saturates at an O(1/L) floor for data with overlapping supports.
     """
-    _check_grid(geom, beta)
+    require_same_grid(geom.f, beta)
     d = apply_D(geom, beta)
     lhs = gradient(d)
     rhs = apply_A(geom, gradient(beta))
@@ -264,7 +257,7 @@ def _aa_operands(geom: InterfaceGeometry, b):
     b = list(b)
     if len(b) != geom.grid.dim:
         raise ValueError("b must have one component per axis")
-    _check_grid(geom, *b)
+    require_same_grid(geom.f, *b)
     gfv = [c.values for c in geom.grad_f]
     return gfv, _aa_numerator(gfv, [c.values for c in b])
 
@@ -426,7 +419,7 @@ def apply_AA(geom: InterfaceGeometry, b) -> ScalarField:
 def apply_AA_composed(geom: InterfaceGeometry, b) -> ScalarField:
     """B-transform representation of the velocity operator (validation path)."""
     b = list(b)
-    _check_grid(geom, *b)
+    require_same_grid(geom.f, *b)
     f, gfv, bv = geom.f, [c.values for c in geom.grad_f], [c.values for c in b]
     out = np.zeros(geom.grid.shape)
     for i in range(geom.grid.dim):
@@ -444,7 +437,7 @@ def boundary_trace(geom: InterfaceGeometry, beta: ScalarField) -> list:
     raw density and use the spectral core; the vertical component has a
     decaying kernel and stays on the lattice.
     """
-    _check_grid(geom, beta)
+    require_same_grid(geom.f, beta)
     f, bv = geom.f, beta.values
     comps = [phibar_transform(f, 0, i, bv, "spectral") for i in range(geom.grid.dim)]
     comps.append(phibar_transform(f, 1, None, bv))
@@ -459,8 +452,7 @@ def rellich_residual(geom: InterfaceGeometry, beta: ScalarField) -> float:
     side, which is included here so that the identity is exact for decaying
     fields of any mean.
     """
-    _check_grid(geom, beta)
-    g = geom.grid
+    g = require_same_grid(geom.f, beta)
     om = geom.omega.values
     sq = np.sqrt(om)
     nu = [c.values for c in geom.normal]

@@ -9,7 +9,6 @@ thread count (BLAS-threaded dot products are avoided on purpose).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ class SolveFailure(RuntimeError):
 class SolveReport:
     iterations: int
     residual: float
-    wall_time: float
 
 
 GMRES_RESTART = 30
@@ -109,12 +107,10 @@ def solve_beta(geom: InterfaceGeometry, a_mu: float, tol: float = 1e-10,
     if not -1.0 < a_mu < 1.0:
         raise ValueError(f"a_mu must lie in (-1, 1), got {a_mu}")
     g = geom.grid
-    start = time.perf_counter()
     rhs = geom.f.values
     if a_mu == 0.0:
         # the equation degenerates to beta = f
-        return ScalarField(g, rhs), SolveReport(
-            iterations=1, residual=0.0, wall_time=time.perf_counter() - start)
+        return ScalarField(g, rhs), SolveReport(iterations=1, residual=0.0)
 
     def op(vals):
         field = ScalarField(g, vals)
@@ -122,8 +118,7 @@ def solve_beta(geom: InterfaceGeometry, a_mu: float, tol: float = 1e-10,
 
     x0 = warm_start.values if warm_start is not None else np.zeros(g.shape)
     sol, iters, true_resid = _gmres(op, rhs, x0, tol, max_iter)
-    report = SolveReport(iterations=iters, residual=true_resid,
-                         wall_time=time.perf_counter() - start)
+    report = SolveReport(iterations=iters, residual=true_resid)
     if true_resid > tol:
         raise SolveFailure(report)
     return ScalarField(g, sol), report

@@ -42,9 +42,9 @@ class Row:
 CSV_HEADER = ("suite", "check", "value", "threshold", "passed", "note")
 
 
-def _geometry(M, seed, amp=0.7, dim=1, L=2 * np.pi):
-    g = GridSpec(dim, L, M)
-    f = make_gaussian_bump(g, amp, [L / 2] * dim, 0.5)
+def _geometry(M, seed, amp=0.7):
+    g = GridSpec(1, 2 * np.pi, M)
+    f = make_gaussian_bump(g, amp, [np.pi], 0.5)
     return InterfaceGeometry(f), np.random.default_rng(seed)
 
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from muskat.cli import main
-from muskat.config import KEYS, ConfigError, build_config, parse_config, parse_kv_text
+from muskat.config import (KEYS, ConfigError, build_config, initial_field, parse_config,
+                           parse_kv_text)
 from muskat.grid import GridSpec, load_field, make_gaussian_bump, save_field
 
 
@@ -40,6 +41,17 @@ def test_parse_minimal_defaults(tmp_path):
     assert cfg.solver_tol == 1e-10
     assert cfg.echo["stepper.cfl"] == 0.5
     assert cfg.echo["seed"] == 0
+
+
+def test_initial_kinds_build_their_fields():
+    # each initial.kind reaches its constructor; an unknown kind is a config error
+    base = "grid.points = 32\ninitial.kind = "
+    assert np.all(initial_field(build_config(parse_kv_text(base + "zero"))).values == 0)
+    cfg = build_config(parse_kv_text(base + "mode\ninitial.amplitude = 1\ninitial.k = 1"))
+    np.testing.assert_allclose(initial_field(cfg).values, np.cos(cfg.grid.axis_coords()),
+                               atol=1e-14)
+    with pytest.raises(ConfigError, match="initial.kind must be one of"):
+        build_config(parse_kv_text(base + "sawtooth"))
 
 
 def test_unknown_key_rejected():
@@ -178,6 +190,7 @@ def test_symbol_cli(tmp_path):
     out = str(tmp_path / "sym.csv")
     assert main(["symbol", "--A", "0.5,0.0", "--n", "0", "--nu", "1,0",
                  "--ray", "1,1", "--num", "8", "--zmax", "4", "--out", out]) == 0
+    assert b"\r" not in open(out, "rb").read()
     lines = open(out).read().strip().splitlines()
     assert lines[0] == "z0,z1,re_symbol,im_symbol"
     assert len(lines) == 9
@@ -195,6 +208,7 @@ def test_field_cli(tmp_path):
     probes = write(tmp_path / "p.csv", "x0,y\n3.1,2.0\n3.1,-2.0\n")
     out = str(tmp_path / "f.csv")
     assert main(["field", cfg, "--probes", probes, "--out", out]) == 0
+    assert b"\r" not in open(out, "rb").read()
     lines = open(out).read().strip().splitlines()
     assert lines[0] == "probe,v0,v1,q,side"
     assert len(lines) == 3
@@ -274,6 +288,10 @@ BAD_INPUT = {
                                    "--ray", "1,1"]),
     "symbol-no-samples": (None, ["symbol", "--A", "0.5,0", "--nu", "1,0",
                                  "--ray", "1,1", "--num", "0"]),
+    "symbol-out-unwritable": (None, ["symbol", "--A", "0", "--nu", "1", "--ray", "1",
+                                     "--out", "{tmp}/missing/s.csv"]),
+    "field-out-unwritable": ({}, ["field", "--probes", "{tmp}/far.csv",
+                                  "--out", "{tmp}/missing/f.csv"]),
 }
 
 
@@ -287,6 +305,7 @@ def test_bad_input_is_config_error(case, tmp_path, capsys):
     keys, tail = BAD_INPUT[case]
     write(tmp_path / "probes.csv", "x0,y\n1.0,abc\n")
     write(tmp_path / "near.csv", "x0,y\n3.1,0.2\n")  # the bump is 0.199 at x = 3.1
+    write(tmp_path / "far.csv", "x0,y\n3.1,2.0\n")
     (tmp_path / "huge.bin").write_bytes(snapshot_bytes(1, 2**34, 64))  # 128 GiB of data
     (tmp_path / "trailing.bin").write_bytes(snapshot_bytes(1, 64, 64 + 100))
     (tmp_path / "fractional.bin").write_bytes(snapshot_bytes(1.7, 64.9, 64))

@@ -7,12 +7,11 @@ import pytest
 import muskat.dynamics
 from muskat.cli import main
 from muskat.config import initial_field, parse_config
-from muskat.dynamics import (InterfaceState, PhysicalParams,
-                             RTFloorBreach, StepperConfig, compute_phi_tilde,
+from muskat.dynamics import (InterfaceState, PhysicalParams, StepperConfig,
                              evolve, rt_margin, step, wow_residual)
 from muskat.grid import (GridSpec, ScalarField, l2_norm,
                          make_gaussian_bump, make_mode, make_zero)
-from muskat.potentials import InterfaceGeometry, _apply_AA_direct
+from muskat.potentials import _apply_AA_direct
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "decay_demo.cfg")
 
@@ -47,10 +46,9 @@ def test_stepper_validation():
 
 def test_phi_tilde_vanishes_at_equilibrium():
     g = GridSpec(1, 2 * np.pi, 32)
-    geom = InterfaceGeometry(make_zero(g))
-    phi, beta, _ = compute_phi_tilde(geom, 0.5)
-    assert np.all(phi.values == 0.0)
-    assert np.all(beta.values == 0.0)
+    state = InterfaceState.compute(make_zero(g), PhysicalParams(lam=1.0, a_mu=0.5))
+    assert np.all(state.phi_tilde.values == 0.0)
+    assert np.all(state.beta.values == 0.0)
 
 
 def test_phi_tilde_linearization():
@@ -58,8 +56,7 @@ def test_phi_tilde_linearization():
     g = GridSpec(1, 2 * np.pi * 10, 512)
     eps, kmode = 1e-3, 4          # physical frequency 0.4
     f = make_mode(g, eps, (kmode,))
-    geom = InterfaceGeometry(f)
-    phi, _, _ = compute_phi_tilde(geom, 0.0)
+    phi = InterfaceState.compute(f, PhysicalParams(lam=1.0, a_mu=0.0)).phi_tilde
     z = 2 * np.pi * kmode / g.extent
     predicted = -(z / 2.0) * f.values
     err = l2_norm(ScalarField(g, phi.values - predicted)) / l2_norm(f) / (z / 2.0)
@@ -166,11 +163,17 @@ def test_step_unstable_orientation_grows():
 
 
 def test_rt_floor_guard():
-    g = GridSpec(1, 2 * np.pi, 32)
-    params = PhysicalParams(lam=1.0, a_mu=0.3)
-    state = InterfaceState.compute(make_zero(g), params)
-    with pytest.raises(RTFloorBreach):
-        step(state, params, 0.01, rt_floor=2.0)  # floor above the flat margin 1
+    # the steep bump of test_evolve_guards_the_final_state starts at margin
+    # 0.125: a floor above that halts the run on its initial state, unstepped
+    g = GridSpec(1, 2 * np.pi, 64)
+    params = PhysicalParams(lam=1.0, a_mu=0.9)
+    f0 = make_gaussian_bump(g, 1.4, [np.pi], 0.45)
+    result = evolve(f0, params, StepperConfig(dt=0.01, t_end=0.01, rt_floor=0.5))
+    assert result.halted == "rt-floor"
+    assert len(result.series) == 1 and result.final.t == 0
+    assert abs(result.series[0][1] - 0.125) < 0.01
+    assert result.snapshots == [(0, result.final.f)]
+    assert np.array_equal(result.final.f.values, f0.values)
 
 
 def test_evolve_zero_data():

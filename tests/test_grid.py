@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from muskat.grid import (GridSpec, ScalarField, band_limited_random, gradient,
-                         integrate, l2_norm, load_field, make_field,
+                         integrate, l2_norm, load_field,
                          make_gaussian_bump, make_mode, make_zero, save_field,
                          sobolev_norm, spectral_derivative)
 
@@ -133,16 +133,6 @@ def test_gaussian_strict_rejects_fat_bump():
     g = GridSpec(1, 10.0, 64)
     with pytest.raises(ValueError):
         make_gaussian_bump(g, 1.0, [5.0], 4.0)
-
-
-def test_make_field_kinds():
-    g = GridSpec(1, 2 * np.pi, 32)
-    assert np.all(make_field(g, "zero").values == 0)
-    m = make_field(g, "mode", amplitude=1.0, k=(1,))
-    x = g.axis_coords()
-    np.testing.assert_allclose(m.values, np.cos(x), atol=1e-14)
-    with pytest.raises(ValueError):
-        make_field(g, "sawtooth")
 
 
 def test_snapshot_roundtrip(tmp_path):

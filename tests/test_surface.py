@@ -1,4 +1,5 @@
-"""Guards against library surface that nothing in the package uses."""
+"""Guards against library surface that nothing in the package uses, and against output
+written from more than one place."""
 
 import ast
 import re
@@ -46,12 +47,14 @@ def _defaulted(fn, method):
 
 def test_every_defaulted_parameter_is_passed_in_the_package():
     # a parameter that no call inside the package sets is a constant in disguise;
-    # calls match by name, and a class-name call counts for its __init__
+    # module-level functions count whether public or private, methods only when
+    # public or __init__; calls match by name, and a class-name call counts for
+    # its __init__
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     defs = []
     for mod, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef):
                 defs.append((mod, node.name, node.name, node, False))
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for item in node.body:
@@ -79,3 +82,36 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
              if (mod, qual, arg) not in DEFAULT_EXEMPT
              and not any(passed(c, i, arg) for c in calls.get(callee, []))]
     assert unset == []
+
+
+# (module, top-level function) of the one place each kind of output is written
+OUTPUT_WRITERS = {
+    "csv.writer": {("cli.py", "_write_csv")},
+    "open for writing": {("cli.py", "_writing"), ("grid.py", "save_field")},
+}
+
+
+def _output_call(call):
+    """'csv.writer', 'open for writing' (a mode that is not a read-only literal) or None."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "writer" \
+            and getattr(func.value, "id", None) == "csv":
+        return "csv.writer"
+    if getattr(func, "id", None) != "open":
+        return None
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None or isinstance(mode, ast.Constant) and not set("wax+") & set(mode.value):
+        return None
+    return "open for writing"
+
+
+def test_outputs_are_written_in_one_place():
+    found = {kind: set() for kind in OUTPUT_WRITERS}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for call in ast.walk(node):
+                kind = isinstance(call, ast.Call) and _output_call(call)
+                if kind:
+                    found[kind].add((path.name, getattr(node, "name", "<module>")))
+    assert found == OUTPUT_WRITERS
