@@ -114,6 +114,11 @@ def cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+# The most samples one `muskat symbol` run takes: each costs about 2 ms and
+# every row is held until the CSV is written.
+MAX_SYMBOL_SAMPLES = 10**5
+
+
 def cmd_symbol(args) -> int:
     A = tuple(parse_numbers("--A", args.A))
     nu = tuple(parse_numbers("--nu", args.nu, int))
@@ -125,8 +130,8 @@ def cmd_symbol(args) -> int:
         raise ConfigError("--ray must be a nonzero direction of the same dimension")
     if not np.isfinite(args.zmax):
         raise ConfigError(f"--zmax must be finite, got {args.zmax}")
-    if args.num < 1:
-        raise ConfigError(f"--num must be >= 1, got {args.num}")
+    if not 1 <= args.num <= MAX_SYMBOL_SAMPLES:
+        raise ConfigError(f"--num must lie in [1, {MAX_SYMBOL_SAMPLES}], got {args.num}")
     ray = ray / np.linalg.norm(ray)
     rows = []
     for i in range(1, args.num + 1):

@@ -63,8 +63,8 @@ def check_riesz_core(riesz_core: str) -> bool:
 def riesz_core_weight(grid: GridSpec, nu: tuple, q: int) -> np.ndarray:
     """h^N xi^nu / (|S^N| |xi|^q) per PV offset.
 
-    q = |nu| + N is the unit Riesz core's lattice weight; larger q are the
-    kernels of the velocity operator's small-slope expansion.
+    q = |nu| + N is the unit Riesz core's lattice weight; q = N + 1 is the
+    order-0 kernel of the near/far split's far field (see far_symbols).
     """
     if len(nu) != grid.dim or any(v < 0 for v in nu):
         raise ValueError(f"bad multi-index {nu} for dim {grid.dim}")
@@ -86,6 +86,49 @@ def lattice_core_symbol(grid: GridSpec, nu: tuple, q: int) -> np.ndarray:
     sym = np.fft.fftn(arr)
     sym.setflags(write=False)
     return sym
+
+
+# Byte cap of far_symbols' cache.  Symbol lists up to it (the demo decay's,
+# 2D M=32's) are kept across applies; a larger one (2D M=64 needs 0.9 MB per
+# nu) is rebuilt per apply, which costs less than a tenth of the apply.
+SYMBOL_CACHE_BYTES = 512 * 1024
+# (grid, radius, nu) -> the read-only symbols of orders 0, 1, ...
+FAR_SYMBOLS: dict = {}
+
+
+def far_symbols(grid: GridSpec, radius: int, nu: tuple, order: int) -> list:
+    """rfftn halves of the lattice sums of xi^nu/(|S^N| |xi|^(N+1+2k)), k <= order, beyond a radius.
+
+    The sums run over the PV offsets with |xi| > radius * h; entry k of the
+    list is the symbol of order k.  A list that fits in SYMBOL_CACHE_BYTES
+    beside the ones held is kept, read-only, in FAR_SYMBOLS (emptied first if
+    it does not fit beside them), and serves the lower orders too; a larger
+    list is built anew for each call.
+    """
+    key = (grid, radius, nu)
+    if len(FAR_SYMBOLS.get(key, ())) > order:
+        return FAR_SYMBOLS[key][:order + 1]
+    off = pv_offsets(grid)
+    far = np.sum(off.ints**2, axis=1) > radius**2
+    index = tuple((off.ints[far] % grid.points).T)
+    arr, inv_r2 = np.zeros(grid.shape), np.zeros(grid.shape)
+    arr[index] = riesz_core_weight(grid, nu, grid.dim + 1)[far]
+    inv_r2[index] = off.r[far] ** -2
+    del far, index  # the far field's working set is what bounds memory
+    out = []
+    for k in range(order + 1):
+        out.append(np.fft.rfftn(arr))
+        arr *= inv_r2
+    size = sum(sym.nbytes for sym in out)
+    if size <= SYMBOL_CACHE_BYTES:
+        FAR_SYMBOLS.pop(key, None)
+        if size + sum(sym.nbytes for held in FAR_SYMBOLS.values() for sym in held) \
+                > SYMBOL_CACHE_BYTES:
+            FAR_SYMBOLS.clear()
+        for sym in out:
+            sym.setflags(write=False)
+        FAR_SYMBOLS[key] = out
+    return out
 
 
 @lru_cache(maxsize=None)

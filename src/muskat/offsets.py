@@ -77,6 +77,14 @@ def pv_offsets(grid: GridSpec) -> PVOffsets:
     return PVOffsets(grid)
 
 
+@lru_cache(maxsize=8)  # the few radii in use at a time
+def near_offsets(grid: GridSpec, radius: int) -> OffsetSet:
+    """The PV offsets with |xi| <= radius * h, in PV order (all of them past the cell)."""
+    pv = pv_offsets(grid)
+    near = np.sum(pv.ints**2, axis=1) <= radius**2
+    return pv if near.all() else OffsetSet(grid, pv.ints[near])
+
+
 @lru_cache(maxsize=None)
 def face_ring(grid: GridSpec) -> OffsetSet:
     """The outermost offset ring, sampling the cell faces |xi_j| = L/2, with face weights.

@@ -7,29 +7,44 @@ term on the lattice, so the cross-checks hold near rounding.
 
 The velocity operator carries the non-decaying constant Riesz core
 (-xi . b(x-xi) in its kernel); that core is always evaluated with its exact
-continuum symbol (see :mod:`muskat.kernels`).  Near a flat interface the
-velocity operator re-sums its lattice sum by FFT within an a-priori error
-bound; the direct sum stays as the private ``_apply_AA_direct``.
+continuum symbol (see :mod:`muskat.kernels`); the double layer keeps its
+lattice core.
+
+D and the velocity operator are written as one numerator table each
+(:class:`_Operator`) and evaluated by one near/far split
+(:func:`_split_sum`): the offsets |xi| <= R are summed directly, the far
+field |xi| > R by FFT convolutions of a small-slope expansion of the kernel
+in (df/|xi|)^2 to order K, which converges there on any interface because
+|df| <= max f - min f.  Each geometry picks the cheapest (R, K) within an
+a-priori error bound (:func:`_choose_split`); R = 0 is all far field (the
+small-slope expansion of every offset), R past the cell is the direct sum.
+D*, A and the torus flux are direct sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from itertools import count, repeat
+from math import ceil, factorial, inf, log2, sqrt
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .grid import (GridSpec, ScalarField, gradient, inner, integrate, l2_norm,
                    require_same_grid)
-from .kernels import core_fix_apply, lattice_core_symbol, phibar_transform, riesz_core_fix
-from .offsets import face_ring, lattice_sum, pv_offsets, sphere_area
+from .kernels import far_symbols, phibar_transform, riesz_core_fix
+from .offsets import face_ring, lattice_sum, near_offsets, pv_offsets, sphere_area
 
-# The velocity operator's small-slope path runs when its error bound, relative
-# to the scale ||b||_inf W_0 (see _small_slope_order), is at most
-# SMALL_SLOPE_TOL for an expansion order K <= SMALL_SLOPE_MAX_ORDER.
+# The near/far split of D and the velocity operator takes the cheapest (R, K)
+# whose error bound, relative to the scale ||b||_inf W_0 (see _choose_split),
+# is at most SMALL_SLOPE_TOL.
 SMALL_SLOPE_TOL = 1e-13
-SMALL_SLOPE_MAX_ORDER = 4
+# Byte cap of the far field's accumulators held at once (2K+2 half spectra per
+# x-coefficient group): groups are batched up to it, so that a field in several
+# groups of a batch is transformed once (the demo decay's velocity operator);
+# at 2D M=64 one group alone exceeds it and the groups run one at a time.
+FAR_BATCH_BYTES = 512 * 1024
 # Rounding model: an FFT convolution is off by at most ROUNDING_GROWTH * eps *
 # log2(M^N) times its absolute mass (sum of |weight| times the largest |field|).
 ROUNDING_GROWTH = 4.0
@@ -62,9 +77,14 @@ class InterfaceGeometry:
         return self.f.grid
 
     @cached_property
-    def _small_slope(self):
-        """(order, bound) of the velocity operator's small-slope path; see _small_slope_order."""
-        return _small_slope_order(self.f)
+    def _d_split(self):
+        """(R, K, bound) of the double layer's near/far split; see _choose_split."""
+        return _choose_split(self, _d_operator(self.grid.dim))
+
+    @cached_property
+    def _aa_split(self):
+        """(R, K, bound) of the velocity operator's near/far split; see _choose_split."""
+        return _choose_split(self, _aa_operator(self.grid.dim))
 
 
 def _dot(xs, ys):
@@ -103,17 +123,14 @@ def _interface_sum(geom: InterfaceGeometry, numerator, shape=None, offsets=None)
 
 
 def apply_D(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
-    """Double layer potential: PV sum of (df - xi.grad f(x-xi)) / (|xi|^2 + df^2)^((N+1)/2)."""
+    """Double layer potential: PV sum of (df - xi.grad f(x-xi)) beta(x-xi) / (...)^((N+1)/2).
+
+    The lattice sum is split into a direct near field and an FFT far field at
+    the (R, K) that :func:`_choose_split` picks; its core keeps the lattice sum.
+    """
     require_same_grid(geom.f, beta)
-    gfv = [c.values for c in geom.grad_f]
-
-    def numerator(xi, df, shifted):
-        num = df
-        for j, gj in enumerate(gfv):
-            num = num - xi[j] * shifted(gj)
-        return num * shifted(beta.values)
-
-    return ScalarField(geom.grid, _interface_sum(geom, numerator))
+    return ScalarField(geom.grid, _split_sum(geom, _d_operator(geom.grid.dim), [beta.values],
+                                             geom._d_split))
 
 
 def apply_D_composed(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
@@ -226,8 +243,50 @@ def gradient_identity_residual(geom: InterfaceGeometry, beta: ScalarField) -> fl
     return float(np.sqrt(total))
 
 
-def _aa_numerator(gfv, bv) -> list:
-    """The velocity operator's numerator as (field, monomials) pairs.
+def _unit(dim: int, axis) -> tuple:
+    return tuple(int(j == axis) for j in range(dim))
+
+
+class _Operator(NamedTuple):
+    """An interface operator's numerator, as the table the split evaluator reads.
+
+    ``fields(gfv, bv)`` builds the fields u_i from the values of grad f and of
+    b.  Field u_i stands for u_i(x-xi) times the sum of sign * coef(x) *
+    xi^nu * df^m over its monomials (sign, c, axis, m) in ``monomials[i]``:
+    coef = d_c f, or 1 for c None; nu = e_axis, or 0 for axis None; m is 0
+    or 1.  ``sizes[i] = (n, q)`` bounds |u_i| by n G^q ||b||_inf, G the largest
+    |grad f| at the grid points.  The monomials with c None and m = 0 are
+    constant Riesz cores; with ``exact_core`` they take their exact continuum
+    symbol (see :mod:`muskat.kernels`), otherwise their lattice sum.
+    """
+
+    fields: Callable
+    monomials: tuple
+    sizes: tuple
+    exact_core: bool
+
+
+def _d_fields(gfv, bv):
+    return [bv[0]] + [g * bv[0] for g in gfv]
+
+
+@lru_cache(maxsize=None)
+def _d_operator(dim: int) -> _Operator:
+    """Double layer: (df - xi.grad f(x-xi)) beta(x-xi) is beta with +df, d_j f beta with -xi_j."""
+    return _Operator(_d_fields, (((1.0, None, None, 1),),)
+                     + tuple(((-1.0, None, j, 0),) for j in range(dim)),
+                     ((1, 0),) + ((1, 1),) * dim, False)
+
+
+def _aa_fields(gfv, bv):
+    dim = len(bv)
+    return list(bv) + [gfv[j] * bv[k] - bv[j] * gfv[k]
+                       for j in range(dim) for k in range(j + 1, dim)]
+
+
+@lru_cache(maxsize=None)
+def _aa_operator(dim: int) -> _Operator:
+    """Velocity operator, its constant cores on their exact symbol.
 
     The numerator (xi.grad f(x-xi) - df) grad f(x).b(x-xi)
     - xi.b(x-xi) (1 + grad f(x).grad f(x-xi)) loses its j = k terms:
@@ -235,185 +294,353 @@ def _aa_numerator(gfv, bv) -> list:
         sum_{j<k} xi_j d_k f(x) w_jk(x-xi) - xi_k d_j f(x) w_jk(x-xi)
         - sum_k (xi_k + d_k f(x) df) b_k(x-xi),   w_jk = d_j f b_k - b_j d_k f,
 
-    in 1D -b(x-xi) (xi + f'(x) df).  A pair (u, monomials) stands for
-    u(x-xi) times the sum of sign * coef(x) * xi^nu * df^m over its monomials
-    (sign, c, axis, m): coef = d_c f, or 1 for c None; nu = e_axis, or 0 for
-    axis None; m is 0 or 1.  Both evaluation paths of :func:`apply_AA` read
-    this one table.
+    in 1D -b(x-xi) (xi + f'(x) df).
     """
-    dim = len(bv)
-    table = [(bv[k], ((-1.0, None, k, 0), (-1.0, k, None, 1))) for k in range(dim)]
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            table.append((gfv[j] * bv[k] - bv[j] * gfv[k], ((1.0, k, j, 0), (-1.0, j, k, 0))))
-    return table
+    pairs = [(j, k) for j in range(dim) for k in range(j + 1, dim)]
+    return _Operator(_aa_fields,
+                     tuple(((-1.0, None, k, 0), (-1.0, k, None, 1)) for k in range(dim))
+                     + tuple(((1.0, k, j, 0), (-1.0, j, k, 0)) for j, k in pairs),
+                     ((1, 0),) * dim + ((2, 1),) * len(pairs), True)
 
 
-def _unit(dim: int, axis) -> tuple:
-    return tuple(int(j == axis) for j in range(dim))
-
-
-def _aa_operands(geom: InterfaceGeometry, b):
-    b = list(b)
-    if len(b) != geom.grid.dim:
-        raise ValueError("b must have one component per axis")
-    require_same_grid(geom.f, *b)
-    gfv = [c.values for c in geom.grad_f]
-    return gfv, _aa_numerator(gfv, [c.values for c in b])
-
-
-def _apply_AA_direct(geom: InterfaceGeometry, b) -> ScalarField:
-    """The velocity operator as the blocked PV lattice sum; see :func:`apply_AA`."""
-    gfv, table = _aa_operands(geom, b)
-    g = geom.grid
-
+def _numerator(op: _Operator, us, gfv):
+    """op's numerator with fields us, as :func:`_interface_sum` takes it."""
     def numerator(xi, df, shifted):
         out = None
-        for u, monomials in table:
+        for u, monomials in zip(us, op.monomials):
             fac = None
             for sign, c, axis, m in monomials:
-                val = xi[axis] if axis is not None else 1.0
-                if c is not None:
-                    val = val * gfv[c]
-                if m:
-                    val = val * df
+                val = xi[axis] if axis is not None else None
+                for v in ((gfv[c],) if c is not None else ()) + ((df,) if m else ()):
+                    val = v if val is None else val * v
                 if fac is None:
-                    fac = val if sign > 0 else -val
+                    fac, lead = val, sign
                 else:
-                    fac = fac + val if sign > 0 else fac - val
+                    fac = fac + val if sign == lead else fac - val
+            term = fac * shifted(u)
             if out is None:
-                out = fac * shifted(u)
+                out = term if lead > 0 else -term
+            elif lead > 0:
+                out += term
             else:
-                out += fac * shifted(u)
+                out -= term
         return out
 
-    out = _interface_sum(geom, numerator)
-    # the constant-coefficient cores sign * xi_axis u(x-xi) / |xi|^(N+1)
-    for u, monomials in table:
+    return numerator
+
+
+class _Split(NamedTuple):
+    radius: int    # the near field |xi| <= radius * h is summed directly
+    order: int     # the far field's expansion order K
+    bound: float   # relative to ||b||_inf W_0, see _choose_split
+
+
+def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.ndarray:
+    """op's PV lattice sum: the near field directly, the far field by FFT to order K.
+
+    The near field |xi| <= R is the blocked :func:`_interface_sum` over
+    :func:`muskat.offsets.near_offsets`.  On the far field the kernel is
+    sum_k c_k df^(2k) / |xi|^(N+1+2k), c_k = binom(-(N+1)/2, k), cut after
+    k = K.  With df^e = sum_a binom(e, a) f(x)^a (-f(x-xi))^(e-a), each
+    monomial's term of order k is coef(x) f(x)^a times the convolution of the
+    truncated lattice kernel xi^nu / |xi|^(N+1+2k) 1{|xi| > R}
+    (:func:`muskat.kernels.far_symbols`) with f^(e-a) u.  Grouped by
+    x-coefficient c, in batches of groups (see FAR_BATCH_BYTES): one rfftn
+    per field and power p = e - a in a batch, the products summed per group
+    and power a in Fourier space, and one irfftn per group and a.
+    """
+    g = geom.grid
+    gfv = [c.values for c in geom.grad_f]
+    us = op.fields(gfv, bv)
+    near = near_offsets(g, split.radius)
+    out = (_interface_sum(geom, _numerator(op, us, gfv), offsets=near) if near.count
+           else np.zeros(g.shape))
+    f = geom.f.values
+    fc = f - 0.5 * (np.max(f) + np.min(f))  # the sum sees f only through df
+    far = near.count < pv_offsets(g).count
+    if not far:
+        split = split._replace(order=0)  # the cores' exact symbols alone
+    groups = {}  # x-coefficient c -> the far field's entries (field index, sign, axis, m)
+    for i, monomials in enumerate(op.monomials):
         for sign, c, axis, m in monomials:
-            if c is None and m == 0:
-                out = out + core_fix_apply(g, _unit(g.dim, axis), u, sign)
-    return ScalarField(g, out)
-
-
-class _SmallSlope(NamedTuple):
-    order: int | None  # None: the direct sum
-    bound: float       # relative to ||b||_inf W_0, see _small_slope_order
-
-
-def _binom(x: float, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out = out * (x - i) / (i + 1)
+            if far or (op.exact_core and c is None and m == 0):
+                groups.setdefault(c, []).append((i, sign, axis, m))
+    # as many groups per batch as FAR_BATCH_BYTES holds accumulators for (2K+2
+    # half spectra of about 8 M^N bytes each), at least one
+    items = list(groups.items())
+    per = max(1, FAR_BATCH_BYTES // ((2 * split.order + 2) * 8 * g.size))
+    for lo in range(0, len(items), per):
+        out += _far_batch(geom, op, split, far, us, dict(items[lo:lo + per]), fc)
     return out
 
 
-def _small_slope_order(f: ScalarField) -> _SmallSlope:
-    """The velocity operator's expansion order K for interface f, and its error bound.
+def _direct_sum(geom: InterfaceGeometry, op: _Operator, bv) -> np.ndarray:
+    """op's PV lattice sum with every offset in the near field: the split that has no far field."""
+    return _split_sum(geom, op, bv, _Split(geom.grid.points, 0, 0.0))
+
+
+def _far_batch(geom, op, split, far, us, batch, fc) -> np.ndarray:
+    """The far field of a batch {c: entries} of x-coefficient groups; see _split_sum."""
+    g, K = geom.grid, split.order
+    half = g.shape[:-1] + (g.points // 2 + 1,)
+    accs = {c: [np.zeros(half, complex) for _ in range(2 * K + 1 + max(m for *_, m in entries))]
+            for c, entries in batch.items()}  # per power a of f(x)
+    fields = {}
+    for c, entries in batch.items():
+        for i, sign, axis, m in entries:
+            fields.setdefault(i, []).append((c, sign, axis, m))
+    for i, monomials in fields.items():
+        _far_field(geom, op, split, far, us[i], monomials, fc, accs)
+    out = np.zeros(g.shape)
+    for c, spectra in accs.items():
+        power = None
+        for a, spectrum in enumerate(spectra):
+            v = np.fft.irfftn(spectrum, s=g.shape, axes=range(g.dim))
+            if a:
+                power = fc if power is None else power * fc
+                v *= power
+            if a > 1:
+                v *= 1.0 / factorial(a)
+            if c is not None:
+                v *= geom.grad_f[c].values
+            out += v
+    return out
+
+
+def _far_field(geom, op, split, far, u, monomials, fc, accs):
+    """Add the far-field terms of field u's monomials (c, sign, axis, m) to accs[c][a]."""
+    g, R, K = geom.grid, split.radius, split.order
+    half = g.shape[:-1] + (g.points // 2 + 1,)
+    # binom(e, a) = e! / (a! p!): e! goes with the symbol, 1/p! with the
+    # field's spectrum, 1/a! with the power of f(x)
+    terms = []
+    for c, sign, axis, m in monomials:
+        nu = _unit(g.dim, axis)
+        syms = far_symbols(g, R, nu, K) if far else [0.0]
+        scaled, ck = [], sign
+        for k, sym in enumerate(syms):
+            if k == 0 and op.exact_core and c is None and m == 0:
+                sym = sym + riesz_core_fix(g, nu)[..., :half[-1]]  # the exact core symbol
+            # a cached symbol is read-only: scale a copy; a fresh one in place
+            scaled.append(np.multiply(sym, ck * factorial(m + 2 * k),
+                                      out=sym if sym.flags.writeable else None))
+            ck *= -((g.dim + 1) / 2 + k) / (k + 1)  # sign * binom(-(N+1)/2, k+1)
+        terms.append((accs[c], m, scaled))
+    buf, spec, v = np.empty(half, complex), np.empty(half, complex), u.copy()
+    for p in range(2 * K + 1 + max(m for _, m, _ in terms)):
+        if p:
+            v *= fc
+        np.fft.rfftn(v, out=spec)
+        if p:
+            spec *= (-1) ** p / factorial(p)
+        for acc, m, scaled in terms:
+            for k in range(max(p - m + 1, 0) // 2, K + 1):
+                np.multiply(spec, scaled[k], out=buf)
+                acc[m + 2 * k - p] += buf
+
+
+# Cost model of the split, in ns on one core of a 2-core Xeon (fitted on 1D
+# M=64..1024 and 2D M=16..64): a near-field pair term per monomial (plus two
+# for the denominator), a field's wrap-padded window, a far-field product of
+# two half spectra, and an FFT (fixed per axis, plus per point times log2 of
+# the size); each pair is (fixed, per grid point).
+PAIR_NS = 3.5
+WINDOW_NS = (40000.0, 50.0)
+PRODUCT_NS = (2000.0, 1.0)
+FFT_NS = (14000.0, 0.9)
+
+
+class _Radii(NamedTuple):
+    """Per near-field radius R = 0, 1, ... in cells, up to the first past the cell."""
+
+    near: list     # the number of PV offsets with |xi| <= R h
+    nearest: list  # the smallest far |xi| (inf past the cell)
+    share: list    # the far field's share of W_0 = h^N/|S^N| sum |xi|^-N
+
+
+@lru_cache(maxsize=None)
+def _radii(grid: GridSpec) -> _Radii:
+    off = pv_offsets(grid)
+    n2 = np.sort(np.sum(off.ints**2, axis=1))
+    cum = np.cumsum(n2.astype(float) ** (-grid.dim / 2))
+    radii = np.arange(ceil(sqrt(n2[-1])) + 1)
+    near = np.searchsorted(n2, radii**2, side="right")
+    nearest = np.sqrt(np.append(n2, np.inf)[near]) * grid.spacing
+    share = 1.0 - np.append(0.0, cum)[near] / cum[-1]
+    return _Radii(near.tolist(), nearest.tolist(), share.tolist())
+
+
+class _Scales(NamedTuple):
+    """What the split's error bound knows of an interface and an operator; see _choose_split."""
+
+    slope: float  # s = sum_k |k| |f^_k|
+    osc: float    # max f - min f
+    alpha: float  # the numerator's bound: |xi| ||b||_inf (alpha + beta |df| / |xi|)
+    beta: float
+
+
+@lru_cache(maxsize=None)
+def _wavenumbers(grid: GridSpec) -> np.ndarray:
+    """|k| on the FFT grid."""
+    k = np.sqrt(sum(grid.frequencies(j) ** 2 for j in range(grid.dim)))
+    k.setflags(write=False)
+    return k
+
+
+def _scales(geom: InterfaceGeometry, op: _Operator) -> _Scales:
+    f, g = geom.f, geom.grid
+    s = float(np.sum(_wavenumbers(g) * np.abs(np.fft.fftn(f.values)))) / g.size
+    # the coefficients d_c f(x) and the fields are only taken at grid points,
+    # where |grad f| <= its largest value there
+    lip = float(np.sqrt(np.max(sum(c.values**2 for c in geom.grad_f))))
+    alpha = beta = 0.0
+    for (n, q), monomials in zip(op.sizes, op.monomials):
+        for _, c, _, m in monomials:
+            term = n * lip**q * (lip if c is not None else 1.0)
+            if m:
+                beta += term
+            else:
+                alpha += term
+    return _Scales(s, float(np.max(f.values) - np.min(f.values)), alpha, beta)
+
+
+def _far_reach(grid: GridSpec, scales: _Scales, radius: int):
+    """(x, t, w) of the far field beyond a radius, or None if it has no offset.
+
+    x bounds |df| / |xi| there, t = osc f / r with r the smallest far |xi|,
+    and w is the far field's share of W_0; see _choose_split.
+    """
+    radii = _radii(grid)
+    r = radii.nearest[radius]
+    if r == inf:
+        return None
+    return min(scales.slope, scales.osc / r), scales.osc / r, radii.share[radius]
+
+
+def _split_bounds(grid: GridSpec, scales: _Scales, radius: int):
+    """The error bounds of the splits (radius, K) for K = 0, 1, 2, ...; see _choose_split.
+
+    The direct sum (no far field) yields 0 for every K.  Otherwise the bounds
+    end where the rounding term alone passes SMALL_SLOPE_TOL, as it only grows
+    with K.
+    """
+    reach = _far_reach(grid, scales, radius)
+    if reach is None:
+        yield from repeat(0.0)
+        return
+    x, t, w = reach
+    p, u = (grid.dim + 1) / 2, x * x
+    rounding = ROUNDING_GROWTH * float(np.finfo(float).eps) * log2(grid.size)
+    mass, tk, ck = 0.0, 1.0, 1.0  # tk = t^(2K), ck = |c_K|
+    for K in count():
+        mass += ck * tk * (scales.alpha + scales.beta * t)
+        if w * rounding * mass > SMALL_SLOPE_TOL:
+            return
+        tk *= t * t
+        ck *= (p + K) / (K + 1)
+        rho = (p + K + 1) / (K + 2)
+        if rho * u < 1.0:
+            tail = (scales.alpha + scales.beta * x) * ck * u ** (K + 1) / (1 - rho * u)
+            yield w * (tail + rounding * mass)
+        else:
+            yield inf
+
+
+def _choose_split(geom: InterfaceGeometry, op: _Operator) -> _Split:
+    """The cheapest (R, K) whose error bound, relative to ||b||_inf W_0, is at most SMALL_SLOPE_TOL.
 
     Bound the slope by s = sum_k |k| |f^_k| (Fourier coefficients, any alias
-    of the Nyquist mode): s >= sup |grad f| and s >= |df| / |xi| for every PV
-    offset, so u = (df/|xi|)^2 <= s^2.  With p = (N+1)/2 the kernel is
-    sum_k c_k df^(2k) / |xi|^(2p+2k), c_k = binom(-p, k); cut after k = K it is
-    off by at most T_K |xi|^(-2p), where
+    of the Nyquist mode): s >= sup |grad f| and s >= |df| / |xi| for every
+    offset.  On the far field |xi| > R also |df| <= osc f = max f - min f,
+    so |df| / |xi| <= x = min(s, osc f / r), r the smallest far |xi|, and
+    u = (df/|xi|)^2 <= x^2.  With p = (N+1)/2 the kernel is
+    sum_k c_k df^(2k) / |xi|^(2p+2k), c_k = binom(-p, k); cut after k = K it
+    is off by at most T_K |xi|^(-2p), where
 
-        T_K = sum_{k>K} |c_k| s^(2k) <= |c_{K+1}| s^(2K+2) / (1 - rho s^2),
+        T_K = sum_{k>K} |c_k| u^k <= |c_{K+1}| u^(K+1) / (1 - rho u),
         rho = (p+K+1)/(K+2) >= |c_{k+1}/c_k| for k > K.
 
-    The numerator is at most |xi| |b| (1 + 3 s^2), so the truncation is at most
-    (1 + 3 s^2) T_K relative to the scale ||b||_inf W_0, where ||b||_inf is
-    the largest |b(x)| and W_0 = h^N/|S^N| sum |xi|^-N over the PV offsets.
+    The coefficients d_c f(x) and op's fields are only taken at grid points,
+    so by the fields' sizes and G = max |grad f| there the numerator is at
+    most |xi| ||b||_inf (alpha + beta |df|/|xi|), alpha summing its monomials
+    with m = 0 and beta those with m = 1, and the truncation is at most
+    w (alpha + beta x) T_K relative to ||b||_inf W_0, where w is the far
+    field's share of W_0 = h^N/|S^N| sum |xi|^-N over the PV offsets.
 
     Rounding: the binomial pieces f(x)^a f(x-xi)^(e-a) of df^e add up to at
-    most (2A)^e in absolute value, A = (max f - min f)/2, where df^e itself is
-    at most (s |xi|)^e, and |xi| >= h.  So the convolutions of order k have absolute mass at most
-    N |c_k| (t^(2k) (1 + 2(N-1) s^2) + s t^(2k+1)) ||b||_inf W_0, t = 2A/h,
-    and the rounding term is ROUNDING_GROWTH eps log2(M^N) times their sum.
-    The model, not a proof, is meant to cover the direct sum's rounding as
-    well; the slope-ladder test checks it against the direct sum.
+    most (osc f)^e in absolute value, where df^e itself is at most
+    (x |xi|)^e.  So the convolutions of order k have absolute mass at most
+    w |c_k| t^(2k) (alpha + beta t) ||b||_inf W_0, t = osc f / r, and the
+    rounding term is ROUNDING_GROWTH eps log2(M^N) times their sum.  The
+    model, not a proof, is meant to cover the near field's rounding as well;
+    the bound-ladder test checks it against the direct sum.
 
-    K is the smallest order whose truncation plus rounding is at most
-    SMALL_SLOPE_TOL; without one, or for s >= 1, the order is None.
+    R runs over whole cells from 0 (no near field: the small-slope expansion
+    of every offset), every cell up to 8 and then in steps of about R/8, to
+    the radius past the cell (no far field: the direct sum, bound 0).  The
+    cost model weighs the near offsets times M^N against the far field's
+    FFTs and products; of the pairs within the bound the cheapest is taken.
     """
-    g = f.grid
-    k2 = sum(g.frequencies(j) ** 2 for j in range(g.dim))
-    s = float(np.sum(np.sqrt(k2) * np.abs(np.fft.fftn(f.values)))) / g.size
-    if not s < 1.0:
-        return _SmallSlope(None, np.inf)
-    u = s * s
-    t = float(np.max(f.values) - np.min(f.values)) / g.spacing
-    p, dim = (g.dim + 1) / 2, g.dim
-    rounding = ROUNDING_GROWTH * np.finfo(float).eps * np.log2(g.size) * dim
-    for K in range(SMALL_SLOPE_MAX_ORDER + 1):
-        rho = (p + K + 1) / (K + 2)
-        if rho * u >= 1.0:
-            continue
-        tail = (1 + 3 * u) * abs(_binom(-p, K + 1)) * u ** (K + 1) / (1 - rho * u)
-        mass = sum(abs(_binom(-p, k)) * (t ** (2 * k) * (1 + 2 * (dim - 1) * u)
-                                         + s * t ** (2 * k + 1)) for k in range(K + 1))
-        bound = tail + rounding * mass
-        if bound <= SMALL_SLOPE_TOL:
-            return _SmallSlope(K, bound)
-    return _SmallSlope(None, np.inf)
-
-
-def _apply_AA_small_slope(geom: InterfaceGeometry, b, order: int) -> ScalarField:
-    """The velocity operator's PV lattice sum re-summed as FFT convolutions, to order K.
-
-    Each monomial of :func:`_aa_numerator` times c_k df^(2k) / |xi|^(N+1+2k),
-    k <= K, with df^e = sum_a binom(e, a) f(x)^a (-f(x-xi))^(e-a), is the
-    x-coefficient coef(x) f(x)^a times the convolution of the lattice kernel
-    xi^nu / |xi|^(N+1+2k) with f^(e-a) u.  One forward FFT per distinct
-    (field, power) and one inverse FFT per distinct x-coefficient.
-    """
-    gfv, table = _aa_operands(geom, b)
     g = geom.grid
-    f = geom.f.values
-    powers = [1.0, f - 0.5 * (np.max(f) + np.min(f))]  # AA sees f only through df
-    while len(powers) <= 2 * order + 1:
-        powers.append(powers[-1] * powers[1])
-    half = (Ellipsis, slice(0, g.points // 2 + 1))  # the rfftn half of a full symbol
-    spectra, acc = {}, {}
-    for u, monomials in table:
-        for sign, c, axis, m in monomials:
-            nu = _unit(g.dim, axis)
-            for k in range(order + 1):
-                sym = lattice_core_symbol(g, nu, g.dim + 1 + 2 * k)
-                if c is None and m == 0 and k == 0:
-                    sym = sym + riesz_core_fix(g, nu)  # the exact core symbol
-                sym = sym[half] * (sign * _binom(-(g.dim + 1) / 2, k))
-                e = m + 2 * k
-                for a in range(e + 1):
-                    key = (id(u), e - a)
-                    if key not in spectra:
-                        spectra[key] = np.fft.rfftn(powers[e - a] * u)
-                    term = (_binom(e, a) * (-1) ** (e - a)) * sym * spectra[key]
-                    acc[c, a] = acc[c, a] + term if (c, a) in acc else term
-    out = np.zeros(g.shape)
-    for (c, a), spectrum in acc.items():
-        v = np.fft.irfftn(spectrum, s=g.shape, axes=range(g.dim))
-        if a:
-            v = v * powers[a]
-        if c is not None:
-            v = v * gfv[c]
-        out += v
-    return ScalarField(g, out)
+    scales = _scales(geom, op)
+    # the far field's cost at order K: per entry (power m of df) 2K+1+m rfftn,
+    # K+1 symbols (an FFT and two products' work each) and (K+1)(K+1+m)
+    # products; per x-coefficient group (top power m) 2K+1+m irfftn.  That is
+    # A (K+1)^2 + B (K+1) + C.
+    ms = [m for monomials in op.monomials for *_, m in monomials]
+    tops = {}
+    for monomials in op.monomials:
+        for _, c, _, m in monomials:
+            tops[c] = max(tops.get(c, 0), m)
+    fft_ns = g.dim * FFT_NS[0] + FFT_NS[1] * g.size * log2(g.size)
+    product_ns = PRODUCT_NS[0] + PRODUCT_NS[1] * g.size
+    E, G = len(ms), len(tops)
+    A = E * product_ns
+    B = (sum(ms) + 2 * E) * product_ns + (3 * E + 2 * G) * fft_ns
+    C = (sum(ms) + sum(tops.values()) - E - G) * fft_ns
+    pair_ns = PAIR_NS * g.size * (E + 2)
+    window_ns = (len(op.monomials) + 1) * (WINDOW_NS[0] + WINDOW_NS[1] * g.size)
+    near = _radii(g).near
+    direct = len(near) - 1
+    # the direct sum: the near field alone, and the cores' exact symbols
+    cores = sum(op.exact_core and c is None and m == 0
+                for monomials in op.monomials for _, c, _, m in monomials)
+    best = _Split(direct, 0, 0.0)
+    best_ns = window_ns + near[direct] * pair_ns + (cores + (cores > 0)) * fft_ns
+    R = 0
+    while R < direct:  # every R up to 8 cells, then steps of about R/8
+        near_ns = (window_ns + near[R] * pair_ns) if near[R] else 0.0
+        # the highest order K cheaper than the best so far
+        room = best_ns - near_ns - C
+        top = ceil((sqrt(B * B + 4 * A * room) - B) / (2 * A)) - 2 if room > 0 else -1
+        if top < 0:
+            break
+        # try R unless even the truncation's lower bound w (alpha + beta x) u^(top+1)
+        # (|c_k| >= 1, rho u >= 0) is too large at that order
+        x, _, w = _far_reach(g, scales, R)
+        if x < 1.0 and w * (scales.alpha + scales.beta * x) * x ** (2 * top + 2) <= SMALL_SLOPE_TOL:
+            for K, bound in zip(range(top + 1), _split_bounds(g, scales, R)):
+                if bound <= SMALL_SLOPE_TOL:
+                    best, best_ns = _Split(R, K, bound), near_ns + (A * (K + 1) + B) * (K + 1) + C
+                    break
+        R += 1 + R // 8
+    return best
 
 
 def apply_AA(geom: InterfaceGeometry, b) -> ScalarField:
     """Velocity operator: the two-integral kernel of the evolution's right side.
 
     The second integral contains the constant core -xi.b(x-xi)/|xi|^{N+1},
-    which is evaluated with its exact symbol.
-
-    Near a flat interface the PV lattice sum is re-summed by FFT, to the
-    order :func:`_small_slope_order` picks; otherwise it is the direct blocked
-    sum.
+    which is evaluated with its exact symbol.  The PV lattice sum is split
+    into a direct near field and an FFT far field at the (R, K) that
+    :func:`_choose_split` picks.
     """
-    order = geom._small_slope.order
-    if order is None:
-        return _apply_AA_direct(geom, b)
-    return _apply_AA_small_slope(geom, b, order)
+    b = list(b)
+    if len(b) != geom.grid.dim:
+        raise ValueError("b must have one component per axis")
+    require_same_grid(geom.f, *b)
+    return ScalarField(geom.grid, _split_sum(geom, _aa_operator(geom.grid.dim),
+                                             [c.values for c in b], geom._aa_split))
 
 
 def apply_AA_composed(geom: InterfaceGeometry, b) -> ScalarField:

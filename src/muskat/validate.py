@@ -7,6 +7,8 @@ claim, and reports (suite, check, value, threshold, pass) rows.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .dynamics import InterfaceState, PhysicalParams, wow_residual
@@ -15,7 +17,10 @@ from .grid import (GridSpec, ScalarField, band_limited_random, l2_norm,
 from .kernels import OperatorSpec, apply_B, chain_rule_residual
 from .multipliers import MultiplierSpec, symbol_D, symbol_T
 from .fields import jump_check
-from .potentials import (InterfaceGeometry, adjointness_defect, apply_A,
+from .offsets import near_offsets, pv_offsets
+from .potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _aa_operator, _d_operator,
+                         _direct_sum, _scales, _Split, _split_bounds, _split_sum,
+                         adjointness_defect, apply_A,
                          apply_A_composed, apply_AA, apply_AA_composed,
                          apply_D, apply_D_composed, apply_D_star,
                          apply_D_star_composed, gradient_identity_residual,
@@ -164,6 +169,11 @@ def suite_difference(cfg):
     return rows
 
 
+def _splits_note(geom):
+    return " ".join(f"{name} (R,K)=({split.radius},{split.order})"
+                    for name, split in (("D", geom._d_split), ("AA", geom._aa_split)))
+
+
 def suite_composed(cfg):
     rows = []
     for M in (cfg.grid.points, 2 * cfg.grid.points):
@@ -182,17 +192,40 @@ def suite_composed(cfg):
         for direct, composed in checks.values():
             scale = max(np.max(np.abs(composed)), 1e-300)
             worst = max(worst, float(np.max(np.abs(direct - composed)) / scale))
-        rows.append(Row("composed", f"M={M}", worst, 1e-10, worst <= 1e-10))
-    # a near-flat interface, where the velocity operator takes its small-slope path
+        rows.append(Row("composed", f"M={M}", worst, 1e-10, worst <= 1e-10,
+                        note=_splits_note(geom)))
+    # a near-flat interface: the velocity operator's small-slope split, all far
+    # field (R = 0) at the first order up to 7 within the bound; on these grids
+    # the chooser takes the cheaper direct sum
     for M in (64, 128):
         geom, rng = _geometry(M, cfg.seed, amp=1e-3)
         b = [band_limited_random(geom.grid, 3, rng)]
+        op = _aa_operator(1)
+        bounds = islice(_split_bounds(geom.grid, _scales(geom, op), 0), 8)
+        order = next((K for K, e in enumerate(bounds) if e <= SMALL_SLOPE_TOL), None)
         composed = apply_AA_composed(geom, b).values
-        rel = float(np.max(np.abs(apply_AA(geom, b).values - composed))
-                    / max(np.max(np.abs(composed)), 1e-300))
-        order = geom._small_slope.order
-        rows.append(Row("composed", f"AA small-slope M={M}", rel, 1e-10,
-                        order is not None and rel <= 1e-10, note=f"K={order}"))
+        rel = (np.inf if order is None else
+               float(np.max(np.abs(_split_sum(geom, op, [b[0].values], _Split(0, order, 0.0))
+                                   - composed)) / max(np.max(np.abs(composed)), 1e-300)))
+        rows.append(Row("composed", f"AA small-slope M={M}", rel, 1e-10, rel <= 1e-10,
+                        note=f"AA (R,K)=(0,{order})"))
+    # a low 2D bump on the smallest grid where D and AA both take a near field
+    # and a far field: the split against the direct sum
+    g = GridSpec(2, 2 * np.pi, 24)
+    geom = InterfaceGeometry(make_gaussian_bump(g, 0.1, [np.pi] * 2, 0.5))
+    rng = np.random.default_rng(cfg.seed)
+    beta = band_limited_random(g, 3, rng)
+    b = [band_limited_random(g, 3, rng) for _ in range(2)]
+    worst, near_far = 0.0, True
+    for op, bv, split in ((_d_operator(2), [beta.values], geom._d_split),
+                          (_aa_operator(2), [c.values for c in b], geom._aa_split)):
+        direct = _direct_sum(geom, op, bv)
+        rel = float(np.max(np.abs(_split_sum(geom, op, bv, split) - direct))
+                    / max(np.max(np.abs(direct)), 1e-300))
+        worst = max(worst, rel)
+        near_far &= 0 < near_offsets(g, split.radius).count < pv_offsets(g).count
+    rows.append(Row("composed", "split=direct 2D M=24", worst, 1e-12,
+                    near_far and worst <= 1e-12, note=_splits_note(geom)))
     return rows
 
 

@@ -321,6 +321,18 @@ def test_bad_input_is_config_error(case, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error: "), err
 
 
+def test_symbol_sample_count_is_bounded(tmp_path):
+    # 10^9 samples would take weeks; the count is refused before any is taken
+    proc = subprocess.run([sys.executable, "-m", "muskat.cli", "symbol", "--A", "0.5,0",
+                           "--nu", "1,0", "--ray", "1,1", "--num", "1000000000",
+                           "--out", str(tmp_path / "s.csv")],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --num must lie in [1, "), err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_bad_input_has_no_traceback(tmp_path):
     cfg = write(tmp_path / "c.cfg", config_text({"stepper.dt": "auto", "stepper.cfl": "0"}))
     proc = subprocess.run([sys.executable, "-m", "muskat.cli", "evolve", cfg],

@@ -11,7 +11,8 @@ from muskat.dynamics import (InterfaceState, PhysicalParams, StepperConfig,
                              evolve, rt_margin, step, wow_residual)
 from muskat.grid import (GridSpec, ScalarField, l2_norm,
                          make_gaussian_bump, make_mode, make_zero)
-from muskat.potentials import _apply_AA_direct
+from muskat.kernels import FAR_SYMBOLS, SYMBOL_CACHE_BYTES, far_symbols
+from muskat.potentials import _aa_operator, _direct_sum
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "decay_demo.cfg")
 
@@ -208,12 +209,39 @@ def test_demo_decay_small_slope_path_matches_the_direct_sum(monkeypatch):
     stepper = dataclasses.replace(cfg.stepper, t_end=8 * cfg.stepper.resolve_dt(
         cfg.grid, cfg.params.lam), snapshot_stride=0)
     auto = evolve(f0, cfg.params, stepper).final
-    assert auto.geom._small_slope.order is not None
-    monkeypatch.setattr(muskat.dynamics, "apply_AA", _apply_AA_direct)
+    assert auto.geom._aa_split.radius == 0
+
+    def direct(geom, b):
+        return ScalarField(geom.grid, _direct_sum(geom, _aa_operator(1), [b[0].values]))
+
+    monkeypatch.setattr(muskat.dynamics, "apply_AA", direct)
     direct = evolve(f0, cfg.params, stepper).final
     assert auto.t == direct.t
     diff = np.max(np.abs(auto.f.values - direct.f.values))
     assert diff <= 1e-12 * np.max(np.abs(direct.f.values))
+
+
+def test_far_symbol_cache_stays_within_its_budget():
+    # after a 2-step 2D M=32 evolve at a_mu = 0.5 the cache holds, per radius,
+    # one list of read-only rfftn halves per nu (at most N+1), within its byte
+    # cap; a 2D M=64 list (0.9 MB) is built per call and not kept
+    FAR_SYMBOLS.clear()
+    g = GridSpec(2, 2 * np.pi, 32)
+    f0 = make_gaussian_bump(g, 0.7, [np.pi] * 2, 0.5)
+    evolve(f0, PhysicalParams(lam=1.0, a_mu=0.5), StepperConfig(dt=0.05, t_end=0.1))
+    assert FAR_SYMBOLS  # the double layer takes a far field here
+    nus = {}
+    for (grid, radius, nu), symbols in FAR_SYMBOLS.items():
+        assert grid == g
+        assert all(s.shape == (32, 17) and s.dtype == complex and not s.flags.writeable
+                   for s in symbols)
+        nus.setdefault(radius, set()).add(nu)
+    assert all(len(held) <= g.dim + 1 for held in nus.values()), nus
+    held = sum(s.nbytes for symbols in FAR_SYMBOLS.values() for s in symbols)
+    assert held <= SYMBOL_CACHE_BYTES
+    big = GridSpec(2, 2 * np.pi, 64)
+    assert len(far_symbols(big, 13, (0, 0), 26)) == 27
+    assert all(grid != big for grid, *_ in FAR_SYMBOLS)
 
 
 @pytest.mark.parametrize("amplitude", ["1e200", "1e307"])

@@ -1,14 +1,17 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from muskat.grid import (GridSpec, ScalarField, band_limited_random, gradient,
                          l2_norm, make_gaussian_bump, make_mode, make_zero)
-from muskat.kernels import OperatorSpec, apply_B, phibar_transform
-from muskat.potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _apply_AA_direct,
-                               adjointness_defect, apply_A, apply_A_composed, apply_AA,
-                               apply_AA_composed, apply_D, apply_D_composed, apply_D_star,
-                               apply_D_star_composed, boundary_trace,
-                               gradient_identity_residual, rellich_residual,
+from muskat.kernels import OperatorSpec, apply_B, core_fix_apply, phibar_transform
+from muskat.potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _aa_operator, _d_operator,
+                               _direct_sum, _interface_sum, _numerator, _scales, _Split,
+                               _split_bounds, _split_sum, adjointness_defect, apply_A,
+                               apply_A_composed, apply_AA, apply_AA_composed, apply_D,
+                               apply_D_composed, apply_D_star, apply_D_star_composed,
+                               boundary_trace, gradient_identity_residual, rellich_residual,
                                torus_byparts_flux)
 from muskat.offsets import face_ring, pv_offsets, sphere_area
 from muskat.profiles import phibar
@@ -202,40 +205,85 @@ def test_AA_direct_equals_composed():
         assert rel_err(direct.values, composed.values) < 1e-10
 
 
-@pytest.mark.parametrize("dim,M", [(1, 64), (1, 512), (2, 16)])
-def test_AA_small_slope_path_within_its_bound(dim, M):
-    # a ladder of slopes: the small-slope path must stay within its own bound,
-    # the direct sum must be taken as it is
+def reference_sum(geom, op, bv):
+    """op's PV lattice sum over every offset, its exact cores added by kernels.core_fix_apply.
+
+    Independent of the split's far field, where the velocity operator's exact
+    core symbol enters through its order-0 term.
+    """
+    g = geom.grid
+    gfv = [c.values for c in geom.grad_f]
+    us = op.fields(gfv, bv)
+    out = _interface_sum(geom, _numerator(op, us, gfv))
+    for u, monomials in zip(us, op.monomials):
+        for sign, c, axis, m in monomials:
+            if op.exact_core and c is None and m == 0:
+                out = out + core_fix_apply(g, tuple(int(j == axis) for j in range(g.dim)), u, sign)
+    return out
+
+
+def operands(geom, b):
+    """(operator, field values, its split, ||b||_inf W_0) for D on b[0] and for AA on b."""
+    g = geom.grid
+    # the stated scale ||b||_inf W_0, W_0 = h^N/|S^N| sum |xi|^-N
+    w0 = g.spacing**g.dim / sphere_area(g.dim) * np.sum(pv_offsets(g).r ** -g.dim)
+    return [(_d_operator(g.dim), [b[0].values], geom._d_split, w0 * np.max(np.abs(b[0].values))),
+            (_aa_operator(g.dim), [c.values for c in b], geom._aa_split,
+             w0 * np.max(np.sqrt(sum(c.values**2 for c in b))))]
+
+
+@pytest.mark.parametrize("dim,M", [(1, 64), (1, 512), (2, 16), (2, 32)])
+def test_split_within_its_bound(dim, M):
+    # a ladder of oscillations and slopes: the split each geometry picks for D
+    # and AA must be within its own bound of the direct sum
     g = GridSpec(dim, 2 * np.pi, M)
     rng = np.random.default_rng(3)
-    shape = band_limited_random(g, 3, rng)
-    # every mode, so the Nyquist planes of the spectral core are exercised
+    # every mode of b, so the Nyquist planes of the spectral core are exercised
     b = [band_limited_random(g, M // 2, rng) for _ in range(dim)]
-    # the stated scale ||b||_inf W_0, W_0 = h^N/|S^N| sum |xi|^-N
-    w0 = g.spacing**dim / sphere_area(dim) * np.sum(pv_offsets(g).r ** -dim)
-    scale = w0 * np.max(np.sqrt(sum(c.values**2 for c in b)))
-    lip0 = np.max(np.sqrt(sum(c.values**2 for c in gradient(shape))))
-    orders = []
-    for lip in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.9):
-        geom = InterfaceGeometry(ScalarField(g, shape.values * (lip / lip0)))
-        order, bound = geom._small_slope
-        orders.append(order)
-        auto = apply_AA(geom, b).values
-        direct = _apply_AA_direct(geom, b).values
-        if order is None:
-            assert np.array_equal(auto, direct), lip
-        else:
-            assert bound <= SMALL_SLOPE_TOL
-            assert np.max(np.abs(auto - direct)) <= bound * scale, lip
-    assert orders[0] is not None and orders[-1] is None, orders
+    shapes = (band_limited_random(g, 3, rng), make_gaussian_bump(g, 1.0, [np.pi] * dim, 0.3))
+    radii = set()
+    for shape in shapes:
+        lip0 = np.max(np.sqrt(sum(c.values**2 for c in gradient(shape))))
+        for lip in (1e-5, 1e-3, 0.1, 0.9, 3.0):
+            geom = InterfaceGeometry(ScalarField(g, shape.values * (lip / lip0)))
+            for op, bv, split, scale in operands(geom, b):
+                assert split.bound <= SMALL_SLOPE_TOL
+                got, ref = _split_sum(geom, op, bv, split), reference_sum(geom, op, bv)
+                err = np.max(np.abs(got - ref))
+                if split.bound == 0.0:  # the direct sum; its core symbols by rfftn, not fftn
+                    assert np.array_equal(got, _direct_sum(geom, op, bv))
+                    assert err <= 1e-14 * np.max(np.abs(ref)), (lip, split)
+                else:
+                    assert err <= split.bound * scale, (lip, split)
+                radii.add(split.radius)
+    assert 0 in radii and len(radii) > 1, radii
+
+
+def test_forced_split_within_its_bound():
+    # a near field of 6 cells on the 2D M=32 bump, whatever the chooser takes:
+    # the far field runs, to the first order within the bound
+    g = GridSpec(2, 2 * np.pi, 32)
+    geom = InterfaceGeometry(make_gaussian_bump(g, 0.7, [np.pi] * 2, 0.5))
+    rng = np.random.default_rng(4)
+    b = [band_limited_random(g, 16, rng) for _ in range(2)]
+    for op, bv, _, scale in operands(geom, b):
+        bounds = islice(_split_bounds(g, _scales(geom, op), 6), 100)
+        order, bound = next((K, e) for K, e in enumerate(bounds) if e <= SMALL_SLOPE_TOL)
+        err = np.max(np.abs(_split_sum(geom, op, bv, _Split(6, order, bound))
+                            - reference_sum(geom, op, bv)))
+        assert 0 < err <= bound * scale, (order, err / scale)
 
 
 def test_AA_path_choice_on_the_benchmark_interfaces():
-    # the demo decay (Lip 4e-4) is re-summed, the 2D contrast bump (Lip 0.85) is not
+    # the demo decay (Lip 4e-4) is re-summed whole at order 1; the 2D contrast
+    # bump (Lip 0.85) sums a near field directly and the rest by FFT, for D and AA
     demo = make_mode(GridSpec(1, 20 * np.pi, 512), 1e-3, (4,))
-    assert InterfaceGeometry(demo)._small_slope.order is not None
-    bump = make_gaussian_bump(GridSpec(2, 2 * np.pi, 64), 0.7, [np.pi] * 2, 0.5)
-    assert InterfaceGeometry(bump)._small_slope.order is None
+    assert InterfaceGeometry(demo)._aa_split[:2] == (0, 1)
+    g = GridSpec(2, 2 * np.pi, 64)
+    geom = InterfaceGeometry(make_gaussian_bump(g, 0.7, [np.pi] * 2, 0.5))
+    past_the_cell = int(np.ceil(np.sqrt(2) * ((g.points - 1) // 2)))
+    for split in (geom._d_split, geom._aa_split):
+        assert 0 < split.radius < past_the_cell and split.bound <= SMALL_SLOPE_TOL, split
 
 
 def test_misspelled_core_mode_is_rejected():

@@ -7,13 +7,16 @@ tolerance, so they must hold for any interface and density, not only for the
 fixed cases of the validate suites.
 """
 
+from itertools import islice
+
 import numpy as np
 
 from muskat.dynamics import InterfaceState, PhysicalParams, step
 from muskat.grid import GridSpec, band_limited_random, inner, l2_norm
-from muskat.potentials import (InterfaceGeometry, apply_A, apply_A_composed, apply_AA,
-                               apply_AA_composed, apply_D, apply_D_composed, apply_D_star,
-                               apply_D_star_composed)
+from muskat.potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _aa_operator, _d_operator,
+                               _scales, _Split, _split_bounds, _split_sum, apply_A,
+                               apply_A_composed, apply_AA, apply_AA_composed, apply_D,
+                               apply_D_composed, apply_D_star, apply_D_star_composed)
 
 # Each case is drawn from its own fixed seed, so the cases do not depend on
 # anything but this file.
@@ -24,7 +27,7 @@ def interface_data(seed):
     """(geometry, beta, gamma, b): a random band-limited interface, two densities, a vector field.
 
     The amplitude is log-uniform in [1e-4, 1.5], so the flattest interfaces
-    take the velocity operator's small-slope path and the steepest the direct sum.
+    meet the all-far small-slope split's bound and the steepest do not.
     """
     rng = np.random.default_rng(seed)
     dim = int(rng.choice([1, 2]))
@@ -61,8 +64,19 @@ def test_direct_operators_equal_their_compositions():
         for direct, composed in zip(apply_A(geom, b), apply_A_composed(geom, b)):
             assert rel_err(direct.values, composed.values) < 1e-10, seed
         assert rel_err(apply_AA(geom, b).values, apply_AA_composed(geom, b).values) < 1e-10, seed
-        paths.add(geom._small_slope.order is None)
-    assert paths == {True, False}  # both evaluation paths of apply_AA were checked
+        # the all-far split (R = 0) wherever its bound is met at a low order, although
+        # on these small grids the chooser takes the cheaper direct sum
+        dim = geom.grid.dim
+        for op, bv, composed in ((_d_operator(dim), [beta.values], apply_D_composed(geom, beta)),
+                                 (_aa_operator(dim), [c.values for c in b],
+                                  apply_AA_composed(geom, b))):
+            bounds = islice(_split_bounds(geom.grid, _scales(geom, op), 0), 8)
+            order = next((K for K, e in enumerate(bounds) if e <= SMALL_SLOPE_TOL), None)
+            paths.add(order is not None)
+            if order is not None:
+                far = _split_sum(geom, op, bv, _Split(0, order, 0.0))
+                assert rel_err(far, composed.values) < 1e-10, seed
+    assert paths == {True, False}  # flat interfaces were checked all-far, steep ones not
 
 
 def test_lambda_rescaling_on_random_data():
