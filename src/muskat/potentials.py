@@ -10,21 +10,22 @@ The velocity operator carries the non-decaying constant Riesz core
 continuum symbol (see :mod:`muskat.kernels`); the double layer keeps its
 lattice core.
 
-D and the velocity operator are written as one numerator table each
-(:class:`_Operator`) and evaluated by one near/far split
-(:func:`_split_sum`): the offsets |xi| <= R are summed directly, the far
-field |xi| > R by FFT convolutions of a small-slope expansion of the kernel
-in (df/|xi|)^2 to order K, which converges there on any interface because
-|df| <= max f - min f.  Each geometry picks the cheapest (R, K) within an
-a-priori error bound (:func:`_choose_split`); R = 0 is all far field (the
-small-slope expansion of every offset), R past the cell is the direct sum.
-D*, A and the torus flux are direct sums.
+Every operator's numerator is one table (:class:`_Operator`), read by one
+kernel sum (:func:`_interface_sum`).  D, D*, A and the velocity operator are
+evaluated by one near/far split (:func:`_split_sum`): the offsets |xi| <= R
+are summed directly, the far field |xi| > R by FFT convolutions of a
+small-slope expansion of the kernel in (df/|xi|)^2 to order K, which
+converges there on any interface because |df| <= max f - min f.  Each
+geometry picks the cheapest (R, K) per operator within an a-priori error
+bound (:func:`_choose_split`); R = 0 is all far field (the small-slope
+expansion of every offset), R past the cell is the direct sum.  The torus
+flux is summed directly over the cell's face ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import count, repeat
 from math import ceil, factorial, inf, log2, sqrt
 from typing import Callable, NamedTuple
@@ -36,14 +37,15 @@ from .grid import (GridSpec, ScalarField, gradient, inner, integrate, l2_norm,
 from .kernels import far_symbols, phibar_transform, riesz_core_fix
 from .offsets import face_ring, lattice_sum, near_offsets, pv_offsets, sphere_area
 
-# The near/far split of D and the velocity operator takes the cheapest (R, K)
+# An operator's near/far split takes the cheapest (R, K)
 # whose error bound, relative to the scale ||b||_inf W_0 (see _choose_split),
 # is at most SMALL_SLOPE_TOL.
 SMALL_SLOPE_TOL = 1e-13
 # Byte cap of the far field's accumulators held at once (2K+2 half spectra per
-# x-coefficient group): groups are batched up to it, so that a field in several
-# groups of a batch is transformed once (the demo decay's velocity operator);
-# at 2D M=64 one group alone exceeds it and the groups run one at a time.
+# (output, x-coefficient) group): groups are batched up to it, so that a field
+# in several groups of a batch is transformed once (the demo decay's velocity
+# operator); at 2D M=64 one group alone exceeds it and the groups run one at a
+# time.
 FAR_BATCH_BYTES = 512 * 1024
 # Rounding model: an FFT convolution is off by at most ROUNDING_GROWTH * eps *
 # log2(M^N) times its absolute mass (sum of |weight| times the largest |field|).
@@ -58,6 +60,7 @@ class InterfaceGeometry:
     grad_f: tuple = field(init=False)
     omega: ScalarField = field(init=False)
     normal: tuple = field(init=False)
+    _splits: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         gf = tuple(gradient(self.f))
@@ -76,61 +79,80 @@ class InterfaceGeometry:
     def grid(self) -> GridSpec:
         return self.f.grid
 
-    @cached_property
-    def _d_split(self):
-        """(R, K, bound) of the double layer's near/far split; see _choose_split."""
-        return _choose_split(self, _d_operator(self.grid.dim))
-
-    @cached_property
-    def _aa_split(self):
-        """(R, K, bound) of the velocity operator's near/far split; see _choose_split."""
-        return _choose_split(self, _aa_operator(self.grid.dim))
+    def split(self, op: _Operator) -> _Split:
+        """(R, K, bound) of op's near/far split, chosen once per operator; see _choose_split."""
+        split = self._splits.get(op)
+        if split is None:
+            split = self._splits[op] = _choose_split(self, op)
+        return split
 
 
-def _dot(xs, ys):
-    """sum_j xs[j] * ys[j], accumulated in axis order."""
-    acc = xs[0] * ys[0]
-    for x, y in zip(xs[1:], ys[1:]):
-        acc += x * y
-    return acc
+def _interface_sum(geom: InterfaceGeometry, op: _Operator, us, offsets) -> np.ndarray:
+    """h^N/|S^N| times the sum of op's numerator / (|xi|^2 + df^2)^((N+1)/2), per output.
 
-
-def _interface_sum(geom: InterfaceGeometry, numerator, shape=None, offsets=None) -> np.ndarray:
-    """h^N/|S^N| times the sum of numerator(xi, df, shifted) / (|xi|^2 + df^2)^((N+1)/2).
-
-    The kernel shared by D, D*, A, AA and the torus flux, evaluated a block of
-    offsets at a time: df = f(x) - f(x-xi) for each offset xi of the block,
-    ``xi[j]`` is the block's column of j-th components, ``shifted`` maps a
-    field u to u(x - xi), and a weighted offset set weights its terms; see
-    :func:`muskat.offsets.lattice_sum`.
+    The one kernel of every interface operator, summed over ``offsets`` a
+    block at a time: df = f(x) - f(x-xi) for each offset xi of the block, a
+    term (i, k, monomials) of op adds us[i](x-xi) times its monomials to
+    output k, and a weighted offset set weights its terms; see
+    :func:`muskat.offsets.lattice_sum`.  The result has shape (outputs,) +
+    grid shape.
     """
-    g = geom.grid
-    off = offsets or pv_offsets(g)
-    fvals, xi_cols = geom.f.values, off.xi.T
+    g, outputs = geom.grid, op.outputs
+    fvals, xi_cols = geom.f.values, offsets.xi.T
+    gfv = [c.values for c in geom.grad_f]
 
     def term(t, shifted):
         df = fvals - shifted(fvals)
         den = df * df
-        den += off.r[t] ** 2
+        den += offsets.r[t] ** 2
         if g.dim == 2:
             den *= np.sqrt(den)  # x * sqrt(x) is faster than x ** 1.5
         elif g.dim == 3:
             den *= den
-        out = numerator([col[t] for col in xi_cols], df, shifted) / den
-        return out if off.weight is None else off.weight[t] * out
+        xi, outs = [col[t] for col in xi_cols], [None] * outputs
+        for i, k, monomials in op.terms:
+            fac = None
+            for sign, c, axis, m in monomials:
+                val = xi[axis] if axis is not None else None
+                for v in ((gfv[c],) if c is not None else ()) + ((df,) if m else ()):
+                    val = v if val is None else val * v
+                val = 1.0 if val is None else val
+                if fac is None:
+                    fac, lead = val, sign
+                else:
+                    fac = fac + val if sign == lead else fac - val
+            part = fac * shifted(us[i])
+            if outs[k] is None:
+                outs[k] = part if lead > 0 else -part
+            elif lead > 0:
+                outs[k] += part
+            else:
+                outs[k] -= part
+        # one output is not stacked (a copy per block): its block sum broadcasts
+        # into the (1,) + grid shape accumulator
+        num = (outs[0] if outputs == 1 else np.stack(outs)) / den
+        if offsets.weight is not None:
+            num *= offsets.weight[t]
+        return num
 
-    return g.spacing**g.dim / sphere_area(g.dim) * lattice_sum(g, term, shape, off)
+    total = lattice_sum(g, term, (outputs,) + g.shape, offsets)
+    return g.spacing**g.dim / sphere_area(g.dim) * total
+
+
+def _apply(geom: InterfaceGeometry, op: _Operator, inputs) -> list:
+    """op on the input fields, split at the geometry's (R, K) for op: one field per output."""
+    inputs = list(inputs)
+    g = require_same_grid(geom.f, *inputs)
+    return [ScalarField(g, c)
+            for c in _split_sum(geom, op, [u.values for u in inputs], geom.split(op))]
 
 
 def apply_D(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
     """Double layer potential: PV sum of (df - xi.grad f(x-xi)) beta(x-xi) / (...)^((N+1)/2).
 
-    The lattice sum is split into a direct near field and an FFT far field at
-    the (R, K) that :func:`_choose_split` picks; its core keeps the lattice sum.
+    Its core keeps the lattice sum.
     """
-    require_same_grid(geom.f, beta)
-    return ScalarField(geom.grid, _split_sum(geom, _d_operator(geom.grid.dim), [beta.values],
-                                             geom._d_split))
+    return _apply(geom, _d_operator(geom.grid.dim), [beta])[0]
 
 
 def apply_D_composed(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
@@ -145,16 +167,7 @@ def apply_D_composed(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
 
 def apply_D_star(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
     """L2-adjoint of the double layer: kernel (-df + xi.grad f(x)) / (...)^((N+1)/2)."""
-    require_same_grid(geom.f, beta)
-    gfv = [c.values for c in geom.grad_f]
-
-    def numerator(xi, df, shifted):
-        num = -df
-        for j, gj in enumerate(gfv):
-            num = num + xi[j] * gj
-        return num * shifted(beta.values)
-
-    return ScalarField(geom.grid, _interface_sum(geom, numerator))
+    return _apply(geom, _d_star_operator(geom.grid.dim), [beta])[0]
 
 
 def apply_D_star_composed(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
@@ -168,22 +181,7 @@ def apply_D_star_composed(geom: InterfaceGeometry, beta: ScalarField) -> ScalarF
 
 def apply_A(geom: InterfaceGeometry, b) -> list:
     """Tangential matrix operator: N components coupling grad f and b."""
-    b = list(b)
-    if len(b) != geom.grid.dim:
-        raise ValueError("b must have one component per axis")
-    g = require_same_grid(geom.f, *b)
-    gfv = [c.values for c in geom.grad_f]
-    bv = [c.values for c in b]
-
-    def numerator(xi, df, shifted):
-        rgf = [shifted(v) for v in gfv]
-        rb = [shifted(v) for v in bv]
-        dl, xib = df, _dot(xi, rb)
-        for j in range(g.dim):
-            dl = dl - xi[j] * rgf[j]
-        return np.stack([dl * rb[k] - xib * (gfv[k] - rgf[k]) for k in range(g.dim)])
-
-    return [ScalarField(g, c) for c in _interface_sum(geom, numerator, (g.dim,) + g.shape)]
+    return _apply(geom, _a_operator(geom.grid.dim), b)
 
 
 def apply_A_composed(geom: InterfaceGeometry, b) -> list:
@@ -215,13 +213,9 @@ def torus_byparts_flux(geom: InterfaceGeometry, beta: ScalarField) -> list:
     approximation error refines along with the identity defect.
     """
     g = require_same_grid(geom.f, beta)
-    gfv = [c.values for c in geom.grad_f]
-
-    def numerator(xi, df, shifted):
-        rb = shifted(beta.values)
-        return np.stack([(v - shifted(v)) * rb for v in gfv])
-
-    acc = _interface_sum(geom, numerator, (g.dim,) + g.shape, face_ring(g))
+    op = _flux_operator(g.dim)
+    acc = _interface_sum(geom, op, op.fields([c.values for c in geom.grad_f], [beta.values]),
+                         face_ring(g))
     return [ScalarField(g, -c / g.spacing) for c in acc]  # a face cell has measure h^(N-1)
 
 
@@ -232,7 +226,6 @@ def gradient_identity_residual(geom: InterfaceGeometry, beta: ScalarField) -> fl
     is subtracted (see :func:`torus_byparts_flux`); without it the defect
     saturates at an O(1/L) floor for data with overlapping supports.
     """
-    require_same_grid(geom.f, beta)
     d = apply_D(geom, beta)
     lhs = gradient(d)
     rhs = apply_A(geom, gradient(beta))
@@ -243,27 +236,26 @@ def gradient_identity_residual(geom: InterfaceGeometry, beta: ScalarField) -> fl
     return float(np.sqrt(total))
 
 
-def _unit(dim: int, axis) -> tuple:
-    return tuple(int(j == axis) for j in range(dim))
-
-
 class _Operator(NamedTuple):
-    """An interface operator's numerator, as the table the split evaluator reads.
+    """An interface operator's numerator, as the table the kernel sums read.
 
     ``fields(gfv, bv)`` builds the fields u_i from the values of grad f and of
-    b.  Field u_i stands for u_i(x-xi) times the sum of sign * coef(x) *
-    xi^nu * df^m over its monomials (sign, c, axis, m) in ``monomials[i]``:
-    coef = d_c f, or 1 for c None; nu = e_axis, or 0 for axis None; m is 0
-    or 1.  ``sizes[i] = (n, q)`` bounds |u_i| by n G^q ||b||_inf, G the largest
-    |grad f| at the grid points.  The monomials with c None and m = 0 are
-    constant Riesz cores; with ``exact_core`` they take their exact continuum
-    symbol (see :mod:`muskat.kernels`), otherwise their lattice sum.
+    b.  A term (i, k, monomials) adds to output k the field u_i(x-xi) times
+    the sum of sign * coef(x) * xi^nu * df^m over its monomials
+    (sign, c, axis, m): coef = d_c f, or 1 for c None; nu = e_axis, or 0 for
+    axis None; m is 0 or 1.  ``sizes[i] = (n, q)`` bounds |u_i| by
+    n G^q ||b||_inf, G the largest |grad f| at the grid points.  The
+    monomials with c None and m = 0 are constant Riesz cores; with
+    ``exact_core`` they take their exact continuum symbol (see
+    :mod:`muskat.kernels`), otherwise their lattice sum.  ``outputs`` is the
+    number of output components.
     """
 
     fields: Callable
-    monomials: tuple
+    terms: tuple
     sizes: tuple
     exact_core: bool
+    outputs: int
 
 
 def _d_fields(gfv, bv):
@@ -273,13 +265,35 @@ def _d_fields(gfv, bv):
 @lru_cache(maxsize=None)
 def _d_operator(dim: int) -> _Operator:
     """Double layer: (df - xi.grad f(x-xi)) beta(x-xi) is beta with +df, d_j f beta with -xi_j."""
-    return _Operator(_d_fields, (((1.0, None, None, 1),),)
-                     + tuple(((-1.0, None, j, 0),) for j in range(dim)),
-                     ((1, 0),) + ((1, 1),) * dim, False)
+    return _Operator(_d_fields, ((0, 0, ((1.0, None, None, 1),)),)
+                     + tuple((1 + j, 0, ((-1.0, None, j, 0),)) for j in range(dim)),
+                     ((1, 0),) + ((1, 1),) * dim, False, 1)
+
+
+def _beta_field(gfv, bv):
+    return [bv[0]]
+
+
+@lru_cache(maxsize=None)
+def _d_star_operator(dim: int) -> _Operator:
+    """Adjoint double layer: (-df + xi.grad f(x)) beta(x-xi), one term of beta."""
+    return _Operator(_beta_field, ((0, 0, ((-1.0, None, None, 1),)
+                                    + tuple((1.0, j, j, 0) for j in range(dim))),),
+                     ((1, 0),), False, 1)
+
+
+@lru_cache(maxsize=None)
+def _flux_operator(dim: int) -> _Operator:
+    """Torus flux on D's fields: output k, (d_k f(x) - d_k f(x-xi)) beta(x-xi), in two terms."""
+    return _Operator(_d_fields, tuple((0, k, ((1.0, k, None, 0),)) for k in range(dim))
+                     + tuple((1 + k, k, ((-1.0, None, None, 0),)) for k in range(dim)),
+                     ((1, 0),) + ((1, 1),) * dim, False, dim)
 
 
 def _aa_fields(gfv, bv):
-    dim = len(bv)
+    dim = len(gfv)
+    if len(bv) != dim:
+        raise ValueError("b must have one component per axis")
     return list(bv) + [gfv[j] * bv[k] - bv[j] * gfv[k]
                        for j in range(dim) for k in range(j + 1, dim)]
 
@@ -298,35 +312,27 @@ def _aa_operator(dim: int) -> _Operator:
     """
     pairs = [(j, k) for j in range(dim) for k in range(j + 1, dim)]
     return _Operator(_aa_fields,
-                     tuple(((-1.0, None, k, 0), (-1.0, k, None, 1)) for k in range(dim))
-                     + tuple(((1.0, k, j, 0), (-1.0, j, k, 0)) for j, k in pairs),
-                     ((1, 0),) * dim + ((2, 1),) * len(pairs), True)
+                     tuple((k, 0, ((-1.0, None, k, 0), (-1.0, k, None, 1))) for k in range(dim))
+                     + tuple((dim + n, 0, ((1.0, k, j, 0), (-1.0, j, k, 0)))
+                             for n, (j, k) in enumerate(pairs)),
+                     ((1, 0),) * dim + ((2, 1),) * len(pairs), True, 1)
 
 
-def _numerator(op: _Operator, us, gfv):
-    """op's numerator with fields us, as :func:`_interface_sum` takes it."""
-    def numerator(xi, df, shifted):
-        out = None
-        for u, monomials in zip(us, op.monomials):
-            fac = None
-            for sign, c, axis, m in monomials:
-                val = xi[axis] if axis is not None else None
-                for v in ((gfv[c],) if c is not None else ()) + ((df,) if m else ()):
-                    val = v if val is None else val * v
-                if fac is None:
-                    fac, lead = val, sign
-                else:
-                    fac = fac + val if sign == lead else fac - val
-            term = fac * shifted(u)
-            if out is None:
-                out = term if lead > 0 else -term
-            elif lead > 0:
-                out += term
-            else:
-                out -= term
-        return out
+@lru_cache(maxsize=None)
+def _a_operator(dim: int) -> _Operator:
+    """Tangential matrix operator on the velocity operator's fields.
 
-    return numerator
+    Output k, (df - xi.grad f(x-xi)) b_k(x-xi) - xi.b(x-xi) (d_k f(x) -
+    d_k f(x-xi)), is b_k with +df, w_jk with -xi_j for j != k (w_kj = -w_jk),
+    and b_j with -xi_j d_k f(x).
+    """
+    pairs = [(j, k) for j in range(dim) for k in range(j + 1, dim)]
+    terms = [(k, k, ((1.0, None, None, 1), (-1.0, k, k, 0))) for k in range(dim)]
+    terms += [(j, k, ((-1.0, k, j, 0),)) for k in range(dim) for j in range(dim) if j != k]
+    for n, (j, k) in enumerate(pairs):  # w_jk: -xi_j to output k, +xi_k to output j
+        terms += [(dim + n, k, ((-1.0, None, j, 0),)), (dim + n, j, ((1.0, None, k, 0),))]
+    return _Operator(_aa_fields, tuple(terms), ((1, 0),) * dim + ((2, 1),) * len(pairs), False,
+                     dim)
 
 
 class _Split(NamedTuple):
@@ -336,7 +342,7 @@ class _Split(NamedTuple):
 
 
 def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.ndarray:
-    """op's PV lattice sum: the near field directly, the far field by FFT to order K.
+    """op's PV lattice sum, per output: the near field directly, the far field by FFT to order K.
 
     The near field |xi| <= R is the blocked :func:`_interface_sum` over
     :func:`muskat.offsets.near_offsets`.  On the far field the kernel is
@@ -344,27 +350,26 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
     k = K.  With df^e = sum_a binom(e, a) f(x)^a (-f(x-xi))^(e-a), each
     monomial's term of order k is coef(x) f(x)^a times the convolution of the
     truncated lattice kernel xi^nu / |xi|^(N+1+2k) 1{|xi| > R}
-    (:func:`muskat.kernels.far_symbols`) with f^(e-a) u.  Grouped by
-    x-coefficient c, in batches of groups (see FAR_BATCH_BYTES): one rfftn
-    per field and power p = e - a in a batch, the products summed per group
-    and power a in Fourier space, and one irfftn per group and a.
+    (:func:`muskat.kernels.far_symbols`) with f^(e-a) u.  Grouped by output
+    and x-coefficient (k, c), in batches of groups (see FAR_BATCH_BYTES): one
+    rfftn per field and power p = e - a in a batch, the products summed per
+    group and power a in Fourier space, and one irfftn per group and a.
     """
     g = geom.grid
-    gfv = [c.values for c in geom.grad_f]
-    us = op.fields(gfv, bv)
+    us = op.fields([c.values for c in geom.grad_f], bv)
     near = near_offsets(g, split.radius)
-    out = (_interface_sum(geom, _numerator(op, us, gfv), offsets=near) if near.count
-           else np.zeros(g.shape))
+    out = (_interface_sum(geom, op, us, near) if near.count
+           else np.zeros((op.outputs,) + g.shape))
     f = geom.f.values
     fc = f - 0.5 * (np.max(f) + np.min(f))  # the sum sees f only through df
     far = near.count < pv_offsets(g).count
     if not far:
         split = split._replace(order=0)  # the cores' exact symbols alone
-    groups = {}  # x-coefficient c -> the far field's entries (field index, sign, axis, m)
-    for i, monomials in enumerate(op.monomials):
+    groups = {}  # (output k, x-coefficient c) -> the far field's entries (field, sign, axis, m)
+    for i, k, monomials in op.terms:
         for sign, c, axis, m in monomials:
             if far or (op.exact_core and c is None and m == 0):
-                groups.setdefault(c, []).append((i, sign, axis, m))
+                groups.setdefault((k, c), []).append((i, sign, axis, m))
     # as many groups per batch as FAR_BATCH_BYTES holds accumulators for (2K+2
     # half spectra of about 8 M^N bytes each), at least one
     items = list(groups.items())
@@ -375,25 +380,25 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
 
 
 def _direct_sum(geom: InterfaceGeometry, op: _Operator, bv) -> np.ndarray:
-    """op's PV lattice sum with every offset in the near field: the split that has no far field."""
+    """op's PV lattice sum, per output, with every offset in the near field: no far field."""
     return _split_sum(geom, op, bv, _Split(geom.grid.points, 0, 0.0))
 
 
 def _far_batch(geom, op, split, far, us, batch, fc) -> np.ndarray:
-    """The far field of a batch {c: entries} of x-coefficient groups; see _split_sum."""
+    """The far field of a batch {(k, c): entries} of groups, per output; see _split_sum."""
     g, K = geom.grid, split.order
     half = g.shape[:-1] + (g.points // 2 + 1,)
-    accs = {c: [np.zeros(half, complex) for _ in range(2 * K + 1 + max(m for *_, m in entries))]
-            for c, entries in batch.items()}  # per power a of f(x)
+    accs = {key: [np.zeros(half, complex) for _ in range(2 * K + 1 + max(m for *_, m in entries))]
+            for key, entries in batch.items()}  # per power a of f(x)
     fields = {}
-    for c, entries in batch.items():
+    for key, entries in batch.items():
         for i, sign, axis, m in entries:
-            fields.setdefault(i, []).append((c, sign, axis, m))
+            fields.setdefault(i, []).append((key, sign, axis, m))
     for i, monomials in fields.items():
         _far_field(geom, op, split, far, us[i], monomials, fc, accs)
-    out = np.zeros(g.shape)
-    for c, spectra in accs.items():
-        power = None
+    out = np.zeros((op.outputs,) + g.shape)
+    for (k, c), spectra in accs.items():
+        power, row = None, out[k]
         for a, spectrum in enumerate(spectra):
             v = np.fft.irfftn(spectrum, s=g.shape, axes=range(g.dim))
             if a:
@@ -403,19 +408,19 @@ def _far_batch(geom, op, split, far, us, batch, fc) -> np.ndarray:
                 v *= 1.0 / factorial(a)
             if c is not None:
                 v *= geom.grad_f[c].values
-            out += v
+            row += v
     return out
 
 
 def _far_field(geom, op, split, far, u, monomials, fc, accs):
-    """Add the far-field terms of field u's monomials (c, sign, axis, m) to accs[c][a]."""
+    """Add the far-field terms of field u's monomials ((k, c), sign, axis, m) to accs[k, c][a]."""
     g, R, K = geom.grid, split.radius, split.order
     half = g.shape[:-1] + (g.points // 2 + 1,)
     # binom(e, a) = e! / (a! p!): e! goes with the symbol, 1/p! with the
     # field's spectrum, 1/a! with the power of f(x)
     terms = []
-    for c, sign, axis, m in monomials:
-        nu = _unit(g.dim, axis)
+    for (k_out, c), sign, axis, m in monomials:
+        nu = tuple(int(j == axis) for j in range(g.dim))
         syms = far_symbols(g, R, nu, K) if far else [0.0]
         scaled, ck = [], sign
         for k, sym in enumerate(syms):
@@ -425,7 +430,7 @@ def _far_field(geom, op, split, far, u, monomials, fc, accs):
             scaled.append(np.multiply(sym, ck * factorial(m + 2 * k),
                                       out=sym if sym.flags.writeable else None))
             ck *= -((g.dim + 1) / 2 + k) / (k + 1)  # sign * binom(-(N+1)/2, k+1)
-        terms.append((accs[c], m, scaled))
+        terms.append((accs[k_out, c], m, scaled))
     buf, spec, v = np.empty(half, complex), np.empty(half, complex), u.copy()
     for p in range(2 * K + 1 + max(m for _, m, _ in terms)):
         if p:
@@ -493,15 +498,13 @@ def _scales(geom: InterfaceGeometry, op: _Operator) -> _Scales:
     # the coefficients d_c f(x) and the fields are only taken at grid points,
     # where |grad f| <= its largest value there
     lip = float(np.sqrt(np.max(sum(c.values**2 for c in geom.grad_f))))
-    alpha = beta = 0.0
-    for (n, q), monomials in zip(op.sizes, op.monomials):
+    # alpha and beta of each output; the largest of each bounds every output
+    alphas, betas = [0.0] * op.outputs, [0.0] * op.outputs
+    for i, k, monomials in op.terms:
+        n, q = op.sizes[i]
         for _, c, _, m in monomials:
-            term = n * lip**q * (lip if c is not None else 1.0)
-            if m:
-                beta += term
-            else:
-                alpha += term
-    return _Scales(s, float(np.max(f.values) - np.min(f.values)), alpha, beta)
+            (betas if m else alphas)[k] += n * lip**q * (lip if c is not None else 1.0)
+    return _Scales(s, float(np.max(f.values) - np.min(f.values)), max(alphas), max(betas))
 
 
 def _far_reach(grid: GridSpec, scales: _Scales, radius: int):
@@ -561,9 +564,11 @@ def _choose_split(geom: InterfaceGeometry, op: _Operator) -> _Split:
         rho = (p+K+1)/(K+2) >= |c_{k+1}/c_k| for k > K.
 
     The coefficients d_c f(x) and op's fields are only taken at grid points,
-    so by the fields' sizes and G = max |grad f| there the numerator is at
-    most |xi| ||b||_inf (alpha + beta |df|/|xi|), alpha summing its monomials
-    with m = 0 and beta those with m = 1, and the truncation is at most
+    so by the fields' sizes and G = max |grad f| there each output's
+    numerator is at most |xi| ||b||_inf (alpha + beta |df|/|xi|), alpha the
+    largest sum over an output's monomials with m = 0 and beta with m = 1
+    (a sum over every output would be N times looser for A), and the
+    truncation is at most
     w (alpha + beta x) T_K relative to ||b||_inf W_0, where w is the far
     field's share of W_0 = h^N/|S^N| sum |xi|^-N over the PV offsets.
 
@@ -585,13 +590,13 @@ def _choose_split(geom: InterfaceGeometry, op: _Operator) -> _Split:
     scales = _scales(geom, op)
     # the far field's cost at order K: per entry (power m of df) 2K+1+m rfftn,
     # K+1 symbols (an FFT and two products' work each) and (K+1)(K+1+m)
-    # products; per x-coefficient group (top power m) 2K+1+m irfftn.  That is
-    # A (K+1)^2 + B (K+1) + C.
-    ms = [m for monomials in op.monomials for *_, m in monomials]
+    # products; per (output, x-coefficient) group (top power m) 2K+1+m
+    # irfftn.  That is A (K+1)^2 + B (K+1) + C.
+    ms = [m for _, _, monomials in op.terms for *_, m in monomials]
     tops = {}
-    for monomials in op.monomials:
+    for _, k, monomials in op.terms:
         for _, c, _, m in monomials:
-            tops[c] = max(tops.get(c, 0), m)
+            tops[k, c] = max(tops.get((k, c), 0), m)
     fft_ns = g.dim * FFT_NS[0] + FFT_NS[1] * g.size * log2(g.size)
     product_ns = PRODUCT_NS[0] + PRODUCT_NS[1] * g.size
     E, G = len(ms), len(tops)
@@ -599,12 +604,12 @@ def _choose_split(geom: InterfaceGeometry, op: _Operator) -> _Split:
     B = (sum(ms) + 2 * E) * product_ns + (3 * E + 2 * G) * fft_ns
     C = (sum(ms) + sum(tops.values()) - E - G) * fft_ns
     pair_ns = PAIR_NS * g.size * (E + 2)
-    window_ns = (len(op.monomials) + 1) * (WINDOW_NS[0] + WINDOW_NS[1] * g.size)
+    window_ns = (len(op.sizes) + 1) * (WINDOW_NS[0] + WINDOW_NS[1] * g.size)
     near = _radii(g).near
     direct = len(near) - 1
     # the direct sum: the near field alone, and the cores' exact symbols
     cores = sum(op.exact_core and c is None and m == 0
-                for monomials in op.monomials for _, c, _, m in monomials)
+                for _, _, monomials in op.terms for _, c, _, m in monomials)
     best = _Split(direct, 0, 0.0)
     best_ns = window_ns + near[direct] * pair_ns + (cores + (cores > 0)) * fft_ns
     R = 0
@@ -631,16 +636,9 @@ def apply_AA(geom: InterfaceGeometry, b) -> ScalarField:
     """Velocity operator: the two-integral kernel of the evolution's right side.
 
     The second integral contains the constant core -xi.b(x-xi)/|xi|^{N+1},
-    which is evaluated with its exact symbol.  The PV lattice sum is split
-    into a direct near field and an FFT far field at the (R, K) that
-    :func:`_choose_split` picks.
+    which is evaluated with its exact symbol.
     """
-    b = list(b)
-    if len(b) != geom.grid.dim:
-        raise ValueError("b must have one component per axis")
-    require_same_grid(geom.f, *b)
-    return ScalarField(geom.grid, _split_sum(geom, _aa_operator(geom.grid.dim),
-                                             [c.values for c in b], geom._aa_split))
+    return _apply(geom, _aa_operator(geom.grid.dim), b)[0]
 
 
 def apply_AA_composed(geom: InterfaceGeometry, b) -> ScalarField:

@@ -18,13 +18,12 @@ from .kernels import OperatorSpec, apply_B, chain_rule_residual
 from .multipliers import MultiplierSpec, symbol_D, symbol_T
 from .fields import jump_check
 from .offsets import near_offsets, pv_offsets
-from .potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _aa_operator, _d_operator,
-                         _direct_sum, _scales, _Split, _split_bounds, _split_sum,
-                         adjointness_defect, apply_A,
-                         apply_A_composed, apply_AA, apply_AA_composed,
-                         apply_D, apply_D_composed, apply_D_star,
-                         apply_D_star_composed, gradient_identity_residual,
-                         rellich_residual)
+from .potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _a_operator, _aa_operator,
+                         _d_operator, _d_star_operator, _direct_sum, _scales, _Split,
+                         _split_bounds, _split_sum, adjointness_defect, apply_A,
+                         apply_A_composed, apply_AA, apply_AA_composed, apply_D,
+                         apply_D_composed, apply_D_star, apply_D_star_composed,
+                         gradient_identity_residual, rellich_residual)
 from .profiles import make_difference_profile, phibar
 from .resolvent import solve_beta
 
@@ -170,8 +169,12 @@ def suite_difference(cfg):
 
 
 def _splits_note(geom):
+    dim = geom.grid.dim
     return " ".join(f"{name} (R,K)=({split.radius},{split.order})"
-                    for name, split in (("D", geom._d_split), ("AA", geom._aa_split)))
+                    for name, split in (("D", geom.split(_d_operator(dim))),
+                                        ("D*", geom.split(_d_star_operator(dim))),
+                                        ("A", geom.split(_a_operator(dim))),
+                                        ("AA", geom.split(_aa_operator(dim)))))
 
 
 def suite_composed(cfg):
@@ -205,7 +208,7 @@ def suite_composed(cfg):
         order = next((K for K, e in enumerate(bounds) if e <= SMALL_SLOPE_TOL), None)
         composed = apply_AA_composed(geom, b).values
         rel = (np.inf if order is None else
-               float(np.max(np.abs(_split_sum(geom, op, [b[0].values], _Split(0, order, 0.0))
+               float(np.max(np.abs(_split_sum(geom, op, [b[0].values], _Split(0, order, 0.0))[0]
                                    - composed)) / max(np.max(np.abs(composed)), 1e-300)))
         rows.append(Row("composed", f"AA small-slope M={M}", rel, 1e-10, rel <= 1e-10,
                         note=f"AA (R,K)=(0,{order})"))
@@ -217,9 +220,8 @@ def suite_composed(cfg):
     beta = band_limited_random(g, 3, rng)
     b = [band_limited_random(g, 3, rng) for _ in range(2)]
     worst, near_far = 0.0, True
-    for op, bv, split in ((_d_operator(2), [beta.values], geom._d_split),
-                          (_aa_operator(2), [c.values for c in b], geom._aa_split)):
-        direct = _direct_sum(geom, op, bv)
+    for op, bv in ((_d_operator(2), [beta.values]), (_aa_operator(2), [c.values for c in b])):
+        split, direct = geom.split(op), _direct_sum(geom, op, bv)
         rel = float(np.max(np.abs(_split_sum(geom, op, bv, split) - direct))
                     / max(np.max(np.abs(direct)), 1e-300))
         worst = max(worst, rel)

@@ -209,10 +209,10 @@ def test_demo_decay_small_slope_path_matches_the_direct_sum(monkeypatch):
     stepper = dataclasses.replace(cfg.stepper, t_end=8 * cfg.stepper.resolve_dt(
         cfg.grid, cfg.params.lam), snapshot_stride=0)
     auto = evolve(f0, cfg.params, stepper).final
-    assert auto.geom._aa_split.radius == 0
+    assert auto.geom.split(_aa_operator(1)).radius == 0
 
     def direct(geom, b):
-        return ScalarField(geom.grid, _direct_sum(geom, _aa_operator(1), [b[0].values]))
+        return ScalarField(geom.grid, _direct_sum(geom, _aa_operator(1), [b[0].values])[0])
 
     monkeypatch.setattr(muskat.dynamics, "apply_AA", direct)
     direct = evolve(f0, cfg.params, stepper).final

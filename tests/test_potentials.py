@@ -6,10 +6,10 @@ import pytest
 from muskat.grid import (GridSpec, ScalarField, band_limited_random, gradient,
                          l2_norm, make_gaussian_bump, make_mode, make_zero)
 from muskat.kernels import OperatorSpec, apply_B, core_fix_apply, phibar_transform
-from muskat.potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _aa_operator, _d_operator,
-                               _direct_sum, _interface_sum, _numerator, _scales, _Split,
-                               _split_bounds, _split_sum, adjointness_defect, apply_A,
-                               apply_A_composed, apply_AA, apply_AA_composed, apply_D,
+from muskat.potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _a_operator, _aa_operator,
+                               _d_operator, _d_star_operator, _direct_sum, _interface_sum,
+                               _scales, _Split, _split_bounds, _split_sum, adjointness_defect,
+                               apply_A, apply_A_composed, apply_AA, apply_AA_composed, apply_D,
                                apply_D_composed, apply_D_star, apply_D_star_composed,
                                boundary_trace, gradient_identity_residual, rellich_residual,
                                torus_byparts_flux)
@@ -212,30 +212,33 @@ def reference_sum(geom, op, bv):
     core symbol enters through its order-0 term.
     """
     g = geom.grid
-    gfv = [c.values for c in geom.grad_f]
-    us = op.fields(gfv, bv)
-    out = _interface_sum(geom, _numerator(op, us, gfv))
-    for u, monomials in zip(us, op.monomials):
+    us = op.fields([c.values for c in geom.grad_f], bv)
+    out = _interface_sum(geom, op, us, pv_offsets(g))
+    for i, k, monomials in op.terms:
         for sign, c, axis, m in monomials:
             if op.exact_core and c is None and m == 0:
-                out = out + core_fix_apply(g, tuple(int(j == axis) for j in range(g.dim)), u, sign)
+                nu = tuple(int(j == axis) for j in range(g.dim))
+                out[k] += core_fix_apply(g, nu, us[i], sign)
     return out
 
 
 def operands(geom, b):
-    """(operator, field values, its split, ||b||_inf W_0) for D on b[0] and for AA on b."""
+    """(operator, field values, its split, ||b||_inf W_0): D and D* on b[0], A and AA on b."""
     g = geom.grid
     # the stated scale ||b||_inf W_0, W_0 = h^N/|S^N| sum |xi|^-N
     w0 = g.spacing**g.dim / sphere_area(g.dim) * np.sum(pv_offsets(g).r ** -g.dim)
-    return [(_d_operator(g.dim), [b[0].values], geom._d_split, w0 * np.max(np.abs(b[0].values))),
-            (_aa_operator(g.dim), [c.values for c in b], geom._aa_split,
-             w0 * np.max(np.sqrt(sum(c.values**2 for c in b))))]
+    scalar = ([b[0].values], w0 * np.max(np.abs(b[0].values)))
+    vector = ([c.values for c in b], w0 * np.max(np.sqrt(sum(c.values**2 for c in b))))
+    return [(op, bv, geom.split(op), scale)
+            for op, (bv, scale) in ((_d_operator(g.dim), scalar), (_d_star_operator(g.dim), scalar),
+                                    (_a_operator(g.dim), vector), (_aa_operator(g.dim), vector))]
 
 
 @pytest.mark.parametrize("dim,M", [(1, 64), (1, 512), (2, 16), (2, 32)])
 def test_split_within_its_bound(dim, M):
-    # a ladder of oscillations and slopes: the split each geometry picks for D
-    # and AA must be within its own bound of the direct sum
+    # a ladder of oscillations and slopes: the split each geometry picks for D,
+    # D*, A and AA must be within its own bound of the direct sum, in each
+    # output component
     g = GridSpec(dim, 2 * np.pi, M)
     rng = np.random.default_rng(3)
     # every mode of b, so the Nyquist planes of the spectral core are exercised
@@ -249,19 +252,21 @@ def test_split_within_its_bound(dim, M):
             for op, bv, split, scale in operands(geom, b):
                 assert split.bound <= SMALL_SLOPE_TOL
                 got, ref = _split_sum(geom, op, bv, split), reference_sum(geom, op, bv)
-                err = np.max(np.abs(got - ref))
                 if split.bound == 0.0:  # the direct sum; its core symbols by rfftn, not fftn
                     assert np.array_equal(got, _direct_sum(geom, op, bv))
-                    assert err <= 1e-14 * np.max(np.abs(ref)), (lip, split)
-                else:
-                    assert err <= split.bound * scale, (lip, split)
+                for k, (got_k, ref_k) in enumerate(zip(got, ref)):
+                    err = np.max(np.abs(got_k - ref_k))
+                    if split.bound == 0.0:
+                        assert err <= 1e-14 * np.max(np.abs(ref_k)), (lip, split, k)
+                    else:
+                        assert err <= split.bound * scale, (lip, split, k)
                 radii.add(split.radius)
     assert 0 in radii and len(radii) > 1, radii
 
 
 def test_forced_split_within_its_bound():
     # a near field of 6 cells on the 2D M=32 bump, whatever the chooser takes:
-    # the far field runs, to the first order within the bound
+    # the far field runs, to the first order within the bound, in each output
     g = GridSpec(2, 2 * np.pi, 32)
     geom = InterfaceGeometry(make_gaussian_bump(g, 0.7, [np.pi] * 2, 0.5))
     rng = np.random.default_rng(4)
@@ -269,20 +274,21 @@ def test_forced_split_within_its_bound():
     for op, bv, _, scale in operands(geom, b):
         bounds = islice(_split_bounds(g, _scales(geom, op), 6), 100)
         order, bound = next((K, e) for K, e in enumerate(bounds) if e <= SMALL_SLOPE_TOL)
-        err = np.max(np.abs(_split_sum(geom, op, bv, _Split(6, order, bound))
-                            - reference_sum(geom, op, bv)))
-        assert 0 < err <= bound * scale, (order, err / scale)
+        got, ref = _split_sum(geom, op, bv, _Split(6, order, bound)), reference_sum(geom, op, bv)
+        for k, (got_k, ref_k) in enumerate(zip(got, ref)):
+            err = np.max(np.abs(got_k - ref_k))
+            assert 0 < err <= bound * scale, (order, k, err / scale)
 
 
 def test_AA_path_choice_on_the_benchmark_interfaces():
     # the demo decay (Lip 4e-4) is re-summed whole at order 1; the 2D contrast
     # bump (Lip 0.85) sums a near field directly and the rest by FFT, for D and AA
     demo = make_mode(GridSpec(1, 20 * np.pi, 512), 1e-3, (4,))
-    assert InterfaceGeometry(demo)._aa_split[:2] == (0, 1)
+    assert InterfaceGeometry(demo).split(_aa_operator(1))[:2] == (0, 1)
     g = GridSpec(2, 2 * np.pi, 64)
     geom = InterfaceGeometry(make_gaussian_bump(g, 0.7, [np.pi] * 2, 0.5))
     past_the_cell = int(np.ceil(np.sqrt(2) * ((g.points - 1) // 2)))
-    for split in (geom._d_split, geom._aa_split):
+    for split in (geom.split(_d_operator(2)), geom.split(_aa_operator(2))):
         assert 0 < split.radius < past_the_cell and split.bound <= SMALL_SLOPE_TOL, split
 
 

@@ -12,11 +12,13 @@ from itertools import islice
 import numpy as np
 
 from muskat.dynamics import InterfaceState, PhysicalParams, step
-from muskat.grid import GridSpec, band_limited_random, inner, l2_norm
-from muskat.potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _aa_operator, _d_operator,
-                               _scales, _Split, _split_bounds, _split_sum, apply_A,
-                               apply_A_composed, apply_AA, apply_AA_composed, apply_D,
-                               apply_D_composed, apply_D_star, apply_D_star_composed)
+from muskat.grid import GridSpec, band_limited_random, inner, l2_norm, make_gaussian_bump
+from muskat.offsets import near_offsets, pv_offsets
+from muskat.potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _a_operator, _aa_operator,
+                               _d_operator, _d_star_operator, _scales, _Split, _split_bounds,
+                               _split_sum, apply_A, apply_A_composed, apply_AA,
+                               apply_AA_composed, apply_D, apply_D_composed, apply_D_star,
+                               apply_D_star_composed)
 
 # Each case is drawn from its own fixed seed, so the cases do not depend on
 # anything but this file.
@@ -44,13 +46,23 @@ def rel_err(direct, composed):
     return np.max(np.abs(direct - composed)) / max(np.max(np.abs(composed)), 1e-300)
 
 
+def near_and_far_bump():
+    """(geometry, beta, gamma) on a 2D M=32 bump where D and D* take a near and a far field."""
+    g = GridSpec(2, 2 * np.pi, 32)
+    geom = InterfaceGeometry(make_gaussian_bump(g, 0.7, [np.pi] * 2, 0.5))
+    for op in (_d_operator(2), _d_star_operator(2)):
+        assert 0 < near_offsets(g, geom.split(op).radius).count < pv_offsets(g).count
+    rng = np.random.default_rng(32)
+    return geom, band_limited_random(g, 8, rng), band_limited_random(g, 8, rng)
+
+
 def test_D_star_is_the_adjoint_of_D():
-    for seed in SEEDS:
-        geom, beta, gamma, _ = interface_data(seed)
+    cases = [interface_data(seed)[:3] for seed in SEEDS] + [near_and_far_bump()]
+    for case, (geom, beta, gamma) in enumerate(cases):
         d_beta = apply_D(geom, beta)
         defect = abs(inner(d_beta, gamma) - inner(beta, apply_D_star(geom, gamma)))
-        # the two pairings sum the same terms in another order
-        assert defect <= 1e-12 * max(l2_norm(d_beta) * l2_norm(gamma), 1e-300), seed
+        # the two pairings sum the same terms in another order, or split within 1e-13
+        assert defect <= 1e-12 * max(l2_norm(d_beta) * l2_norm(gamma), 1e-300), case
 
 
 def test_direct_operators_equal_their_compositions():
@@ -66,16 +78,19 @@ def test_direct_operators_equal_their_compositions():
         assert rel_err(apply_AA(geom, b).values, apply_AA_composed(geom, b).values) < 1e-10, seed
         # the all-far split (R = 0) wherever its bound is met at a low order, although
         # on these small grids the chooser takes the cheaper direct sum
-        dim = geom.grid.dim
-        for op, bv, composed in ((_d_operator(dim), [beta.values], apply_D_composed(geom, beta)),
-                                 (_aa_operator(dim), [c.values for c in b],
-                                  apply_AA_composed(geom, b))):
+        dim, bv = geom.grid.dim, [c.values for c in b]
+        for op, inputs, composed in (
+                (_d_operator(dim), [beta.values], [apply_D_composed(geom, beta)]),
+                (_d_star_operator(dim), [beta.values], [apply_D_star_composed(geom, beta)]),
+                (_a_operator(dim), bv, apply_A_composed(geom, b)),
+                (_aa_operator(dim), bv, [apply_AA_composed(geom, b)])):
             bounds = islice(_split_bounds(geom.grid, _scales(geom, op), 0), 8)
             order = next((K for K, e in enumerate(bounds) if e <= SMALL_SLOPE_TOL), None)
             paths.add(order is not None)
             if order is not None:
-                far = _split_sum(geom, op, bv, _Split(0, order, 0.0))
-                assert rel_err(far, composed.values) < 1e-10, seed
+                far = _split_sum(geom, op, inputs, _Split(0, order, 0.0))
+                for far_k, composed_k in zip(far, composed, strict=True):
+                    assert rel_err(far_k, composed_k.values) < 1e-10, seed
     assert paths == {True, False}  # flat interfaces were checked all-far, steep ones not
 
 

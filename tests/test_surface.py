@@ -1,5 +1,5 @@
 """Guards against library surface that nothing in the package uses, and against output
-written from more than one place."""
+written, or the lattice kernel summed, from more than one place."""
 
 import ast
 import re
@@ -115,3 +115,19 @@ def test_outputs_are_written_in_one_place():
                 if kind:
                     found[kind].add((path.name, getattr(node, "name", "<module>")))
     assert found == OUTPUT_WRITERS
+
+
+# (module, top-level function) of the calls to the one lattice kernel loop: the
+# interface operators' tables and the B-transforms' profiles
+LATTICE_SUM_CALLERS = {("potentials.py", "_interface_sum"), ("kernels.py", "_naked_sum")}
+
+
+def test_the_lattice_kernel_is_summed_in_one_place_per_family():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and "lattice_sum" in (
+                        getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                    found.add((path.name, getattr(node, "name", "<module>")))
+    assert found == LATTICE_SUM_CALLERS
