@@ -14,6 +14,9 @@ by replacing the core's lattice symbol with the exact continuum symbol
 only cores the interface operators have).  ``riesz_core='lattice'``, the
 default of :func:`phibar_transform`, keeps the bare sum, which the
 brute-force oracle and the composed-form validators reproduce term by term.
+The replacement is made in one place, :func:`core_fix_apply`, on real-FFT
+halves; :func:`apply_B` and the velocity operator's near/far split
+(:mod:`muskat.potentials`) both call it.
 """
 
 from __future__ import annotations
@@ -78,16 +81,6 @@ def riesz_core_weight(grid: GridSpec, nu: tuple, q: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=None)
-def lattice_core_symbol(grid: GridSpec, nu: tuple, q: int) -> np.ndarray:
-    """Symbol of the naked punctured lattice sum of xi^nu/(|S^N| |xi|^q)."""
-    arr = np.zeros(grid.shape)
-    arr[tuple((pv_offsets(grid).ints % grid.points).T)] = riesz_core_weight(grid, nu, q)
-    sym = np.fft.fftn(arr)
-    sym.setflags(write=False)
-    return sym
-
-
 # Byte cap of far_symbols' cache.  Symbol lists up to it (the demo decay's,
 # 2D M=32's) are kept across applies; a larger one (2D M=64 needs 0.9 MB per
 # nu) is rebuilt per apply, which costs less than a tenth of the apply.
@@ -133,22 +126,25 @@ def far_symbols(grid: GridSpec, radius: int, nu: tuple, order: int) -> list:
 
 @lru_cache(maxsize=None)
 def riesz_core_fix(grid: GridSpec, nu: tuple) -> np.ndarray:
-    """Exact-minus-lattice symbol of the unit constant Riesz core, as it acts on real fields.
+    """rfftn half of the exact-minus-lattice symbol of the unit constant Riesz core.
 
-    That is the Hermitian part (S(k) + conj S(-k)) / 2 of the difference S;
-    the exact symbol has a non-Hermitian part on the Nyquist planes of even M,
-    which the real part of an inverse FFT drops but an inverse real FFT would not.
+    The exact symbol is zeroed on the Nyquist plane of nu's axis for even M,
+    where it is not Hermitian and a real field has nothing for it to act on.
+    The lattice symbol is far_symbols' order 0 at radius 0: for a unit nu its
+    weights xi^nu / |xi|^(N+1) are the core's.
     """
-    fix = riesz_core_symbol_grid(grid, nu) - lattice_core_symbol(grid, nu, sum(nu) + grid.dim)
-    fix = 0.5 * (fix + np.conj(fix[np.ix_(*[-np.arange(grid.points) % grid.points] * grid.dim)]))
+    exact = riesz_core_symbol_grid(grid, nu)[..., :grid.points // 2 + 1]
+    if grid.points % 2 == 0:
+        exact[(slice(None),) * nu.index(1) + (grid.points // 2,)] = 0.0
+    fix = exact - far_symbols(grid, 0, nu, 0)[0]
     fix.setflags(write=False)
     return fix
 
 
 def core_fix_apply(grid: GridSpec, nu, values: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """scale * F^-1[ riesz_core_fix * F[values] ], as a plain array."""
-    out = np.fft.ifftn(np.fft.fftn(values) * riesz_core_fix(grid, nu)).real
-    return scale * out
+    """scale * F^-1[ riesz_core_fix * F[values] ] on real-FFT halves, as a plain array."""
+    spec = np.fft.rfftn(values) * riesz_core_fix(grid, nu)
+    return scale * np.fft.irfftn(spec, s=grid.shape, axes=range(grid.dim))
 
 
 def _slot_product(factors):

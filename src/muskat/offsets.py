@@ -8,7 +8,7 @@ has no negative partner on the lattice and would break the PV cancellation.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,7 +27,7 @@ class OffsetSet:
     ``blocks`` splits the order into runs of consecutive offsets that share
     every component but the last, which goes up by 1 along the run; each run
     holds at most BLOCK_BYTES / (8 * grid size) offsets (at least one).  A
-    block is a pair (t, view) of indices, see :func:`lattice_sum`.
+    block is a pair (t, view) of indices, see :func:`lattice_sum`; built on first use.
     """
 
     def __init__(self, grid: GridSpec, ints, weight=None):
@@ -37,12 +37,16 @@ class OffsetSet:
         for table in (ints, self.xi, self.r, weight):  # shared through the lru_caches below
             if table is not None:
                 table.setflags(write=False)
+
+    @cached_property
+    def blocks(self) -> list:
+        grid, ints = self.grid, self.ints
         cap = max(1, BLOCK_BYTES // (8 * grid.size))
         breaks = (np.flatnonzero(np.any(ints[1:, :-1] != ints[:-1, :-1], axis=1)
                                  | (ints[1:, -1] != ints[:-1, -1] + 1)) + 1).tolist()
-        self.blocks = [_block(grid, ints, lo, min(lo + cap, hi))
-                       for run_lo, hi in zip([0] + breaks, breaks + [self.count])
-                       for lo in range(run_lo, hi, cap)]
+        return [_block(grid, ints, lo, min(lo + cap, hi))
+                for run_lo, hi in zip([0] + breaks, breaks + [self.count])
+                for lo in range(run_lo, hi, cap)]
 
 
 def _block(grid: GridSpec, ints, lo, hi) -> tuple:

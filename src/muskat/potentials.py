@@ -7,8 +7,9 @@ term on the lattice, so the cross-checks hold near rounding.
 
 The velocity operator carries the non-decaying constant Riesz core
 (-xi . b(x-xi) in its kernel); that core is always evaluated with its exact
-continuum symbol (see :mod:`muskat.kernels`); the double layer keeps its
-lattice core.
+continuum symbol, added on every split by
+:func:`muskat.kernels.core_fix_apply`; the double layer keeps its lattice
+core.
 
 Every operator's numerator is one table (:class:`_Operator`), read by one
 kernel sum (:func:`_interface_sum`).  D, D*, A and the velocity operator are
@@ -25,7 +26,7 @@ flux is summed directly over the cell's face ring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count, repeat
 from math import ceil, factorial, inf, log2, sqrt
 from typing import Callable, NamedTuple
@@ -34,7 +35,7 @@ import numpy as np
 
 from .grid import (GridSpec, ScalarField, gradient, inner, integrate, l2_norm,
                    require_same_grid)
-from .kernels import far_symbols, phibar_transform, riesz_core_fix
+from .kernels import core_fix_apply, far_symbols, phibar_transform
 from .offsets import face_ring, lattice_sum, near_offsets, pv_offsets, sphere_area
 
 # An operator's near/far split takes the cheapest (R, K)
@@ -54,26 +55,28 @@ ROUNDING_GROWTH = 4.0
 
 @dataclass(frozen=True)
 class InterfaceGeometry:
-    """Interface function f with cached gradient, omega = 1 + |grad f|^2, normal."""
+    """Interface function f with cached gradient; omega = 1 + |grad f|^2 and normal on first use."""
 
     f: ScalarField
     grad_f: tuple = field(init=False)
-    omega: ScalarField = field(init=False)
-    normal: tuple = field(init=False)
     _splits: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        gf = tuple(gradient(self.f))
-        om = 1.0 + sum(g.values**2 for g in gf)
-        sq = np.sqrt(om)
-        nu = tuple(ScalarField(self.f.grid, -g.values / sq) for g in gf) + (
-            ScalarField(self.f.grid, 1.0 / sq),)
-        object.__setattr__(self, "grad_f", gf)
-        object.__setattr__(self, "omega", ScalarField(self.f.grid, om))
-        object.__setattr__(self, "normal", nu)
-        norm2 = sum(c.values**2 for c in nu)
-        if np.max(np.abs(norm2 - 1.0)) > 1e-12:
+        object.__setattr__(self, "grad_f", tuple(gradient(self.f)))
+
+    @cached_property
+    def omega(self) -> ScalarField:
+        return ScalarField(self.grid, 1.0 + sum(g.values**2 for g in self.grad_f))
+
+    @cached_property
+    def normal(self) -> tuple:
+        """Unit normal (-grad f, 1) / sqrt(omega)."""
+        sq = np.sqrt(self.omega.values)
+        nu = tuple(ScalarField(self.grid, -g.values / sq) for g in self.grad_f) + (
+            ScalarField(self.grid, 1.0 / sq),)
+        if np.max(np.abs(sum(c.values**2 for c in nu) - 1.0)) > 1e-12:
             raise AssertionError("normal is not unit length")
+        return nu
 
     @property
     def grid(self) -> GridSpec:
@@ -353,29 +356,31 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
     (:func:`muskat.kernels.far_symbols`) with f^(e-a) u.  Grouped by output
     and x-coefficient (k, c), in batches of groups (see FAR_BATCH_BYTES): one
     rfftn per field and power p = e - a in a batch, the products summed per
-    group and power a in Fourier space, and one irfftn per group and a.
+    group and power a in Fourier space, and one irfftn per group and a.  Each
+    exact core adds :func:`muskat.kernels.core_fix_apply`, on every split.
     """
     g = geom.grid
     us = op.fields([c.values for c in geom.grad_f], bv)
     near = near_offsets(g, split.radius)
     out = (_interface_sum(geom, op, us, near) if near.count
            else np.zeros((op.outputs,) + g.shape))
-    f = geom.f.values
-    fc = f - 0.5 * (np.max(f) + np.min(f))  # the sum sees f only through df
-    far = near.count < pv_offsets(g).count
-    if not far:
-        split = split._replace(order=0)  # the cores' exact symbols alone
     groups = {}  # (output k, x-coefficient c) -> the far field's entries (field, sign, axis, m)
     for i, k, monomials in op.terms:
         for sign, c, axis, m in monomials:
-            if far or (op.exact_core and c is None and m == 0):
-                groups.setdefault((k, c), []).append((i, sign, axis, m))
+            if op.exact_core and c is None and m == 0:
+                out[k] += core_fix_apply(g, tuple(int(j == axis) for j in range(g.dim)),
+                                         us[i], sign)
+            groups.setdefault((k, c), []).append((i, sign, axis, m))
+    if near.count == pv_offsets(g).count:
+        return out
+    f = geom.f.values
+    fc = f - 0.5 * (np.max(f) + np.min(f))  # the sum sees f only through df
     # as many groups per batch as FAR_BATCH_BYTES holds accumulators for (2K+2
     # half spectra of about 8 M^N bytes each), at least one
     items = list(groups.items())
     per = max(1, FAR_BATCH_BYTES // ((2 * split.order + 2) * 8 * g.size))
     for lo in range(0, len(items), per):
-        out += _far_batch(geom, op, split, far, us, dict(items[lo:lo + per]), fc)
+        out += _far_batch(geom, op, split, us, dict(items[lo:lo + per]), fc)
     return out
 
 
@@ -384,7 +389,7 @@ def _direct_sum(geom: InterfaceGeometry, op: _Operator, bv) -> np.ndarray:
     return _split_sum(geom, op, bv, _Split(geom.grid.points, 0, 0.0))
 
 
-def _far_batch(geom, op, split, far, us, batch, fc) -> np.ndarray:
+def _far_batch(geom, op, split, us, batch, fc) -> np.ndarray:
     """The far field of a batch {(k, c): entries} of groups, per output; see _split_sum."""
     g, K = geom.grid, split.order
     half = g.shape[:-1] + (g.points // 2 + 1,)
@@ -395,7 +400,7 @@ def _far_batch(geom, op, split, far, us, batch, fc) -> np.ndarray:
         for i, sign, axis, m in entries:
             fields.setdefault(i, []).append((key, sign, axis, m))
     for i, monomials in fields.items():
-        _far_field(geom, op, split, far, us[i], monomials, fc, accs)
+        _far_field(geom, split, us[i], monomials, fc, accs)
     out = np.zeros((op.outputs,) + g.shape)
     for (k, c), spectra in accs.items():
         power, row = None, out[k]
@@ -412,7 +417,7 @@ def _far_batch(geom, op, split, far, us, batch, fc) -> np.ndarray:
     return out
 
 
-def _far_field(geom, op, split, far, u, monomials, fc, accs):
+def _far_field(geom, split, u, monomials, fc, accs):
     """Add the far-field terms of field u's monomials ((k, c), sign, axis, m) to accs[k, c][a]."""
     g, R, K = geom.grid, split.radius, split.order
     half = g.shape[:-1] + (g.points // 2 + 1,)
@@ -421,11 +426,8 @@ def _far_field(geom, op, split, far, u, monomials, fc, accs):
     terms = []
     for (k_out, c), sign, axis, m in monomials:
         nu = tuple(int(j == axis) for j in range(g.dim))
-        syms = far_symbols(g, R, nu, K) if far else [0.0]
         scaled, ck = [], sign
-        for k, sym in enumerate(syms):
-            if k == 0 and op.exact_core and c is None and m == 0:
-                sym = sym + riesz_core_fix(g, nu)[..., :half[-1]]  # the exact core symbol
+        for k, sym in enumerate(far_symbols(g, R, nu, K)):
             # a cached symbol is read-only: scale a copy; a fresh one in place
             scaled.append(np.multiply(sym, ck * factorial(m + 2 * k),
                                       out=sym if sym.flags.writeable else None))
@@ -607,11 +609,9 @@ def _choose_split(geom: InterfaceGeometry, op: _Operator) -> _Split:
     window_ns = (len(op.sizes) + 1) * (WINDOW_NS[0] + WINDOW_NS[1] * g.size)
     near = _radii(g).near
     direct = len(near) - 1
-    # the direct sum: the near field alone, and the cores' exact symbols
-    cores = sum(op.exact_core and c is None and m == 0
-                for _, _, monomials in op.terms for _, c, _, m in monomials)
+    # the direct sum: the near field alone (the exact cores cost the same on every split)
     best = _Split(direct, 0, 0.0)
-    best_ns = window_ns + near[direct] * pair_ns + (cores + (cores > 0)) * fft_ns
+    best_ns = window_ns + near[direct] * pair_ns
     R = 0
     while R < direct:  # every R up to 8 cells, then steps of about R/8
         near_ns = (window_ns + near[R] * pair_ns) if near[R] else 0.0

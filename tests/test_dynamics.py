@@ -221,6 +221,13 @@ def test_demo_decay_small_slope_path_matches_the_direct_sum(monkeypatch):
     assert diff <= 1e-12 * np.max(np.abs(direct.f.values))
 
 
+def test_a_step_builds_no_omega_or_normal():
+    # evolve reads neither; the validators and the fields module build them on first use
+    cfg = parse_config(DEMO)
+    geom = InterfaceState.compute(initial_field(cfg), cfg.params).geom
+    assert "omega" not in geom.__dict__ and "normal" not in geom.__dict__
+
+
 def test_far_symbol_cache_stays_within_its_budget():
     # after a 2-step 2D M=32 evolve at a_mu = 0.5 the cache holds, per radius,
     # one list of read-only rfftn halves per nu (at most N+1), within its byte

@@ -5,8 +5,9 @@ import pytest
 
 from muskat.grid import (GridSpec, ScalarField, band_limited_random,
                          make_gaussian_bump, make_mode, make_zero)
-from muskat.kernels import (OperatorSpec, apply_B, chain_rule_residual,
-                            lattice_core_symbol, riesz_core_fix)
+from muskat.kernels import (OperatorSpec, apply_B, chain_rule_residual, core_fix_apply,
+                            far_symbols, riesz_core_fix, riesz_core_weight)
+from muskat.multipliers import riesz_core_symbol_grid
 from muskat.offsets import pv_offsets, sphere_area
 from muskat.profiles import SmoothProfile, make_difference_profile, phibar
 
@@ -151,8 +152,32 @@ def test_spectral_mode_is_lattice_plus_corefix():
     spec = OperatorSpec(phibar(1), 0, (1,))
     lat = apply_B(spec, [a], [], beta, riesz_core="lattice")
     spe = apply_B(spec, [a], [], beta, riesz_core="spectral")
-    fix = np.fft.ifft(np.fft.fft(beta.values) * riesz_core_fix(g, (1,))).real
+    fix = np.fft.irfft(np.fft.rfft(beta.values) * riesz_core_fix(g, (1,)), n=g.points)
     np.testing.assert_allclose(spe.values, lat.values + fix, rtol=0, atol=1e-14)
+
+
+def hermitian_core_fix(g, nu):
+    """Full-grid Hermitian part (S(k) + conj S(-k)) / 2 of S = exact minus lattice core symbol."""
+    weights = np.zeros(g.shape)
+    weights[tuple((pv_offsets(g).ints % g.points).T)] = riesz_core_weight(g, nu, g.dim + 1)
+    S = riesz_core_symbol_grid(g, nu) - np.fft.fftn(weights)
+    return 0.5 * (S + np.conj(S[np.ix_(*[-np.arange(g.points) % g.points] * g.dim)]))
+
+
+@pytest.mark.parametrize("dim, M", [(1, 16), (1, 15), (2, 16), (2, 9), (3, 8), (3, 9)])
+def test_riesz_core_fix_is_the_half_of_the_hermitian_fix(dim, M):
+    g = GridSpec(dim, 2 * np.pi, M)
+    rng = np.random.default_rng(dim * M)
+    # a field with Nyquist content along every axis (for even M)
+    v = rng.standard_normal(g.shape) + np.cos(np.pi * sum(np.indices(g.shape)))
+    for d in range(dim):
+        nu = tuple(int(j == d) for j in range(dim))
+        full = hermitian_core_fix(g, nu)
+        fix = riesz_core_fix(g, nu)
+        assert fix.shape == g.shape[:-1] + (M // 2 + 1,) and not fix.flags.writeable
+        assert np.max(np.abs(fix - full[..., :M // 2 + 1])) <= 1e-15
+        ref = -2.5 * np.fft.ifftn(np.fft.fftn(v) * full).real
+        assert np.max(np.abs(core_fix_apply(g, nu, v, -2.5) - ref)) <= 1e-14
 
 
 def test_riesz_symbol_at_zero_coefficients():
@@ -263,7 +288,7 @@ def test_chain_rule_linear_a():
 def test_lattice_core_symbol_is_fft_of_weights():
     g = GridSpec(1, 2 * np.pi, 16)
     off = pv_offsets(g)
-    sym = lattice_core_symbol(g, (1,), 2)
+    sym = far_symbols(g, 0, (1,), 0)[0]
     # reconstruct mode-3 response directly
     k = 3
     direct = sum(off.xi[t, 0] / off.r[t] * g.spacing / (off.r[t] * sphere_area(1))

@@ -208,8 +208,7 @@ def test_AA_direct_equals_composed():
 def reference_sum(geom, op, bv):
     """op's PV lattice sum over every offset, its exact cores added by kernels.core_fix_apply.
 
-    Independent of the split's far field, where the velocity operator's exact
-    core symbol enters through its order-0 term.
+    Independent of the split's near and far fields.
     """
     g = geom.grid
     us = op.fields([c.values for c in geom.grad_f], bv)
@@ -290,6 +289,16 @@ def test_AA_path_choice_on_the_benchmark_interfaces():
     past_the_cell = int(np.ceil(np.sqrt(2) * ((g.points - 1) // 2)))
     for split in (geom.split(_d_operator(2)), geom.split(_aa_operator(2))):
         assert 0 < split.radius < past_the_cell and split.bound <= SMALL_SLOPE_TOL, split
+
+
+def test_the_split_leaves_the_pv_blocks_unbuilt():
+    # D on the 2D M=64 contrast bump sums a near field over its own offsets and the
+    # rest by FFT, which reads only the PV set's tables: its blocks are never built
+    pv_offsets.cache_clear()  # a fresh PV set, whatever earlier tests summed over it
+    g = GridSpec(2, 2 * np.pi, 64)
+    geom = InterfaceGeometry(make_gaussian_bump(g, 0.7, [np.pi] * 2, 0.5))
+    apply_D(geom, band_limited_random(g, 4, np.random.default_rng(0)))
+    assert "blocks" not in pv_offsets(g).__dict__
 
 
 def test_misspelled_core_mode_is_rejected():

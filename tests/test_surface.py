@@ -1,5 +1,6 @@
 """Guards against library surface that nothing in the package uses, and against output
-written, or the lattice kernel summed, from more than one place."""
+written, the lattice kernel summed or the exact Riesz core corrected, from more than one
+place."""
 
 import ast
 import re
@@ -117,17 +118,30 @@ def test_outputs_are_written_in_one_place():
     assert found == OUTPUT_WRITERS
 
 
+def _callers(name):
+    """(module, top-level function) of every call to ``name`` in the package."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and name in (
+                        getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                    found.add((path.name, getattr(node, "name", "<module>")))
+    return found
+
+
 # (module, top-level function) of the calls to the one lattice kernel loop: the
 # interface operators' tables and the B-transforms' profiles
 LATTICE_SUM_CALLERS = {("potentials.py", "_interface_sum"), ("kernels.py", "_naked_sum")}
 
 
 def test_the_lattice_kernel_is_summed_in_one_place_per_family():
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call) and "lattice_sum" in (
-                        getattr(call.func, "id", None), getattr(call.func, "attr", None)):
-                    found.add((path.name, getattr(node, "name", "<module>")))
-    assert found == LATTICE_SUM_CALLERS
+    assert _callers("lattice_sum") == LATTICE_SUM_CALLERS
+
+
+def test_the_exact_riesz_core_is_corrected_in_one_place():
+    # the symbol is read only by the one apply, which B and the interface
+    # operators' split call for their exact cores
+    assert _callers("riesz_core_fix") == {("kernels.py", "core_fix_apply")}
+    assert _callers("core_fix_apply") == {("kernels.py", "apply_B"),
+                                          ("potentials.py", "_split_sum")}
