@@ -215,6 +215,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a grid too large for this machine
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except SolveFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -450,7 +450,7 @@ def _far_field(geom, split, u, monomials, fc, accs):
 # M=64..1024 and 2D M=16..64): a near-field pair term per monomial (plus two
 # for the denominator), a field's wrap-padded window, a far-field product of
 # two half spectra, and an FFT (fixed per axis, plus per point times log2 of
-# the size); each pair is (fixed, per grid point).
+# the size); each pair is (fixed, per grid point).  Read only by _split_costs.
 PAIR_NS = 3.5
 WINDOW_NS = (40000.0, 50.0)
 PRODUCT_NS = (2000.0, 1.0)
@@ -475,6 +475,35 @@ def _radii(grid: GridSpec) -> _Radii:
     nearest = np.sqrt(np.append(n2, np.inf)[near]) * grid.spacing
     share = 1.0 - np.append(0.0, cum)[near] / cum[-1]
     return _Radii(near.tolist(), nearest.tolist(), share.tolist())
+
+
+@lru_cache(maxsize=None)
+def _split_costs(grid: GridSpec, op: _Operator) -> tuple:
+    """(near, A, B, C): op's split on grid costs near[R] + A (K+1)^2 + B (K+1) + C ns.
+
+    near[R], per radius of :func:`_radii` (the last is the direct sum), is a
+    window per field and for f plus the pair terms of every near offset at
+    every grid point (0 with no near offset).  The far field at order K: per
+    entry (power m of df) 2K+1+m rfftn, K+1 symbols (an FFT and two
+    products' work each) and (K+1)(K+1+m) products; per (output,
+    x-coefficient) group (top power m) 2K+1+m irfftn.  The exact cores cost
+    the same on every split and are left out.
+    """
+    ms = [m for _, _, monomials in op.terms for *_, m in monomials]
+    tops = {}
+    for _, k, monomials in op.terms:
+        for _, c, _, m in monomials:
+            tops[k, c] = max(tops.get((k, c), 0), m)
+    fft_ns = grid.dim * FFT_NS[0] + FFT_NS[1] * grid.size * log2(grid.size)
+    product_ns = PRODUCT_NS[0] + PRODUCT_NS[1] * grid.size
+    E, G = len(ms), len(tops)
+    A = E * product_ns
+    B = (sum(ms) + 2 * E) * product_ns + (3 * E + 2 * G) * fft_ns
+    C = (sum(ms) + sum(tops.values()) - E - G) * fft_ns
+    pair_ns = PAIR_NS * grid.size * (E + 2)
+    window_ns = (len(op.sizes) + 1) * (WINDOW_NS[0] + WINDOW_NS[1] * grid.size)
+    near = tuple((window_ns + n * pair_ns) if n else 0.0 for n in _radii(grid).near)
+    return near, A, B, C
 
 
 class _Scales(NamedTuple):
@@ -509,19 +538,6 @@ def _scales(geom: InterfaceGeometry, op: _Operator) -> _Scales:
     return _Scales(s, float(np.max(f.values) - np.min(f.values)), max(alphas), max(betas))
 
 
-def _far_reach(grid: GridSpec, scales: _Scales, radius: int):
-    """(x, t, w) of the far field beyond a radius, or None if it has no offset.
-
-    x bounds |df| / |xi| there, t = osc f / r with r the smallest far |xi|,
-    and w is the far field's share of W_0; see _choose_split.
-    """
-    radii = _radii(grid)
-    r = radii.nearest[radius]
-    if r == inf:
-        return None
-    return min(scales.slope, scales.osc / r), scales.osc / r, radii.share[radius]
-
-
 def _split_bounds(grid: GridSpec, scales: _Scales, radius: int):
     """The error bounds of the splits (radius, K) for K = 0, 1, 2, ...; see _choose_split.
 
@@ -529,11 +545,14 @@ def _split_bounds(grid: GridSpec, scales: _Scales, radius: int):
     end where the rounding term alone passes SMALL_SLOPE_TOL, as it only grows
     with K.
     """
-    reach = _far_reach(grid, scales, radius)
-    if reach is None:
+    radii = _radii(grid)
+    r = radii.nearest[radius]
+    if r == inf:
         yield from repeat(0.0)
         return
-    x, t, w = reach
+    # x bounds |df| / |xi| on the far field, t = osc f / r, w its share of W_0
+    t, w = scales.osc / r, radii.share[radius]
+    x = min(scales.slope, t)
     p, u = (grid.dim + 1) / 2, x * x
     rounding = ROUNDING_GROWTH * float(np.finfo(float).eps) * log2(grid.size)
     mass, tk, ck = 0.0, 1.0, 1.0  # tk = t^(2K), ck = |c_K|
@@ -582,52 +601,30 @@ def _choose_split(geom: InterfaceGeometry, op: _Operator) -> _Split:
     model, not a proof, is meant to cover the near field's rounding as well;
     the bound-ladder test checks it against the direct sum.
 
-    R runs over whole cells from 0 (no near field: the small-slope expansion
-    of every offset), every cell up to 8 and then in steps of about R/8, to
-    the radius past the cell (no far field: the direct sum, bound 0).  The
-    cost model weighs the near offsets times M^N against the far field's
-    FFTs and products; of the pairs within the bound the cheapest is taken.
+    The search starts from the direct sum (R past the cell, bound 0).  R
+    runs over whole cells from 0 (no near field: the small-slope expansion of
+    every offset), every cell up to 8 and then in steps of 1 + R // 8, while
+    its K = 0 is cheaper (:func:`_split_costs`) than the best so far; there
+    the first K within the bound becomes the best, unless a K that costs at
+    least the best comes first.
     """
     g = geom.grid
+    near, A, B, C = _split_costs(g, op)
     scales = _scales(geom, op)
-    # the far field's cost at order K: per entry (power m of df) 2K+1+m rfftn,
-    # K+1 symbols (an FFT and two products' work each) and (K+1)(K+1+m)
-    # products; per (output, x-coefficient) group (top power m) 2K+1+m
-    # irfftn.  That is A (K+1)^2 + B (K+1) + C.
-    ms = [m for _, _, monomials in op.terms for *_, m in monomials]
-    tops = {}
-    for _, k, monomials in op.terms:
-        for _, c, _, m in monomials:
-            tops[k, c] = max(tops.get((k, c), 0), m)
-    fft_ns = g.dim * FFT_NS[0] + FFT_NS[1] * g.size * log2(g.size)
-    product_ns = PRODUCT_NS[0] + PRODUCT_NS[1] * g.size
-    E, G = len(ms), len(tops)
-    A = E * product_ns
-    B = (sum(ms) + 2 * E) * product_ns + (3 * E + 2 * G) * fft_ns
-    C = (sum(ms) + sum(tops.values()) - E - G) * fft_ns
-    pair_ns = PAIR_NS * g.size * (E + 2)
-    window_ns = (len(op.sizes) + 1) * (WINDOW_NS[0] + WINDOW_NS[1] * g.size)
-    near = _radii(g).near
+
+    def cost(R, K):
+        return near[R] + (A * (K + 1) + B) * (K + 1) + C
+
     direct = len(near) - 1
-    # the direct sum: the near field alone (the exact cores cost the same on every split)
-    best = _Split(direct, 0, 0.0)
-    best_ns = window_ns + near[direct] * pair_ns
+    best, best_ns = _Split(direct, 0, 0.0), near[direct]
     R = 0
-    while R < direct:  # every R up to 8 cells, then steps of about R/8
-        near_ns = (window_ns + near[R] * pair_ns) if near[R] else 0.0
-        # the highest order K cheaper than the best so far
-        room = best_ns - near_ns - C
-        top = ceil((sqrt(B * B + 4 * A * room) - B) / (2 * A)) - 2 if room > 0 else -1
-        if top < 0:
-            break
-        # try R unless even the truncation's lower bound w (alpha + beta x) u^(top+1)
-        # (|c_k| >= 1, rho u >= 0) is too large at that order
-        x, _, w = _far_reach(g, scales, R)
-        if x < 1.0 and w * (scales.alpha + scales.beta * x) * x ** (2 * top + 2) <= SMALL_SLOPE_TOL:
-            for K, bound in zip(range(top + 1), _split_bounds(g, scales, R)):
-                if bound <= SMALL_SLOPE_TOL:
-                    best, best_ns = _Split(R, K, bound), near_ns + (A * (K + 1) + B) * (K + 1) + C
-                    break
+    while R < direct and cost(R, 0) < best_ns:
+        for K, bound in enumerate(_split_bounds(g, scales, R)):
+            if cost(R, K) >= best_ns:
+                break
+            if bound <= SMALL_SLOPE_TOL:
+                best, best_ns = _Split(R, K, bound), cost(R, K)
+                break
         R += 1 + R // 8
     return best
 

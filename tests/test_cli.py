@@ -268,6 +268,9 @@ BAD_INPUT = {
     "sobolev-weight-overflows": ({"monitor.sobolev_s": "1e6"}, []),
     "step-count-overflows": ({"stepper.dt": "1e-320", "stepper.t_end": "1e10"}, []),
     "step-count-beyond-ceiling": ({"stepper.dt": "1e-300"}, []),
+    "extent-top-frequency-overflows": ({"grid.extent": "1e-300"}, []),
+    # 8e15 bytes per field, which numpy refuses before allocating anything
+    "grid-beyond-memory": ({"grid.dim": "3", "grid.points": "100000"}, []),
     "tol-negative": ({"params.a_mu": "0.5", "solver.tol": "-1"}, []),
     "tol-nan": ({"params.a_mu": "0.5", "solver.tol": "nan"}, []),
     "wide-gaussian": ({"initial.width": "3"}, []),

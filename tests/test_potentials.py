@@ -8,7 +8,8 @@ from muskat.grid import (GridSpec, ScalarField, band_limited_random, gradient,
 from muskat.kernels import OperatorSpec, apply_B, core_fix_apply, phibar_transform
 from muskat.potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _a_operator, _aa_operator,
                                _d_operator, _d_star_operator, _direct_sum, _interface_sum,
-                               _scales, _Split, _split_bounds, _split_sum, adjointness_defect,
+                               _scales, _Split, _split_bounds, _split_costs, _split_sum,
+                               adjointness_defect,
                                apply_A, apply_A_composed, apply_AA, apply_AA_composed, apply_D,
                                apply_D_composed, apply_D_star, apply_D_star_composed,
                                boundary_trace, gradient_identity_residual, rellich_residual,
@@ -289,6 +290,31 @@ def test_AA_path_choice_on_the_benchmark_interfaces():
     past_the_cell = int(np.ceil(np.sqrt(2) * ((g.points - 1) // 2)))
     for split in (geom.split(_d_operator(2)), geom.split(_aa_operator(2))):
         assert 0 < split.radius < past_the_cell and split.bound <= SMALL_SLOPE_TOL, split
+
+
+def test_the_pick_is_the_cheapest_pair_within_the_bound():
+    # at each radius of the schedule the first order K <= 200 within the bound,
+    # costed by the cost model: the cheapest of those, or the direct sum (first
+    # on a tie, as the chooser keeps it), is the pick
+    g1, g2, g24 = GridSpec(1, 16.0, 1024), GridSpec(2, 2 * np.pi, 64), GridSpec(2, 2 * np.pi, 24)
+    interfaces = (make_mode(GridSpec(1, 20 * np.pi, 512), 1e-3, (4,)),  # the demo decay
+                  make_gaussian_bump(g2, 0.7, [np.pi] * 2, 0.5),  # the contrast bump
+                  make_gaussian_bump(g1, 0.3, [8.0], 1.3),
+                  make_gaussian_bump(g24, 0.1, [np.pi] * 2, 0.5))  # validate's low 2D bump
+    for f in interfaces:
+        geom, g = InterfaceGeometry(f), f.grid
+        for op in (_d_operator(g.dim), _d_star_operator(g.dim), _a_operator(g.dim),
+                   _aa_operator(g.dim)):
+            near, A, B, C = _split_costs(g, op)
+            direct, R = len(near) - 1, 0
+            candidates = [(near[direct], (direct, 0))]
+            while R < direct:
+                bounds = islice(_split_bounds(g, _scales(geom, op), R), 201)
+                K = next((K for K, e in enumerate(bounds) if e <= SMALL_SLOPE_TOL), None)
+                if K is not None:
+                    candidates.append((near[R] + (A * (K + 1) + B) * (K + 1) + C, (R, K)))
+                R += 1 + R // 8
+            assert min(candidates, key=lambda c: c[0])[1] == geom.split(op)[:2], (g, op.terms)
 
 
 def test_the_split_leaves_the_pv_blocks_unbuilt():

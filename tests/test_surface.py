@@ -1,6 +1,6 @@
 """Guards against library surface that nothing in the package uses, and against output
-written, the lattice kernel summed or the exact Riesz core corrected, from more than one
-place."""
+written, the lattice kernel summed, the exact Riesz core corrected or the split's cost
+model built, from more than one place."""
 
 import ast
 import re
@@ -145,3 +145,20 @@ def test_the_exact_riesz_core_is_corrected_in_one_place():
     assert _callers("riesz_core_fix") == {("kernels.py", "core_fix_apply")}
     assert _callers("core_fix_apply") == {("kernels.py", "apply_B"),
                                           ("potentials.py", "_split_sum")}
+
+
+# the split's cost constants, read only where the cost model is built
+COST_CONSTANTS = {"PAIR_NS", "WINDOW_NS", "PRODUCT_NS", "FFT_NS"}
+
+
+def test_the_split_cost_model_is_built_in_one_place():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and {getattr(t, "id", None)
+                                                 for t in node.targets} <= COST_CONSTANTS:
+                continue  # the constants' own definitions
+            for name in ast.walk(node):
+                if (getattr(name, "id", None) or getattr(name, "attr", None)) in COST_CONSTANTS:
+                    found.add((path.name, getattr(node, "name", "<module>")))
+    assert found == {("potentials.py", "_split_costs")}
