@@ -166,8 +166,11 @@ def build_config(kv: dict) -> SimConfig:
             "scheme", "dt", "cfl", "t_end", "snapshot_stride", "rt_floor")})
         stepper.steps(grid, params.lam)
     # the monitor's H^s weight (1+|k|^2)^s is largest at the grid's top frequency,
-    # whose square overflows on its own for a tiny grid.extent
+    # which overflows for a tiny grid.extent, and whose square overflows sooner
     k_top = grid.points // 2 * 2.0 * math.pi / grid.extent
+    if not math.isfinite(k_top):
+        raise ConfigError(f"grid.extent = {grid.extent:.4g}: the top frequency "
+                          f"{grid.points // 2} * 2 pi / grid.extent overflows")
     try:
         (1.0 + grid.dim * k_top ** 2) ** values["monitor.sobolev_s"]
     except OverflowError:

@@ -15,8 +15,9 @@ Every operator's numerator is one table (:class:`_Operator`), read by one
 kernel sum (:func:`_interface_sum`).  D, D*, A and the velocity operator are
 evaluated by one near/far split (:func:`_split_sum`): the offsets |xi| <= R
 are summed directly, the far field |xi| > R by FFT convolutions of a
-small-slope expansion of the kernel in (df/|xi|)^2 to order K, which
-converges there on any interface because |df| <= max f - min f.  Each
+polynomial of degree K in (df/|xi|)^2: the kernel's Chebyshev interpolant
+on the interval [0, x^2] that the slope bound x proves for the far field,
+which exists on any interface because |df| <= max f - min f.  Each
 geometry picks the cheapest (R, K) per operator within an a-priori error
 bound (:func:`_choose_split`); R = 0 is all far field (the small-slope
 expansion of every offset), R past the cell is the direct sum.  The torus
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import count, repeat
-from math import ceil, factorial, inf, log2, sqrt
+from itertools import count, islice
+from math import ceil, factorial, inf, isfinite, log1p, log2, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -48,9 +49,11 @@ SMALL_SLOPE_TOL = 1e-13
 # operator); at 2D M=64 one group alone exceeds it and the groups run one at a
 # time.
 FAR_BATCH_BYTES = 512 * 1024
-# Rounding model: an FFT convolution is off by at most ROUNDING_GROWTH * eps *
-# log2(M^N) times its absolute mass (sum of |weight| times the largest |field|).
+# Rounding model: an FFT convolution is off by at most ROUNDING_GROWTH * EPS *
+# log2(M^N) times its absolute mass (sum of |weight| times the largest |field|),
+# EPS the unit roundoff of a double.
 ROUNDING_GROWTH = 4.0
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,21 @@ class InterfaceGeometry:
     def grid(self) -> GridSpec:
         return self.f.grid
 
+    @cached_property
+    def slope_bound(self) -> tuple:
+        """(s, osc f, G): what every operator's split bound knows of f; see _choose_split.
+
+        s = sum_k |k| |f^_k| bounds |grad f| and every |df| / |xi|, osc f =
+        max f - min f bounds every |df|, and G is the largest |grad f| at the
+        grid points.
+        """
+        g, f = self.grid, self.f.values
+        s = float(np.sum(_wavenumbers(g) * np.abs(np.fft.fftn(f)))) / g.size
+        lip = float(np.sqrt(np.max(sum(c.values**2 for c in self.grad_f))))
+        return s, float(np.max(f) - np.min(f)), lip
+
     def split(self, op: _Operator) -> _Split:
-        """(R, K, bound) of op's near/far split, chosen once per operator; see _choose_split."""
+        """op's near/far split, chosen once per operator; see _choose_split."""
         split = self._splits.get(op)
         if split is None:
             split = self._splits[op] = _choose_split(self, op)
@@ -339,9 +355,12 @@ def _a_operator(dim: int) -> _Operator:
 
 
 class _Split(NamedTuple):
+    """A near/far split, as :func:`_splits` builds it."""
+
     radius: int    # the near field |xi| <= radius * h is summed directly
-    order: int     # the far field's expansion order K
+    order: int     # the far field's degree K in (df/|xi|)^2
     bound: float   # relative to ||b||_inf W_0, see _choose_split
+    coefs: tuple   # the far field's kernel coefficients c_0..c_K, see _interpolant
 
 
 def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.ndarray:
@@ -349,11 +368,13 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
 
     The near field |xi| <= R is the blocked :func:`_interface_sum` over
     :func:`muskat.offsets.near_offsets`.  On the far field the kernel is
-    sum_k c_k df^(2k) / |xi|^(N+1+2k), c_k = binom(-(N+1)/2, k), cut after
-    k = K.  With df^e = sum_a binom(e, a) f(x)^a (-f(x-xi))^(e-a), each
-    monomial's term of order k is coef(x) f(x)^a times the convolution of the
-    truncated lattice kernel xi^nu / |xi|^(N+1+2k) 1{|xi| > R}
-    (:func:`muskat.kernels.far_symbols`) with f^(e-a) u.  Grouped by output
+    sum_{k<=K} c_k df^(2k) / |xi|^(N+1+2k), c_k the split's coefficients
+    (the degree-K interpolant of (1+u)^(-(N+1)/2) in u = (df/|xi|)^2, see
+    :func:`_interpolant`).  With df^e = sum_a binom(e, a) f(x)^a
+    (-f(x-xi))^(e-a), each monomial's term of order k is coef(x) f(x)^a
+    times the convolution of the truncated lattice kernel
+    xi^nu / |xi|^(N+1+2k) 1{|xi| > R} (:func:`muskat.kernels.far_symbols`)
+    with f^(e-a) u.  Grouped by output
     and x-coefficient (k, c), in batches of groups (see FAR_BATCH_BYTES): one
     rfftn per field and power p = e - a in a batch, the products summed per
     group and power a in Fourier space, and one irfftn per group and a.  Each
@@ -386,7 +407,8 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
 
 def _direct_sum(geom: InterfaceGeometry, op: _Operator, bv) -> np.ndarray:
     """op's PV lattice sum, per output, with every offset in the near field: no far field."""
-    return _split_sum(geom, op, bv, _Split(geom.grid.points, 0, 0.0))
+    g = geom.grid
+    return _split_sum(geom, op, bv, _first_split(g, _scales(geom, op), len(_radii(g).near) - 1, 1))
 
 
 def _far_batch(geom, op, split, us, batch, fc) -> np.ndarray:
@@ -426,12 +448,10 @@ def _far_field(geom, split, u, monomials, fc, accs):
     terms = []
     for (k_out, c), sign, axis, m in monomials:
         nu = tuple(int(j == axis) for j in range(g.dim))
-        scaled, ck = [], sign
-        for k, sym in enumerate(far_symbols(g, R, nu, K)):
-            # a cached symbol is read-only: scale a copy; a fresh one in place
-            scaled.append(np.multiply(sym, ck * factorial(m + 2 * k),
-                                      out=sym if sym.flags.writeable else None))
-            ck *= -((g.dim + 1) / 2 + k) / (k + 1)  # sign * binom(-(N+1)/2, k+1)
+        # a cached symbol is read-only: scale a copy; a fresh one in place
+        scaled = [np.multiply(sym, sign * ck * factorial(m + 2 * k),
+                              out=sym if sym.flags.writeable else None)
+                  for k, (sym, ck) in enumerate(zip(far_symbols(g, R, nu, K), split.coefs))]
         terms.append((accs[k_out, c], m, scaled))
     buf, spec, v = np.empty(half, complex), np.empty(half, complex), u.copy()
     for p in range(2 * K + 1 + max(m for _, m, _ in terms)):
@@ -524,50 +544,144 @@ def _wavenumbers(grid: GridSpec) -> np.ndarray:
 
 
 def _scales(geom: InterfaceGeometry, op: _Operator) -> _Scales:
-    f, g = geom.f, geom.grid
-    s = float(np.sum(_wavenumbers(g) * np.abs(np.fft.fftn(f.values)))) / g.size
-    # the coefficients d_c f(x) and the fields are only taken at grid points,
-    # where |grad f| <= its largest value there
-    lip = float(np.sqrt(np.max(sum(c.values**2 for c in geom.grad_f))))
+    s, osc, lip = geom.slope_bound
     # alpha and beta of each output; the largest of each bounds every output
     alphas, betas = [0.0] * op.outputs, [0.0] * op.outputs
     for i, k, monomials in op.terms:
         n, q = op.sizes[i]
         for _, c, _, m in monomials:
             (betas if m else alphas)[k] += n * lip**q * (lip if c is not None else 1.0)
-    return _Scales(s, float(np.max(f.values) - np.min(f.values)), max(alphas), max(betas))
+    return _Scales(s, osc, max(alphas), max(betas))
 
 
-def _split_bounds(grid: GridSpec, scales: _Scales, radius: int):
-    """The error bounds of the splits (radius, K) for K = 0, 1, 2, ...; see _choose_split.
+def _interval(x: float) -> int:
+    """j of the narrowest ladder interval [0, 2^(j/8)], j >= -512, holding [0, x^2]; x <= 2^32."""
+    X = x * x
+    if X <= 2.0**-64:
+        return -512
+    j = ceil(8 * log2(X))
+    return j if 2.0 ** (j / 8) >= X else j + 1
 
-    The direct sum (no far field) yields 0 for every K.  Otherwise the bounds
-    end where the rounding term alone passes SMALL_SLOPE_TOL, as it only grows
-    with K.
+
+@lru_cache(maxsize=None)
+def _chebyshev(K: int) -> tuple:
+    """(v, C, S, sigma) of degree K on [0, 1], in long double.
+
+    v are the K+1 Chebyshev points of the first kind, (1 + cos theta_i)/2,
+    theta_i = (2i+1) pi / (2K+2); C is the discrete cosine matrix that takes
+    values at v to the coefficients a_j of the interpolant sum_j a_j T*_j(v);
+    row j of S holds the monomial coefficients of the shifted Chebyshev
+    polynomial T*_j(v) = T_j(2v - 1), by T*_j = (4v - 2) T*_(j-1) - T*_(j-2);
+    sigma_j = sum_k |S_jk|.
+    """
+    n = K + 1
+    theta = (2 * np.arange(n) + 1) * np.arccos(np.longdouble(-1)) / (2 * n)
+    C = np.cos(np.outer(np.arange(n), theta)) * (np.longdouble(2) / n)
+    C[0] /= 2
+    S = np.zeros((n, n), np.longdouble)
+    S[0, 0] = 1
+    if K:
+        S[1, :2] = -1, 2
+    for j in range(2, n):
+        S[j, 1:] = 4 * S[j - 1, :-1]
+        S[j] -= 2 * S[j - 1] + S[j - 2]
+    return (1 + np.cos(theta)) / 2, C, S, np.sum(np.abs(S), axis=1)
+
+
+# Ellipse parameters r = rho^(1 - delta) over which _interpolant minimizes its bound
+_ELLIPSES = 1.0 - np.geomspace(1e-4, 0.999, 64)
+
+
+@lru_cache(maxsize=None)
+def _interpolant(dim: int, j: int, K: int) -> tuple:
+    """(coefs, error): the degree-K Chebyshev interpolant of (1+u)^(-p), p = (N+1)/2, on [0, X].
+
+    X = 2^(j/8) (see :func:`_interval`); coefs are the interpolant's monomial
+    coefficients c_k in u, and sum_k c_k u^k lies within error of (1+u)^(-p)
+    for every u in [0, X].  With v = u/X on the points of :func:`_chebyshev`,
+    the values g, their Chebyshev coefficients a = C g and the monomial
+    coefficients in v, d = S^T a, are taken in long double; c_k = d_k / X^k.
+    S grows like 5.83^K but a decays as fast, so the product S^T a stays
+    small; the premultiplied S^T C would carry S's rounding into every g.
+
+    Truncation: z = 2v - 1 maps [-1, 1] onto [0, X], and the kernel's one
+    singularity u = -1 lies at z = -y, y = 1 + 2/X.  So the kernel is
+    analytic inside the Bernstein ellipse E_rho, rho = y + sqrt(y^2 - 1),
+    and on E_r, r < rho, at most M_r = ((X/2)(y - (r + 1/r)/2))^(-p), its
+    value at the vertex nearest -y.  Its Chebyshev coefficients are then at
+    most 2 M_r r^(-k) (Trefethen, Approximation Theory and Approximation
+    Practice, 2013, Thm 8.1); at the first-kind points the interpolant
+    aliases each coefficient past K onto at most one below, so it is within
+    2 sum_{k>K} |a_k| <= 4 M_r r^(-K) / (r - 1) (Thm 8.2), for K = 0 too.
+    The bound takes the least over the r of _ELLIPSES.
+
+    Conversion, by the standard rounding model with unit eps_L in long
+    double: g - 1 (to 4 eps_L relative) moves the interpolant by at most
+    4(K+1) eps_L max|g - 1| (a Lebesgue constant of at most K+1), C by
+    2(K+1)(K+2) eps_L max|g - 1| (|C_ij| <= 2/(K+1)), S^T by (K+2) eps_L
+    sum_j sigma_j |a_j|, and c_k = d_k / X^k by (K+2) eps_L sum_k |d_k|;
+    rounding c_k to double adds eps/2 sum_k |d_k|, and 2^-1075 sum_k X^k
+    where c_k falls below double's normal range.  A long double no wider
+    than a double makes the term larger, not wrong.  A c_k past double's
+    range makes the error inf.
+    """
+    p, X = (dim + 1) / 2, 2.0 ** (j / 8)
+    v, C, S, sigma = _chebyshev(K)
+    gm = np.expm1(-p * np.log1p(X * v))  # g - 1 keeps its digits when X is small
+    a = C @ gm
+    a[0] += 1
+    d = S.T @ a
+    powers = np.longdouble(X) ** np.arange(K + 1)
+    with np.errstate(over="ignore"):  # past double range the walk ends; see _splits
+        coefs = tuple((d / powers).astype(float).tolist())
+    # log r over the ellipses, log rho = arccosh(y); X/2 (y - cosh log r) = 1 - X sinh^2(log r/2)
+    log_r = _ELLIPSES * log1p(2.0 / X + sqrt(2.0 / X * (2.0 + 2.0 / X)))
+    log_m = -p * np.log(1.0 - X * np.sinh(log_r / 2) ** 2)
+    truncation = float((4.0 * np.exp(log_m - K * log_r) / np.expm1(log_r)).min())
+    eps_l = float(np.finfo(np.longdouble).eps)
+    d_abs = float(np.abs(d).sum())
+    conversion = (EPS * d_abs + eps_l * (K + 2) * (
+        1.0 + d_abs + float(sigma @ np.abs(a)) + 2 * (K + 3) * float(np.abs(gm).max()))
+        + float(powers.sum() * np.longdouble(2) ** -1075))  # c_k below double's normal range
+    return coefs, truncation + conversion if isfinite(sum(coefs)) else inf
+
+
+def _splits(grid: GridSpec, scales: _Scales, radius: int):
+    """The splits (radius, K) for K = 0, 1, 2, ..., each with its bound and coefficients.
+
+    See :func:`_choose_split`.  Past the cell every split is the direct sum
+    (no far field), bound 0.  Otherwise the walk ends where the rounding term
+    alone passes SMALL_SLOPE_TOL.
     """
     radii = _radii(grid)
     r = radii.nearest[radius]
     if r == inf:
-        yield from repeat(0.0)
+        yield from (_Split(radius, K, 0.0, ()) for K in count())
         return
     # x bounds |df| / |xi| on the far field, t = osc f / r, w its share of W_0
     t, w = scales.osc / r, radii.share[radius]
     x = min(scales.slope, t)
-    p, u = (grid.dim + 1) / 2, x * x
-    rounding = ROUNDING_GROWTH * float(np.finfo(float).eps) * log2(grid.size)
-    mass, tk, ck = 0.0, 1.0, 1.0  # tk = t^(2K), ck = |c_K|
+    if not x <= 2.0**32:  # past the ladder; nan on a non-finite interface
+        return
+    j, t2 = _interval(x), t * t
+    # the truncation term is error times w (alpha + beta x), the rounding term
+    # sum_k |c_k| t^(2k) times w (alpha + beta t) ROUNDING_GROWTH eps log2(M^N)
+    truncation = w * (scales.alpha + scales.beta * x)
+    rounding = w * (scales.alpha + scales.beta * t) * ROUNDING_GROWTH * EPS * log2(grid.size)
     for K in count():
-        mass += ck * tk * (scales.alpha + scales.beta * t)
-        if w * rounding * mass > SMALL_SLOPE_TOL:
+        coefs, error = _interpolant(grid.dim, j, K)
+        mass = 0.0
+        for c in reversed(coefs):
+            mass = mass * t2 + abs(c)
+        if not rounding * mass <= SMALL_SLOPE_TOL:  # nan past double range
             return
-        tk *= t * t
-        ck *= (p + K) / (K + 1)
-        rho = (p + K + 1) / (K + 2)
-        if rho * u < 1.0:
-            tail = (scales.alpha + scales.beta * x) * ck * u ** (K + 1) / (1 - rho * u)
-            yield w * (tail + rounding * mass)
-        else:
-            yield inf
+        yield _Split(radius, K, truncation * error + rounding * mass, coefs)
+
+
+def _first_split(grid: GridSpec, scales: _Scales, radius: int, orders: int):
+    """The split at radius with the first K < orders within SMALL_SLOPE_TOL, or None."""
+    return next((split for split in islice(_splits(grid, scales, radius), orders)
+                 if split.bound <= SMALL_SLOPE_TOL), None)
 
 
 def _choose_split(geom: InterfaceGeometry, op: _Operator) -> _Split:
@@ -577,21 +691,22 @@ def _choose_split(geom: InterfaceGeometry, op: _Operator) -> _Split:
     of the Nyquist mode): s >= sup |grad f| and s >= |df| / |xi| for every
     offset.  On the far field |xi| > R also |df| <= osc f = max f - min f,
     so |df| / |xi| <= x = min(s, osc f / r), r the smallest far |xi|, and
-    u = (df/|xi|)^2 <= x^2.  With p = (N+1)/2 the kernel is
-    sum_k c_k df^(2k) / |xi|^(2p+2k), c_k = binom(-p, k); cut after k = K it
-    is off by at most T_K |xi|^(-2p), where
-
-        T_K = sum_{k>K} |c_k| u^k <= |c_{K+1}| u^(K+1) / (1 - rho u),
-        rho = (p+K+1)/(K+2) >= |c_{k+1}/c_k| for k > K.
+    u = (df/|xi|)^2 <= x^2 <= X, X the top of the ladder interval
+    (:func:`_interval`, at most 9% above x^2).  With p = (N+1)/2 the kernel
+    is (1+u)^(-p) |xi|^(-2p); the far field replaces (1+u)^(-p) by its
+    degree-K Chebyshev interpolant on [0, X], sum_{k<=K} c_k u^k, within
+    E_K (:func:`_interpolant`, the Bernstein-ellipse bound plus the
+    conversion to monomials) of it.  The coefficients are the split's, so
+    the bound and the far field read one table.
 
     The coefficients d_c f(x) and op's fields are only taken at grid points,
     so by the fields' sizes and G = max |grad f| there each output's
     numerator is at most |xi| ||b||_inf (alpha + beta |df|/|xi|), alpha the
     largest sum over an output's monomials with m = 0 and beta with m = 1
     (a sum over every output would be N times looser for A), and the
-    truncation is at most
-    w (alpha + beta x) T_K relative to ||b||_inf W_0, where w is the far
-    field's share of W_0 = h^N/|S^N| sum |xi|^-N over the PV offsets.
+    truncation is at most w (alpha + beta x) E_K relative to ||b||_inf W_0,
+    where w is the far field's share of W_0 = h^N/|S^N| sum |xi|^-N over
+    the PV offsets.
 
     Rounding: the binomial pieces f(x)^a f(x-xi)^(e-a) of df^e add up to at
     most (osc f)^e in absolute value, where df^e itself is at most
@@ -616,14 +731,13 @@ def _choose_split(geom: InterfaceGeometry, op: _Operator) -> _Split:
         return near[R] + (A * (K + 1) + B) * (K + 1) + C
 
     direct = len(near) - 1
-    best, best_ns = _Split(direct, 0, 0.0), near[direct]
-    R = 0
+    best, best_ns, R = next(_splits(g, scales, direct)), near[direct], 0
     while R < direct and cost(R, 0) < best_ns:
-        for K, bound in enumerate(_split_bounds(g, scales, R)):
-            if cost(R, K) >= best_ns:
+        for split in _splits(g, scales, R):
+            if split.bound <= SMALL_SLOPE_TOL:
+                best, best_ns = split, cost(R, split.order)
                 break
-            if bound <= SMALL_SLOPE_TOL:
-                best, best_ns = _Split(R, K, bound), cost(R, K)
+            if cost(R, split.order + 1) >= best_ns:
                 break
         R += 1 + R // 8
     return best

@@ -7,8 +7,6 @@ claim, and reports (suite, check, value, threshold, pass) rows.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
 from .dynamics import InterfaceState, PhysicalParams, wow_residual
@@ -18,9 +16,9 @@ from .kernels import OperatorSpec, apply_B, chain_rule_residual
 from .multipliers import MultiplierSpec, symbol_D, symbol_T
 from .fields import jump_check
 from .offsets import near_offsets, pv_offsets
-from .potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _a_operator, _aa_operator,
-                         _d_operator, _d_star_operator, _direct_sum, _scales, _Split,
-                         _split_bounds, _split_sum, adjointness_defect, apply_A,
+from .potentials import (InterfaceGeometry, _a_operator, _aa_operator,
+                         _d_operator, _d_star_operator, _direct_sum, _first_split,
+                         _scales, _split_sum, adjointness_defect, apply_A,
                          apply_A_composed, apply_AA, apply_AA_composed, apply_D,
                          apply_D_composed, apply_D_star, apply_D_star_composed,
                          gradient_identity_residual, rellich_residual)
@@ -204,14 +202,13 @@ def suite_composed(cfg):
         geom, rng = _geometry(M, cfg.seed, amp=1e-3)
         b = [band_limited_random(geom.grid, 3, rng)]
         op = _aa_operator(1)
-        bounds = islice(_split_bounds(geom.grid, _scales(geom, op), 0), 8)
-        order = next((K for K, e in enumerate(bounds) if e <= SMALL_SLOPE_TOL), None)
+        split = _first_split(geom.grid, _scales(geom, op), 0, 8)
         composed = apply_AA_composed(geom, b).values
-        rel = (np.inf if order is None else
-               float(np.max(np.abs(_split_sum(geom, op, [b[0].values], _Split(0, order, 0.0))[0]
-                                   - composed)) / max(np.max(np.abs(composed)), 1e-300)))
+        rel = (np.inf if split is None else
+               float(np.max(np.abs(_split_sum(geom, op, [b[0].values], split)[0] - composed))
+                     / max(np.max(np.abs(composed)), 1e-300)))
         rows.append(Row("composed", f"AA small-slope M={M}", rel, 1e-10, rel <= 1e-10,
-                        note=f"AA (R,K)=(0,{order})"))
+                        note=f"AA (R,K)=(0,{None if split is None else split.order})"))
     # a low 2D bump on the smallest grid where D and AA both take a near field
     # and a far field: the split against the direct sum
     g = GridSpec(2, 2 * np.pi, 24)

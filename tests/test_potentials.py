@@ -1,14 +1,13 @@
-from itertools import islice
-
 import numpy as np
 import pytest
 
 from muskat.grid import (GridSpec, ScalarField, band_limited_random, gradient,
                          l2_norm, make_gaussian_bump, make_mode, make_zero)
 from muskat.kernels import OperatorSpec, apply_B, core_fix_apply, phibar_transform
-from muskat.potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _a_operator, _aa_operator,
-                               _d_operator, _d_star_operator, _direct_sum, _interface_sum,
-                               _scales, _Split, _split_bounds, _split_costs, _split_sum,
+from muskat.potentials import (ROUNDING_GROWTH, SMALL_SLOPE_TOL, InterfaceGeometry,
+                               _a_operator, _aa_operator, _d_operator, _d_star_operator,
+                               _direct_sum, _first_split, _interface_sum, _interpolant,
+                               _interval, _scales, _split_costs, _split_sum,
                                adjointness_defect,
                                apply_A, apply_A_composed, apply_AA, apply_AA_composed, apply_D,
                                apply_D_composed, apply_D_star, apply_D_star_composed,
@@ -272,12 +271,11 @@ def test_forced_split_within_its_bound():
     rng = np.random.default_rng(4)
     b = [band_limited_random(g, 16, rng) for _ in range(2)]
     for op, bv, _, scale in operands(geom, b):
-        bounds = islice(_split_bounds(g, _scales(geom, op), 6), 100)
-        order, bound = next((K, e) for K, e in enumerate(bounds) if e <= SMALL_SLOPE_TOL)
-        got, ref = _split_sum(geom, op, bv, _Split(6, order, bound)), reference_sum(geom, op, bv)
+        split = _first_split(g, _scales(geom, op), 6, 100)
+        got, ref = _split_sum(geom, op, bv, split), reference_sum(geom, op, bv)
         for k, (got_k, ref_k) in enumerate(zip(got, ref)):
             err = np.max(np.abs(got_k - ref_k))
-            assert 0 < err <= bound * scale, (order, k, err / scale)
+            assert 0 < err <= split.bound * scale, (split.order, k, err / scale)
 
 
 def test_AA_path_choice_on_the_benchmark_interfaces():
@@ -290,6 +288,31 @@ def test_AA_path_choice_on_the_benchmark_interfaces():
     past_the_cell = int(np.ceil(np.sqrt(2) * ((g.points - 1) // 2)))
     for split in (geom.split(_d_operator(2)), geom.split(_aa_operator(2))):
         assert 0 < split.radius < past_the_cell and split.bound <= SMALL_SLOPE_TOL, split
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_interpolant_is_within_its_bound(dim):
+    # each coefficient table entry on a ladder of slopes x: the polynomial sum_k c_k u^k
+    # the far field sums, its stored coefficients taken exactly (in long double), lies
+    # within the entry's bound of (1+u)^(-p) on its whole interval [0, X], which holds
+    # [0, x^2], at every order until the rounding term (t = x, log2(M^N) = 1) ends the walk
+    p, eps = np.longdouble(dim + 1) / 2, np.finfo(float).eps
+    for x in np.geomspace(1e-3, 1.3, 24):
+        j = _interval(x)
+        X = 2.0 ** (j / 8)
+        assert x * x <= X <= 1.1 * x * x
+        u = np.linspace(0, 1, 2000, dtype=np.longdouble) * X
+        exact = (1 + u) ** -p
+        for K in range(60):
+            coefs, error = _interpolant(dim, j, K)
+            if ROUNDING_GROWTH * eps * sum(abs(c) * x ** (2 * k) for k, c in enumerate(coefs)) \
+                    > SMALL_SLOPE_TOL:
+                break
+            poly = np.zeros_like(u)
+            for c in reversed(coefs):
+                poly = poly * u + np.longdouble(c)
+            assert np.max(np.abs(poly - exact)) <= error, (x, K)
+        assert K > 5, x
 
 
 def test_the_pick_is_the_cheapest_pair_within_the_bound():
@@ -309,9 +332,9 @@ def test_the_pick_is_the_cheapest_pair_within_the_bound():
             direct, R = len(near) - 1, 0
             candidates = [(near[direct], (direct, 0))]
             while R < direct:
-                bounds = islice(_split_bounds(g, _scales(geom, op), R), 201)
-                K = next((K for K, e in enumerate(bounds) if e <= SMALL_SLOPE_TOL), None)
-                if K is not None:
+                split = _first_split(g, _scales(geom, op), R, 201)
+                if split is not None:
+                    K = split.order
                     candidates.append((near[R] + (A * (K + 1) + B) * (K + 1) + C, (R, K)))
                 R += 1 + R // 8
             assert min(candidates, key=lambda c: c[0])[1] == geom.split(op)[:2], (g, op.terms)

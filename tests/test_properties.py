@@ -7,18 +7,15 @@ tolerance, so they must hold for any interface and density, not only for the
 fixed cases of the validate suites.
 """
 
-from itertools import islice
-
 import numpy as np
 
 from muskat.dynamics import InterfaceState, PhysicalParams, step
 from muskat.grid import GridSpec, band_limited_random, inner, l2_norm, make_gaussian_bump
 from muskat.offsets import near_offsets, pv_offsets
-from muskat.potentials import (SMALL_SLOPE_TOL, InterfaceGeometry, _a_operator, _aa_operator,
-                               _d_operator, _d_star_operator, _scales, _Split, _split_bounds,
-                               _split_sum, apply_A, apply_A_composed, apply_AA,
-                               apply_AA_composed, apply_D, apply_D_composed, apply_D_star,
-                               apply_D_star_composed)
+from muskat.potentials import (InterfaceGeometry, _a_operator, _aa_operator, _d_operator,
+                               _d_star_operator, _first_split, _scales, _split_sum, apply_A,
+                               apply_A_composed, apply_AA, apply_AA_composed, apply_D,
+                               apply_D_composed, apply_D_star, apply_D_star_composed)
 
 # Each case is drawn from its own fixed seed, so the cases do not depend on
 # anything but this file.
@@ -84,11 +81,10 @@ def test_direct_operators_equal_their_compositions():
                 (_d_star_operator(dim), [beta.values], [apply_D_star_composed(geom, beta)]),
                 (_a_operator(dim), bv, apply_A_composed(geom, b)),
                 (_aa_operator(dim), bv, [apply_AA_composed(geom, b)])):
-            bounds = islice(_split_bounds(geom.grid, _scales(geom, op), 0), 8)
-            order = next((K for K, e in enumerate(bounds) if e <= SMALL_SLOPE_TOL), None)
-            paths.add(order is not None)
-            if order is not None:
-                far = _split_sum(geom, op, inputs, _Split(0, order, 0.0))
+            split = _first_split(geom.grid, _scales(geom, op), 0, 8)
+            paths.add(split is not None)
+            if split is not None:
+                far = _split_sum(geom, op, inputs, split)
                 for far_k, composed_k in zip(far, composed, strict=True):
                     assert rel_err(far_k, composed_k.values) < 1e-10, seed
     assert paths == {True, False}  # flat interfaces were checked all-far, steep ones not
