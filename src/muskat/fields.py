@@ -129,7 +129,6 @@ class JumpReport:
     offsets: list          # distances d, descending
     max_deviation: dict    # d -> max over samples of |numeric - analytic|
     jump_scale: float      # max analytic jump magnitude over the samples
-    decay_order: float     # fitted slope of deviation vs d
 
     def deviation_fraction(self, d) -> float:
         return self.max_deviation[d] / self.jump_scale if self.jump_scale else 0.0
@@ -139,8 +138,7 @@ def jump_check(geom: InterfaceGeometry, beta: ScalarField, sample_indices) -> Ju
     """Compare V+ - V- of the velocity against the analytic trace jump.
 
     For each lattice sample x the probes sit at z = z_x +- d nu(x) for
-    d = c h, c in (8, 4, 2); reports the worst absolute deviation per d
-    and the observed decay order in d.
+    d = c h, c in (8, 4, 2); reports the worst absolute deviation per d.
     """
     g = geom.grid
     h = g.spacing
@@ -163,8 +161,4 @@ def jump_check(geom: InterfaceGeometry, beta: ScalarField, sample_indices) -> Ju
             vp, vm = eval_velocity(geom, beta, [zp, zm])
             dev = float(np.max(np.abs((vp - vm) - analytic)))
             max_dev[d] = max(max_dev[d], dev)
-    ds = np.log([d for d in offsets])
-    devs = np.log([max(max_dev[d], 1e-300) for d in offsets])
-    slope = float(np.polyfit(ds, devs, 1)[0])
-    return JumpReport(offsets=offsets, max_deviation=max_dev,
-                      jump_scale=scale, decay_order=slope)
+    return JumpReport(offsets=offsets, max_deviation=max_dev, jump_scale=scale)

@@ -16,7 +16,8 @@ default of :func:`phibar_transform`, keeps the bare sum, which the
 brute-force oracle and the composed-form validators reproduce term by term.
 The replacement is made in one place, :func:`core_fix_apply`, on real-FFT
 halves; :func:`apply_B` and the velocity operator's near/far split
-(:mod:`muskat.potentials`) both call it.
+(:mod:`muskat.potentials`) both call it.  :func:`far_symbols` builds the
+split's far-field symbols and holds none; the split keeps its own.
 """
 
 from __future__ import annotations
@@ -81,26 +82,14 @@ def riesz_core_weight(grid: GridSpec, nu: tuple, q: int) -> np.ndarray:
     return w
 
 
-# Byte cap of far_symbols' cache.  Symbol lists up to it (the demo decay's,
-# 2D M=32's) are kept across applies; a larger one (2D M=64 needs 0.9 MB per
-# nu) is rebuilt per apply, which costs less than a tenth of the apply.
-SYMBOL_CACHE_BYTES = 512 * 1024
-# (grid, radius, nu) -> the read-only symbols of orders 0, 1, ...
-FAR_SYMBOLS: dict = {}
-
-
 def far_symbols(grid: GridSpec, radius: int, nu: tuple, order: int) -> list:
     """rfftn halves of the lattice sums of xi^nu/(|S^N| |xi|^(N+1+2k)), k <= order, beyond a radius.
 
     The sums run over the PV offsets with |xi| > radius * h; entry k of the
-    list is the symbol of order k.  A list that fits in SYMBOL_CACHE_BYTES
-    beside the ones held is kept, read-only, in FAR_SYMBOLS (emptied first if
-    it does not fit beside them), and serves the lower orders too; a larger
-    list is built anew for each call.
+    list is the symbol of order k.  Each call builds fresh, writable arrays
+    that the caller owns; the near/far split scales and keeps one set per
+    split (see :mod:`muskat.potentials`).
     """
-    key = (grid, radius, nu)
-    if len(FAR_SYMBOLS.get(key, ())) > order:
-        return FAR_SYMBOLS[key][:order + 1]
     off = pv_offsets(grid)
     far = np.sum(off.ints**2, axis=1) > radius**2
     index = tuple((off.ints[far] % grid.points).T)
@@ -112,15 +101,6 @@ def far_symbols(grid: GridSpec, radius: int, nu: tuple, order: int) -> list:
     for k in range(order + 1):
         out.append(np.fft.rfftn(arr))
         arr *= inv_r2
-    size = sum(sym.nbytes for sym in out)
-    if size <= SYMBOL_CACHE_BYTES:
-        FAR_SYMBOLS.pop(key, None)
-        if size + sum(sym.nbytes for held in FAR_SYMBOLS.values() for sym in held) \
-                > SYMBOL_CACHE_BYTES:
-            FAR_SYMBOLS.clear()
-        for sym in out:
-            sym.setflags(write=False)
-        FAR_SYMBOLS[key] = out
     return out
 
 

@@ -23,13 +23,16 @@ from .offsets import sphere_area
 from .profiles import phibar
 
 
-def _gl_panels(bounds, order):
+# the Gauss-Legendre rule on [-1, 1] of every sphere-rule panel, built once
+_GL_X, _GL_W = leggauss(32)
+
+
+def _gl_panels(bounds):
     """Composite Gauss-Legendre nodes/weights over consecutive [a,b] panels."""
-    x, w = leggauss(order)
     nodes, weights = [], []
     for a, b in zip(bounds[:-1], bounds[1:]):
-        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
+        nodes.append(0.5 * (b - a) * _GL_X + 0.5 * (a + b))
+        weights.append(0.5 * (b - a) * _GL_W)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -45,8 +48,8 @@ def _orthonormal_frame(direction):
     return e1, e2, zhat
 
 
-# sphere-rule resolution: nodes on S^1; Gauss nodes per hemisphere and azimuthal nodes on S^2
-_N_ANGLE, _N_HEMISPHERE, _N_AZIMUTH = 256, 32, 128
+# azimuthal nodes of a rule on S^2
+_N_AZIMUTH = 128
 
 
 @dataclass(frozen=True)
@@ -67,14 +70,12 @@ class SphereRule:
             alpha = np.arctan2(direction[1], direction[0])
             upper = np.linspace(alpha - np.pi / 2.0, alpha + np.pi / 2.0, 5)
             lower = np.linspace(alpha + np.pi / 2.0, alpha + 3.0 * np.pi / 2.0, 5)
-            bounds = np.concatenate([upper, lower[1:]])
-            per_panel = _N_ANGLE // (len(bounds) - 1)
-            theta, w = _gl_panels(bounds, per_panel)
+            theta, w = _gl_panels(np.concatenate([upper, lower[1:]]))
             nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
             return cls(2, nodes, w)
         if dim == 3:
             e1, e2, zhat = _orthonormal_frame(np.asarray(direction, dtype=float))
-            u, wu = _gl_panels(np.array([-1.0, 0.0, 1.0]), _N_HEMISPHERE)
+            u, wu = _gl_panels(np.array([-1.0, 0.0, 1.0]))
             psi = 2.0 * np.pi * np.arange(_N_AZIMUTH) / _N_AZIMUTH
             wpsi = 2.0 * np.pi / _N_AZIMUTH
             s = np.sqrt(np.clip(1.0 - u**2, 0.0, None))

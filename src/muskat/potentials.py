@@ -373,8 +373,8 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
     :func:`_interpolant`).  With df^e = sum_a binom(e, a) f(x)^a
     (-f(x-xi))^(e-a), each monomial's term of order k is coef(x) f(x)^a
     times the convolution of the truncated lattice kernel
-    xi^nu / |xi|^(N+1+2k) 1{|xi| > R} (:func:`muskat.kernels.far_symbols`)
-    with f^(e-a) u.  Grouped by output
+    xi^nu / |xi|^(N+1+2k) 1{|xi| > R} with f^(e-a) u; its symbols are
+    built once per split (:func:`_symbol_table`).  Grouped by output
     and x-coefficient (k, c), in batches of groups (see FAR_BATCH_BYTES): one
     rfftn per field and power p = e - a in a batch, the products summed per
     group and power a in Fourier space, and one irfftn per group and a.  Each
@@ -407,8 +407,7 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
 
 def _direct_sum(geom: InterfaceGeometry, op: _Operator, bv) -> np.ndarray:
     """op's PV lattice sum, per output, with every offset in the near field: no far field."""
-    g = geom.grid
-    return _split_sum(geom, op, bv, _first_split(g, _scales(geom, op), len(_radii(g).near) - 1, 1))
+    return _split_sum(geom, op, bv, _direct_split(geom.grid))
 
 
 def _far_batch(geom, op, split, us, batch, fc) -> np.ndarray:
@@ -440,30 +439,50 @@ def _far_batch(geom, op, split, us, batch, fc) -> np.ndarray:
 
 
 def _far_field(geom, split, u, monomials, fc, accs):
-    """Add the far-field terms of field u's monomials ((k, c), sign, axis, m) to accs[k, c][a]."""
-    g, R, K = geom.grid, split.radius, split.order
+    """Add the far-field terms of field u's monomials ((k, c), sign, axis, m) to accs[k, c][a].
+
+    The symbols are read from the split's table (:func:`_symbol_table`),
+    built on first use; they carry no sign, so a term adds or subtracts.
+    """
+    g, K = geom.grid, split.order
     half = g.shape[:-1] + (g.points // 2 + 1,)
-    # binom(e, a) = e! / (a! p!): e! goes with the symbol, 1/p! with the
-    # field's spectrum, 1/a! with the power of f(x)
+    table = _symbol_table(g, split.radius, split.coefs)
     terms = []
     for (k_out, c), sign, axis, m in monomials:
         nu = tuple(int(j == axis) for j in range(g.dim))
-        # a cached symbol is read-only: scale a copy; a fresh one in place
-        scaled = [np.multiply(sym, sign * ck * factorial(m + 2 * k),
-                              out=sym if sym.flags.writeable else None)
-                  for k, (sym, ck) in enumerate(zip(far_symbols(g, R, nu, K), split.coefs))]
-        terms.append((accs[k_out, c], m, scaled))
+        scaled = table.get((nu, m))
+        if scaled is None:
+            # binom(e, a) = e! / (a! p!): e! goes with the symbol, 1/p! with
+            # the field's spectrum, 1/a! with the power of f(x)
+            scaled = table[nu, m] = far_symbols(g, split.radius, nu, K)
+            for k, (sym, ck) in enumerate(zip(scaled, split.coefs)):
+                sym *= ck * factorial(m + 2 * k)
+                sym.setflags(write=False)
+        terms.append((accs[k_out, c], np.add if sign > 0 else np.subtract, m, scaled))
     buf, spec, v = np.empty(half, complex), np.empty(half, complex), u.copy()
-    for p in range(2 * K + 1 + max(m for _, m, _ in terms)):
+    for p in range(2 * K + 1 + max(m for _, _, m, _ in terms)):
         if p:
             v *= fc
         np.fft.rfftn(v, out=spec)
         if p:
             spec *= (-1) ** p / factorial(p)
-        for acc, m, scaled in terms:
+        for acc, combine, m, scaled in terms:
             for k in range(max(p - m + 1, 0) // 2, K + 1):
                 np.multiply(spec, scaled[k], out=buf)
-                acc[m + 2 * k - p] += buf
+                combine(acc[m + 2 * k - p], buf, out=acc[m + 2 * k - p])
+
+
+@lru_cache(maxsize=1)
+def _symbol_table(grid: GridSpec, radius: int, coefs: tuple) -> dict:
+    """The far field's symbols at the split (radius, coefs), filled by :func:`_far_field`.
+
+    (nu, m) maps to :func:`muskat.kernels.far_symbols` of orders k <= K,
+    each scaled by c_k (m+2k)! and read-only.  coefs fix N, the ladder
+    interval and K, so every operator on the split shares its entries.
+    Only the last split's table is held: the cache drops the previous one
+    as this returns, before the new one is filled.
+    """
+    return {}
 
 
 # Cost model of the split, in ns on one core of a 2-core Xeon (fitted on 1D
@@ -649,15 +668,12 @@ def _interpolant(dim: int, j: int, K: int) -> tuple:
 def _splits(grid: GridSpec, scales: _Scales, radius: int):
     """The splits (radius, K) for K = 0, 1, 2, ..., each with its bound and coefficients.
 
-    See :func:`_choose_split`.  Past the cell every split is the direct sum
-    (no far field), bound 0.  Otherwise the walk ends where the rounding term
-    alone passes SMALL_SLOPE_TOL.
+    See :func:`_choose_split`; radius stays inside the cell (the direct sum
+    is :func:`_direct_split`).  The walk ends where the rounding term alone
+    passes SMALL_SLOPE_TOL.
     """
     radii = _radii(grid)
     r = radii.nearest[radius]
-    if r == inf:
-        yield from (_Split(radius, K, 0.0, ()) for K in count())
-        return
     # x bounds |df| / |xi| on the far field, t = osc f / r, w its share of W_0
     t, w = scales.osc / r, radii.share[radius]
     x = min(scales.slope, t)
@@ -676,6 +692,11 @@ def _splits(grid: GridSpec, scales: _Scales, radius: int):
         if not rounding * mass <= SMALL_SLOPE_TOL:  # nan past double range
             return
         yield _Split(radius, K, truncation * error + rounding * mass, coefs)
+
+
+def _direct_split(grid: GridSpec) -> _Split:
+    """The split past the cell: every PV offset in the near field, no far field, bound 0."""
+    return _Split(len(_radii(grid).near) - 1, 0, 0.0, ())
 
 
 def _first_split(grid: GridSpec, scales: _Scales, radius: int, orders: int):
@@ -730,8 +751,8 @@ def _choose_split(geom: InterfaceGeometry, op: _Operator) -> _Split:
     def cost(R, K):
         return near[R] + (A * (K + 1) + B) * (K + 1) + C
 
-    direct = len(near) - 1
-    best, best_ns, R = next(_splits(g, scales, direct)), near[direct], 0
+    best = _direct_split(g)
+    direct, best_ns, R = best.radius, near[best.radius], 0
     while R < direct and cost(R, 0) < best_ns:
         for split in _splits(g, scales, R):
             if split.bound <= SMALL_SLOPE_TOL:

@@ -234,13 +234,15 @@ def test_missing_snapshot_is_config_error(tmp_path):
 
 
 def test_thread_env_bit_identity(tmp_path):
-    # the determinism contract across MUSKAT_THREADS settings, via subprocesses
+    # the determinism contract across thread settings, via subprocesses: numpy's
+    # BLAS reads OPENBLAS_NUM_THREADS and OMP_NUM_THREADS at import
     results = {}
     for threads in ("1", "4"):
         outdir = tmp_path / f"t{threads}"
         cfg = write(tmp_path / f"c{threads}.cfg",
                     MINIMAL + f"output.dir = {outdir}\n")
-        env = dict(os.environ, MUSKAT_THREADS=threads)
+        env = dict(os.environ, MUSKAT_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "muskat.cli", "evolve", cfg],
             env=env, capture_output=True, text=True)

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 import muskat.dynamics
+import muskat.potentials
 from muskat.cli import main
 from muskat.config import initial_field, parse_config
 from muskat.dynamics import (InterfaceState, PhysicalParams, StepperConfig,
                              evolve, rt_margin, step, wow_residual)
 from muskat.grid import (GridSpec, ScalarField, l2_norm,
                          make_gaussian_bump, make_mode, make_zero)
-from muskat.kernels import FAR_SYMBOLS, SYMBOL_CACHE_BYTES, far_symbols
-from muskat.potentials import InterfaceGeometry, _aa_operator, _d_operator, _direct_sum
+from muskat.kernels import far_symbols
+from muskat.potentials import (InterfaceGeometry, _aa_operator, _d_operator, _d_star_operator,
+                               _direct_sum, apply_AA, apply_D, apply_D_star)
+from muskat.resolvent import solve_beta
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "decay_demo.cfg")
 
@@ -250,27 +253,70 @@ def test_a_step_builds_no_omega_or_normal():
     assert "omega" not in geom.__dict__ and "normal" not in geom.__dict__
 
 
-def test_far_symbol_cache_stays_within_its_budget():
-    # after a 2-step 2D M=32 evolve at a_mu = 0.5 the cache holds, per radius,
-    # one list of read-only rfftn halves per nu (at most N+1), within its byte
-    # cap; a 2D M=64 list (0.9 MB) is built per call and not kept
-    FAR_SYMBOLS.clear()
-    g = GridSpec(2, 2 * np.pi, 32)
-    f0 = make_gaussian_bump(g, 0.7, [np.pi] * 2, 0.5)
-    evolve(f0, PhysicalParams(lam=1.0, a_mu=0.5), StepperConfig(dt=0.05, t_end=0.1))
-    assert FAR_SYMBOLS  # the double layer takes a far field here
-    nus = {}
-    for (grid, radius, nu), symbols in FAR_SYMBOLS.items():
-        assert grid == g
-        assert all(s.shape == (32, 17) and s.dtype == complex and not s.flags.writeable
+def _contrast_bump(M):
+    """The contrast-2d bump on a 2D grid of M points per axis, with random beta and b."""
+    g = GridSpec(2, 2 * np.pi, M)
+    geom = InterfaceGeometry(make_gaussian_bump(g, 0.7, [np.pi] * 2, 0.5))
+    rng = np.random.default_rng(3)
+    beta = ScalarField(g, rng.standard_normal(g.shape))
+    return geom, beta, [ScalarField(g, rng.standard_normal(g.shape)) for _ in range(2)]
+
+
+def test_a_density_solve_builds_each_symbol_list_once(monkeypatch):
+    # GMRES applies D about iterations + 3 times at one split; D's N+1 lists
+    # (nu = 0 with df, and each e_j) are built once for the whole solve
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return far_symbols(*args)
+
+    monkeypatch.setattr(muskat.potentials, "far_symbols", counting)
+    muskat.potentials._symbol_table.cache_clear()
+    geom, _, _ = _contrast_bump(64)
+    _, report = solve_beta(geom, 0.5)
+    assert geom.split(_d_operator(2)).order > 0  # D takes a far field here
+    assert report.iterations >= 3
+    assert len(calls) == geom.grid.dim + 1, calls
+
+
+def test_far_field_symbols_are_scaled_once():
+    # the table's lists are read-only and carry no sign: D on either side of a
+    # velocity-operator apply, and D* reading D's entries with the opposite
+    # sign, return what a fresh table gives
+    geom, beta, b = _contrast_bump(32)
+    d_op, d_star_op = _d_operator(2), _d_star_operator(2)
+    assert geom.split(d_op) == geom.split(d_star_op)  # one split, one table
+    first = apply_D(geom, beta).values
+    apply_AA(geom, b)
+    again = [apply_D(geom, beta).values for _ in range(2)]
+    shared = apply_D_star(geom, beta).values
+    muskat.potentials._symbol_table.cache_clear()
+    fresh = apply_D_star(geom, beta).values
+    assert all(np.array_equal(first, d) for d in again)
+    assert np.array_equal(shared, fresh)
+
+
+def test_far_field_holds_one_splits_lists():
+    # after D and the velocity operator at 2D M=64 (different splits), only
+    # the velocity operator's lists are held: one per (nu, m), at most N+1
+    geom, beta, b = _contrast_bump(64)
+    apply_D(geom, beta)
+    apply_AA(geom, b)
+    split = geom.split(_aa_operator(2))
+    assert split.order > 0 and split != geom.split(_d_operator(2))
+    table_cache = muskat.potentials._symbol_table
+    assert table_cache.cache_info().currsize == 1
+    hits = table_cache.cache_info().hits
+    table = table_cache(geom.grid, split.radius, split.coefs)
+    assert table_cache.cache_info().hits == hits + 1  # the held table is the last split's
+    assert 0 < len(table) <= geom.grid.dim + 1
+    for symbols in table.values():
+        assert len(symbols) == split.order + 1
+        assert all(s.shape == (64, 33) and s.dtype == complex and not s.flags.writeable
                    for s in symbols)
-        nus.setdefault(radius, set()).add(nu)
-    assert all(len(held) <= g.dim + 1 for held in nus.values()), nus
-    held = sum(s.nbytes for symbols in FAR_SYMBOLS.values() for s in symbols)
-    assert held <= SYMBOL_CACHE_BYTES
-    big = GridSpec(2, 2 * np.pi, 64)
-    assert len(far_symbols(big, 13, (0, 0), 26)) == 27
-    assert all(grid != big for grid, *_ in FAR_SYMBOLS)
+    with pytest.raises(ValueError):
+        symbols[0] *= 2.0
 
 
 @pytest.mark.parametrize("amplitude", ["1e200", "1e307"])
