@@ -78,6 +78,16 @@ def _write_manifest(cfg: SimConfig, outdir, extra):
         fh.write("\n")
 
 
+def _solve_totals(reports) -> dict:
+    """The density solves' count, GMRES iterations and applies of D per split tolerance."""
+    applies = {}
+    for report in reports:
+        for tol, n in report.d_applies.items():
+            applies[repr(tol)] = applies.get(repr(tol), 0) + n
+    return {"count": len(reports), "iterations": sum(r.iterations for r in reports),
+            "d_applies": applies}
+
+
 def cmd_evolve(args) -> int:
     cfg = parse_config(args.config)
     outdir = _output_dir(args, cfg)
@@ -89,7 +99,8 @@ def cmd_evolve(args) -> int:
             save_field(os.path.join(outdir, f"snapshot_{index:06d}.bin"), snap)
         save_field(os.path.join(outdir, "final.bin"), result.final.f)
     steps = len(result.series) - 1
-    _write_manifest(cfg, outdir, {"halted": result.halted, "steps": steps})
+    _write_manifest(cfg, outdir, {"halted": result.halted, "steps": steps,
+                                  "density_solves": _solve_totals(result.solves)})
     if result.halted:
         print(f"halted ({result.halted}) at t={result.final.t:.6f} after {steps} steps; "
               f"outputs in {outdir}", file=sys.stderr)

@@ -176,18 +176,23 @@ def wow_residual(state: InterfaceState, params: PhysicalParams) -> float:
 
 
 def step(state: InterfaceState, params: PhysicalParams, dt: float,
-         scheme: str = "rk2", tol: float = 1e-10, max_iter: int = 200) -> InterfaceState:
+         scheme: str = "rk2", tol: float = 1e-10, max_iter: int = 200,
+         solves: list | None = None) -> InterfaceState:
     """Advance one explicit step: an Euler stage, plus the SSP-RK2 correction for 'rk2'.
 
-    Raises NonFiniteInterface when a stage overflows.
+    Each stage's SolveReport is appended to ``solves`` when given.  Raises
+    NonFiniteInterface when a stage overflows.
     """
     if scheme not in ("rk2", "euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
     g, t = state.f.grid, state.t + dt
 
     def stage(values, warm_start):
-        return InterfaceState.compute(ScalarField(g, values), params, tol=tol, t=t,
-                                      warm_start=warm_start, max_iter=max_iter)
+        out = InterfaceState.compute(ScalarField(g, values), params, tol=tol, t=t,
+                                     warm_start=warm_start, max_iter=max_iter)
+        if solves is not None:
+            solves.append(out.beta_report)
+        return out
 
     with overflow_guard(t):
         k1 = params.lam * state.phi_tilde.values
@@ -204,6 +209,7 @@ class EvolutionResult:
     series: list                # monitor rows
     snapshots: list             # (step index, ScalarField)
     halted: str | None = None   # 'rt-floor' or 'non-finite' when the run stopped early
+    solves: list = field(default_factory=list)  # every density solve's SolveReport, in order
 
     SERIES_HEADER = ("t", "min_rt_margin", "volume", "sobolev_norm_s", "beta_iters", "dt")
 
@@ -226,6 +232,7 @@ def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
     """
     n_steps, dt = stepper.steps(f0.grid, params.lam)
     state = InterfaceState.compute(f0, params, tol=solver_tol, max_iter=solver_max_iter)
+    solves = [state.beta_report]
     series = []
     snapshots = []
     halted = None
@@ -233,7 +240,7 @@ def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
         if i:
             try:
                 state = step(state, params, dt, scheme=stepper.scheme, tol=solver_tol,
-                             max_iter=solver_max_iter)
+                             max_iter=solver_max_iter, solves=solves)
             except NonFiniteInterface:
                 halted = "non-finite"
                 break
@@ -247,4 +254,4 @@ def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
             break
     snapshots.append((len(series) - 1, state.f))
     return EvolutionResult(final=state, series=series, snapshots=snapshots,
-                           halted=halted)
+                           halted=halted, solves=solves)

@@ -19,13 +19,16 @@ polynomial of degree K in (df/|xi|)^2: the kernel's Chebyshev interpolant
 on the interval [0, x^2] that the slope bound x proves for the far field,
 which exists on any interface because |df| <= max f - min f.  Each
 geometry picks the cheapest (R, K) per operator within an a-priori error
-bound (:func:`_choose_split`); R = 0 is all far field (the small-slope
-expansion of every offset), R past the cell is the direct sum.  The torus
+bound (:func:`_choose_split`), SMALL_SLOPE_TOL unless the density solve
+asks D for a looser one (:mod:`muskat.resolvent`); R = 0 is all far field
+(the small-slope expansion of every offset), R past the cell is the direct
+sum.  The torus
 flux is summed directly over the cell's face ring.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import count, islice
@@ -41,7 +44,8 @@ from .offsets import face_ring, lattice_sum, near_offsets, pv_offsets, sphere_ar
 
 # An operator's near/far split takes the cheapest (R, K)
 # whose error bound, relative to the scale ||b||_inf W_0 (see _choose_split),
-# is at most SMALL_SLOPE_TOL.
+# is at most SMALL_SLOPE_TOL; only the density solve's Krylov products ask D
+# for a looser one.
 SMALL_SLOPE_TOL = 1e-13
 # Byte cap of the far field's accumulators held at once (2K+2 half spectra per
 # (output, x-coefficient) group): groups are batched up to it, so that a field
@@ -98,11 +102,11 @@ class InterfaceGeometry:
         lip = float(np.sqrt(np.max(sum(c.values**2 for c in self.grad_f))))
         return s, float(np.max(f) - np.min(f)), lip
 
-    def split(self, op: _Operator) -> _Split:
-        """op's near/far split, chosen once per operator; see _choose_split."""
-        split = self._splits.get(op)
+    def split(self, op: _Operator, *, split_tol: float = SMALL_SLOPE_TOL) -> _Split:
+        """op's near/far split within split_tol, chosen once per pair; see _choose_split."""
+        split = self._splits.get((op, split_tol))
         if split is None:
-            split = self._splits[op] = _choose_split(self, op)
+            split = self._splits[op, split_tol] = _choose_split(self, op, split_tol)
         return split
 
 
@@ -158,20 +162,24 @@ def _interface_sum(geom: InterfaceGeometry, op: _Operator, us, offsets) -> np.nd
     return g.spacing**g.dim / sphere_area(g.dim) * total
 
 
-def _apply(geom: InterfaceGeometry, op: _Operator, inputs) -> list:
-    """op on the input fields, split at the geometry's (R, K) for op: one field per output."""
+def _apply(geom: InterfaceGeometry, op: _Operator, inputs, *,
+           split_tol: float = SMALL_SLOPE_TOL) -> list:
+    """op on the input fields, split at geom's (R, K) within split_tol: one field per output."""
     inputs = list(inputs)
     g = require_same_grid(geom.f, *inputs)
-    return [ScalarField(g, c)
-            for c in _split_sum(geom, op, [u.values for u in inputs], geom.split(op))]
+    split = geom.split(op, split_tol=split_tol)
+    return [ScalarField(g, c) for c in _split_sum(geom, op, [u.values for u in inputs], split)]
 
 
-def apply_D(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
+def apply_D(geom: InterfaceGeometry, beta: ScalarField, *,
+            split_tol: float = SMALL_SLOPE_TOL) -> ScalarField:
     """Double layer potential: PV sum of (df - xi.grad f(x-xi)) beta(x-xi) / (...)^((N+1)/2).
 
-    Its core keeps the lattice sum.
+    Its core keeps the lattice sum.  The split errs by at most split_tol
+    ||beta||_inf W_0 per point (see _choose_split); only the density solve
+    asks for more than SMALL_SLOPE_TOL, on its Krylov products.
     """
-    return _apply(geom, _d_operator(geom.grid.dim), [beta])[0]
+    return _apply(geom, _d_operator(geom.grid.dim), [beta], split_tol=split_tol)[0]
 
 
 def apply_D_composed(geom: InterfaceGeometry, beta: ScalarField) -> ScalarField:
@@ -374,7 +382,7 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
     (-f(x-xi))^(e-a), each monomial's term of order k is coef(x) f(x)^a
     times the convolution of the truncated lattice kernel
     xi^nu / |xi|^(N+1+2k) 1{|xi| > R} with f^(e-a) u; its symbols are
-    built once per split (:func:`_symbol_table`).  Grouped by output
+    built once per split (:data:`_symbol_tables`).  Grouped by output
     and x-coefficient (k, c), in batches of groups (see FAR_BATCH_BYTES): one
     rfftn per field and power p = e - a in a batch, the products summed per
     group and power a in Fourier space, and one irfftn per group and a.  Each
@@ -441,12 +449,12 @@ def _far_batch(geom, op, split, us, batch, fc) -> np.ndarray:
 def _far_field(geom, split, u, monomials, fc, accs):
     """Add the far-field terms of field u's monomials ((k, c), sign, axis, m) to accs[k, c][a].
 
-    The symbols are read from the split's table (:func:`_symbol_table`),
+    The symbols are read from the split's table (:data:`_symbol_tables`),
     built on first use; they carry no sign, so a term adds or subtracts.
     """
     g, K = geom.grid, split.order
     half = g.shape[:-1] + (g.points // 2 + 1,)
-    table = _symbol_table(g, split.radius, split.coefs)
+    table = _symbol_tables.table(geom, split)
     terms = []
     for (k_out, c), sign, axis, m in monomials:
         nu = tuple(int(j == axis) for j in range(g.dim))
@@ -472,17 +480,42 @@ def _far_field(geom, split, u, monomials, fc, accs):
                 combine(acc[m + 2 * k - p], buf, out=acc[m + 2 * k - p])
 
 
-@lru_cache(maxsize=1)
-def _symbol_table(grid: GridSpec, radius: int, coefs: tuple) -> dict:
-    """The far field's symbols at the split (radius, coefs), filled by :func:`_far_field`.
+class _SymbolTables:
+    """The far field's symbol tables of the current stage, one per split (grid, radius, coefs).
 
-    (nu, m) maps to :func:`muskat.kernels.far_symbols` of orders k <= K,
-    each scaled by c_k (m+2k)! and read-only.  coefs fix N, the ladder
-    interval and K, so every operator on the split shares its entries.
-    Only the last split's table is held: the cache drops the previous one
-    as this returns, before the new one is filled.
+    A table maps (nu, m) to :func:`muskat.kernels.far_symbols` of orders
+    k <= K, each scaled by c_k (m+2k)! and read-only, filled by
+    :func:`_far_field`.  coefs fix N, the ladder interval and K, so every
+    operator on the split shares its entries (and every operator's
+    monomials take the same N+1 of them).  The current stage is the last
+    geometry to read a table; the tables it has not read (the stage
+    before's) are dropped before a table is added.  So the tables a stage
+    shares with the one before are not built again, and no stale table is
+    held while memory grows.  Nothing is dropped within a stage: no list is
+    built twice in one density solve, whatever split tolerances its
+    products take.
     """
-    return {}
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.owner, self.read, self.held = None, set(), {}
+
+    def table(self, geom: InterfaceGeometry, split: _Split) -> dict:
+        """The split's table, for the stage of geom."""
+        key = (geom.grid, split.radius, split.coefs)
+        if self.owner is None or self.owner() is not geom:
+            self.owner, self.read = weakref.ref(geom), set()
+        self.read.add(key)
+        table = self.held.get(key)
+        if table is None:
+            self.held = {k: t for k, t in self.held.items() if k in self.read}
+            table = self.held[key] = {}
+        return table
+
+
+_symbol_tables = _SymbolTables()
 
 
 # Cost model of the split, in ns on one core of a 2-core Xeon (fitted on 1D
@@ -501,7 +534,8 @@ class _Radii(NamedTuple):
 
     near: list     # the number of PV offsets with |xi| <= R h
     nearest: list  # the smallest far |xi| (inf past the cell)
-    share: list    # the far field's share of W_0 = h^N/|S^N| sum |xi|^-N
+    share: list    # the far field's share of W_0
+    w0: float      # W_0 = h^N/|S^N| sum |xi|^-N over the PV offsets
 
 
 @lru_cache(maxsize=None)
@@ -513,7 +547,13 @@ def _radii(grid: GridSpec) -> _Radii:
     near = np.searchsorted(n2, radii**2, side="right")
     nearest = np.sqrt(np.append(n2, np.inf)[near]) * grid.spacing
     share = 1.0 - np.append(0.0, cum)[near] / cum[-1]
-    return _Radii(near.tolist(), nearest.tolist(), share.tolist())
+    return _Radii(near.tolist(), nearest.tolist(), share.tolist(),
+                  float(cum[-1]) / sphere_area(grid.dim))
+
+
+def split_weight(grid: GridSpec) -> float:
+    """W_0: a split within tol errs by at most tol ||b||_inf W_0 at each point; see _choose_split."""
+    return _radii(grid).w0
 
 
 @lru_cache(maxsize=None)
@@ -665,12 +705,12 @@ def _interpolant(dim: int, j: int, K: int) -> tuple:
     return coefs, truncation + conversion if isfinite(sum(coefs)) else inf
 
 
-def _splits(grid: GridSpec, scales: _Scales, radius: int):
+def _splits(grid: GridSpec, scales: _Scales, radius: int, tol: float):
     """The splits (radius, K) for K = 0, 1, 2, ..., each with its bound and coefficients.
 
     See :func:`_choose_split`; radius stays inside the cell (the direct sum
     is :func:`_direct_split`).  The walk ends where the rounding term alone
-    passes SMALL_SLOPE_TOL.
+    passes tol.
     """
     radii = _radii(grid)
     r = radii.nearest[radius]
@@ -689,7 +729,7 @@ def _splits(grid: GridSpec, scales: _Scales, radius: int):
         mass = 0.0
         for c in reversed(coefs):
             mass = mass * t2 + abs(c)
-        if not rounding * mass <= SMALL_SLOPE_TOL:  # nan past double range
+        if not rounding * mass <= tol:  # nan past double range
             return
         yield _Split(radius, K, truncation * error + rounding * mass, coefs)
 
@@ -701,12 +741,12 @@ def _direct_split(grid: GridSpec) -> _Split:
 
 def _first_split(grid: GridSpec, scales: _Scales, radius: int, orders: int):
     """The split at radius with the first K < orders within SMALL_SLOPE_TOL, or None."""
-    return next((split for split in islice(_splits(grid, scales, radius), orders)
-                 if split.bound <= SMALL_SLOPE_TOL), None)
+    splits = islice(_splits(grid, scales, radius, SMALL_SLOPE_TOL), orders)
+    return next((split for split in splits if split.bound <= SMALL_SLOPE_TOL), None)
 
 
-def _choose_split(geom: InterfaceGeometry, op: _Operator) -> _Split:
-    """The cheapest (R, K) whose error bound, relative to ||b||_inf W_0, is at most SMALL_SLOPE_TOL.
+def _choose_split(geom: InterfaceGeometry, op: _Operator, tol: float) -> _Split:
+    """The cheapest (R, K) whose error bound, relative to ||b||_inf W_0, is at most tol.
 
     Bound the slope by s = sum_k |k| |f^_k| (Fourier coefficients, any alias
     of the Nyquist mode): s >= sup |grad f| and s >= |df| / |xi| for every
@@ -754,8 +794,8 @@ def _choose_split(geom: InterfaceGeometry, op: _Operator) -> _Split:
     best = _direct_split(g)
     direct, best_ns, R = best.radius, near[best.radius], 0
     while R < direct and cost(R, 0) < best_ns:
-        for split in _splits(g, scales, R):
-            if split.bound <= SMALL_SLOPE_TOL:
+        for split in _splits(g, scales, R, tol):
+            if split.bound <= tol:
                 best, best_ns = split, cost(R, split.order)
                 break
             if cost(R, split.order + 1) >= best_ns:

@@ -129,6 +129,19 @@ def test_evolve_rerun_is_bit_identical(text, tmp_path):
         (tmp_path / "o2" / "final.bin").read_bytes()
 
 
+def test_evolve_manifest_counts_the_applies_of_D(tmp_path):
+    # a cold first solve skips its first residual's apply, every later solve is
+    # warm: D is applied iterations + 2 times per solve, less one
+    text = GMRES_2D.replace("grid.points = 16", "grid.points = 32")
+    cfg = write(tmp_path / "c.cfg", text + f"output.dir = {tmp_path}/out\n")
+    assert main(["evolve", cfg]) == 0
+    solves = json.loads((tmp_path / "out" / "manifest.json").read_text())["density_solves"]
+    assert solves["count"] == 5  # the initial state and two RK2 stages per step
+    applies = solves["d_applies"]
+    assert sum(applies.values()) == solves["iterations"] + 2 * solves["count"] - 1
+    assert applies["1e-13"] >= 2 * solves["count"] - 1 and len(applies) > 1, applies
+
+
 def test_config_error_exit_code(tmp_path):
     bad = write(tmp_path / "bad.cfg", "grid.bogus = 1\n")
     assert main(["evolve", bad]) == 2

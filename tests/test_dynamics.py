@@ -10,7 +10,7 @@ from muskat.cli import main
 from muskat.config import initial_field, parse_config
 from muskat.dynamics import (InterfaceState, PhysicalParams, StepperConfig,
                              evolve, rt_margin, step, wow_residual)
-from muskat.grid import (GridSpec, ScalarField, l2_norm,
+from muskat.grid import (GridSpec, ScalarField, gradient, l2_norm,
                          make_gaussian_bump, make_mode, make_zero)
 from muskat.kernels import far_symbols
 from muskat.potentials import (InterfaceGeometry, _aa_operator, _d_operator, _d_star_operator,
@@ -253,18 +253,19 @@ def test_a_step_builds_no_omega_or_normal():
     assert "omega" not in geom.__dict__ and "normal" not in geom.__dict__
 
 
-def _contrast_bump(M):
+def _contrast_bump(M, amp=0.7):
     """The contrast-2d bump on a 2D grid of M points per axis, with random beta and b."""
     g = GridSpec(2, 2 * np.pi, M)
-    geom = InterfaceGeometry(make_gaussian_bump(g, 0.7, [np.pi] * 2, 0.5))
+    geom = InterfaceGeometry(make_gaussian_bump(g, amp, [np.pi] * 2, 0.5))
     rng = np.random.default_rng(3)
     beta = ScalarField(g, rng.standard_normal(g.shape))
     return geom, beta, [ScalarField(g, rng.standard_normal(g.shape)) for _ in range(2)]
 
 
 def test_a_density_solve_builds_each_symbol_list_once(monkeypatch):
-    # GMRES applies D about iterations + 3 times at one split; D's N+1 lists
-    # (nu = 0 with df, and each e_j) are built once for the whole solve
+    # GMRES applies D about iterations + 1 times, at more than one split
+    # tolerance; D's N+1 lists (nu = 0 with df, and each e_j) are built once
+    # per split for the whole solve
     calls = []
 
     def counting(*args):
@@ -272,12 +273,13 @@ def test_a_density_solve_builds_each_symbol_list_once(monkeypatch):
         return far_symbols(*args)
 
     monkeypatch.setattr(muskat.potentials, "far_symbols", counting)
-    muskat.potentials._symbol_table.cache_clear()
+    muskat.potentials._symbol_tables.clear()
     geom, _, _ = _contrast_bump(64)
     _, report = solve_beta(geom, 0.5)
-    assert geom.split(_d_operator(2)).order > 0  # D takes a far field here
+    splits = {geom.split(_d_operator(2), split_tol=tol) for tol in report.d_applies}
+    assert len(splits) > 1 and all(s.order > 0 for s in splits)  # D takes far fields here
     assert report.iterations >= 3
-    assert len(calls) == geom.grid.dim + 1, calls
+    assert len(calls) == len(set(calls)) == (geom.grid.dim + 1) * len(splits), calls
 
 
 def test_far_field_symbols_are_scaled_once():
@@ -291,30 +293,50 @@ def test_far_field_symbols_are_scaled_once():
     apply_AA(geom, b)
     again = [apply_D(geom, beta).values for _ in range(2)]
     shared = apply_D_star(geom, beta).values
-    muskat.potentials._symbol_table.cache_clear()
+    muskat.potentials._symbol_tables.clear()
     fresh = apply_D_star(geom, beta).values
     assert all(np.array_equal(first, d) for d in again)
     assert np.array_equal(shared, fresh)
 
 
-def test_far_field_holds_one_splits_lists():
-    # after D and the velocity operator at 2D M=64 (different splits), only
-    # the velocity operator's lists are held: one per (nu, m), at most N+1
-    geom, beta, b = _contrast_bump(64)
-    apply_D(geom, beta)
-    apply_AA(geom, b)
-    split = geom.split(_aa_operator(2))
-    assert split.order > 0 and split != geom.split(_d_operator(2))
-    table_cache = muskat.potentials._symbol_table
-    assert table_cache.cache_info().currsize == 1
-    hits = table_cache.cache_info().hits
-    table = table_cache(geom.grid, split.radius, split.coefs)
-    assert table_cache.cache_info().hits == hits + 1  # the held table is the last split's
-    assert 0 < len(table) <= geom.grid.dim + 1
-    for symbols in table.values():
-        assert len(symbols) == split.order + 1
-        assert all(s.shape == (64, 33) and s.dtype == complex and not s.flags.writeable
-                   for s in symbols)
+def test_far_field_holds_only_the_current_stages_tables(monkeypatch):
+    # a stage (a geometry's density solve, then its velocity operator) holds
+    # the tables of every split it read, D's at each split tolerance and the
+    # velocity operator's; the next stage drops those it has not read before
+    # it builds, and one at the same splits builds nothing: the held tables
+    # are the current stage's, one list per (nu, m), at most N+1, each
+    # read-only
+    tables = muskat.potentials._symbol_tables
+    tables.clear()
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return far_symbols(*args)
+
+    monkeypatch.setattr(muskat.potentials, "far_symbols", counting)
+
+    def stage(amp):
+        geom, _, _ = _contrast_bump(64, amp)
+        beta, report = solve_beta(geom, 0.5)
+        apply_AA(geom, gradient(beta))
+        splits = [geom.split(_d_operator(2), split_tol=tol) for tol in report.d_applies]
+        splits.append(geom.split(_aa_operator(2)))
+        return {(geom.grid, s.radius, s.coefs): s for s in splits if s.coefs}
+
+    first = stage(0.7)
+    assert len(first) > 2 and set(tables.held) == set(first)
+    second = stage(0.35)
+    assert set(second) - set(first)  # the second stage builds
+    assert set(tables.held) == set(second)
+    built = len(builds)
+    assert stage(0.35) == second and len(builds) == built
+    for key, table in tables.held.items():
+        assert 0 < len(table) <= 3
+        for symbols in table.values():
+            assert len(symbols) == second[key].order + 1
+            assert all(s.shape == (64, 33) and s.dtype == complex and not s.flags.writeable
+                       for s in symbols)
     with pytest.raises(ValueError):
         symbols[0] *= 2.0
 

@@ -1,12 +1,15 @@
 """Guards against library surface that nothing in the package uses, and against output
-written, the lattice kernel summed, the exact Riesz core corrected or the split's cost
-model built, from more than one place."""
+written, the lattice kernel summed, the exact Riesz core corrected, the split's cost
+model built, the relaxation ladder read or a split tolerance passed, from more than one
+place."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import muskat
+from muskat import potentials
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "muskat"
 
@@ -162,3 +165,33 @@ def test_the_split_cost_model_is_built_in_one_place():
                 if (getattr(name, "id", None) or getattr(name, "attr", None)) in COST_CONSTANTS:
                     found.add((path.name, getattr(node, "name", "<module>")))
     assert found == {("potentials.py", "_split_costs")}
+
+
+def test_the_relaxation_ladder_is_read_in_one_place():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for name in ast.walk(node):
+                if isinstance(name, ast.Name) and name.id == "RELAXATION_LADDER" \
+                        and isinstance(name.ctx, ast.Load):
+                    found.add((path.name, getattr(node, "name", "<module>")))
+    assert found == {("resolvent.py", "_rung")}
+
+
+def test_only_the_density_solve_relaxes_a_split():
+    # split_tol is keyword-only all the way down; the density solve's apply of D
+    # is the one call that sets it, the rest of the chain passes it on, and D*,
+    # A and the velocity operator never see it
+    for fn in (potentials.apply_D, potentials._apply, potentials.InterfaceGeometry.split):
+        assert inspect.signature(fn).parameters["split_tol"].kind is inspect.Parameter.KEYWORD_ONLY
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and any(k.arg == "split_tol"
+                                                      for k in call.keywords):
+                    callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                    found.add((path.name, getattr(node, "name", "<module>"), callee))
+    assert found == {("resolvent.py", "solve_beta", "apply_D"),
+                     ("potentials.py", "apply_D", "_apply"),
+                     ("potentials.py", "_apply", "split")}
