@@ -79,12 +79,16 @@ def _write_manifest(cfg: SimConfig, outdir, extra):
 
 
 def _solve_totals(reports) -> dict:
-    """The density solves' count, GMRES iterations and applies of D per split tolerance."""
+    """The density solves' count, GMRES iterations (in all and per solve, in solve order),
+    worst true residual and applies of D per split tolerance."""
     applies = {}
     for report in reports:
         for tol, n in report.d_applies.items():
             applies[repr(tol)] = applies.get(repr(tol), 0) + n
-    return {"count": len(reports), "iterations": sum(r.iterations for r in reports),
+    per_solve = [r.iterations for r in reports]
+    return {"count": len(reports), "iterations": sum(per_solve),
+            "iterations_per_solve": per_solve,
+            "max_residual": max((r.residual for r in reports), default=0.0),
             "d_applies": applies}
 
 

@@ -127,22 +127,20 @@ def core_fix_apply(grid: GridSpec, nu, values: np.ndarray, scale: float = 1.0) -
     return scale * np.fft.irfftn(spec, s=grid.shape, axes=range(grid.dim))
 
 
-def _slot_product(factors):
-    """Product over b-slots, canonical per-point order for n >= 3.
+def _slot_product(factors, out):
+    """Product over b-slots (in ``out`` past one slot), canonical per-point order for n >= 3.
 
     IEEE multiplication commutes, so pairs are permutation safe; for three or
     more slots the values are sorted pointwise first to keep the output
     bit-identical under slot permutation.
     """
-    if not factors:
-        return None
-    if len(factors) <= 2:
-        prod = factors[0]
-        for f in factors[1:]:
-            prod = prod * f
-        return prod
-    stack = np.sort(np.stack(factors, axis=0), axis=0)
-    return np.prod(stack, axis=0)
+    if len(factors) == 1:
+        return factors[0]
+    if len(factors) == 2:
+        return np.multiply(factors[0], factors[1], out=out)
+    stack = np.stack(factors, axis=0)
+    stack.sort(axis=0)
+    return np.prod(stack, axis=0, out=out)
 
 
 def _naked_sum(spec: OperatorSpec, a_vals, b_vals, beta_vals, grid: GridSpec):
@@ -151,16 +149,21 @@ def _naked_sum(spec: OperatorSpec, a_vals, b_vals, beta_vals, grid: GridSpec):
     # phibar_transform passes one field as a and as every b: difference it once
     fields = {id(v): v for v in a_vals + b_vals}
 
-    def term(t, shifted):
-        r = off.r[t]
-        quot = {key: (v - shifted(v)) / r for key, v in fields.items()}
-        phiv = spec.profile(tuple(quot[id(av)] ** 2 for av in a_vals))
-        out = phiv * shifted(beta_vals)
+    def term(t, shifted, out, buffer):
+        r, row = off.r[t], out[0]
+        quot = {}
+        for j, (key, v) in enumerate(fields.items()):
+            quot[key] = np.subtract(v, shifted(v), out=buffer(j))
+            quot[key] /= r
+        squares = tuple(np.square(quot[id(av)], out=buffer(len(fields) + j))
+                        for j, av in enumerate(a_vals))
+        phiv = spec.profile(squares, out=buffer(len(fields) + len(a_vals)))
+        np.multiply(phiv, shifted(beta_vals), out=row)
         if b_vals:
-            out = out * _slot_product([quot[id(bv)] for bv in b_vals])
-        return w_geom[t] * out
+            row *= _slot_product([quot[id(bv)] for bv in b_vals], phiv)
+        row *= w_geom[t]
 
-    return lattice_sum(grid, term)
+    return lattice_sum(grid, term)[0]
 
 
 def apply_B(spec: OperatorSpec, a, b, beta: ScalarField,

@@ -4,6 +4,10 @@ Offsets are the nonzero lattice vectors of one torus cell, taken as centered
 minimal-image representatives.  The set is symmetric under negation; for even
 M the Nyquist face (any component equal to -M/2) is excluded, since that face
 has no negative partner on the lattice and would break the PV cancellation.
+
+:func:`lattice_sum` walks a set's offsets a block at a time, in work buffers of
+at most BLOCK_BYTES (128 KB, measured on 1D M=256..1024, 2D M=64 and 3D M=16)
+allocated once per sum.
 """
 
 from __future__ import annotations
@@ -16,9 +20,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grid import GridSpec
 
 
-# Byte cap of one block-shaped temporary (a field for every offset of a block).
-# At 2D M=64 a 128 KB cap made the velocity operator slower than 64 KB did.
-BLOCK_BYTES = 64 * 1024
+# Byte cap of one block-shaped work buffer (a field for every offset of a block):
+# 32 offsets at 1D M=512, 4 at 2D M=64 and at 3D M=16.  Over caps of 32 KB to
+# 1 MB the kernel sums of D, A and the velocity operator on 1D M=256..1024, 2D
+# M=64 and 3D M=16 ran fastest at 128 or 256 KB, 7 to 15% faster at 128 KB than
+# at 64 KB (one core of a 2-core Xeon with 2 MB of L2).  256 KB ran whole
+# contrast-2d evolves and validate runs about 4% faster still, but raised
+# validate's peak RSS by 2.7 MB against 0.7 MB at 128 KB.
+BLOCK_BYTES = 128 * 1024
 
 
 class OffsetSet:
@@ -105,33 +114,49 @@ def face_ring(grid: GridSpec) -> OffsetSet:
     return OffsetSet(grid, ints[keep], (2 if even else 1) * faces[keep] * (M // 2) * grid.spacing)
 
 
-def lattice_sum(grid: GridSpec, term, shape=None, offsets=None) -> np.ndarray:
-    """Sum of ``term(t, shifted)`` over the blocks of the offsets, in offset order.
+def lattice_sum(grid: GridSpec, term, outputs: int = 1, offsets=None) -> np.ndarray:
+    """Sum of the terms of every offset, in offset order: shape (outputs,) + grid shape.
 
     The offsets default to the PV set of ``grid``; ``offsets.blocks`` fixes
-    the blocks.  For a block of n offsets, ``t`` indexes a per-offset table
-    of shape (count,) into a column of shape (n, 1, ..., 1), and
-    ``shifted(u)`` is a read-only view of shape (n,) + grid shape holding
-    u(x - xi) for each offset xi of the block.  Each distinct array passed to
-    ``shifted`` is wrap-padded once per call by M//2 per axis (the face ring
-    reaches +M//2) and read through a sliding window, so no block copies a
-    field.  The term returns an array with the block on the axis before the
-    grid axes; that axis is summed in order and added to an accumulator of
-    ``shape`` (default the grid shape).  The fixed blocks and order keep results
-    bit-identical across runs.
+    the blocks.  For a block of n offsets, ``term(t, shifted, out, buffer)``
+    writes the block's terms into ``out``, of shape (outputs, n) + grid
+    shape.  ``t`` indexes a per-offset table of shape (count,) into a column
+    of shape (n, 1, ..., 1); ``shifted(u)`` is a read-only view of shape
+    (n,) + grid shape holding u(x - xi) for each offset xi of the block;
+    ``buffer(j)`` is work buffer j, of shape (n,) + grid shape.  ``out`` and
+    the buffers are allocated once per call, for the longest block, and
+    every block reuses them, so no block allocates a block-shaped array.
+    Each distinct array passed to ``shifted`` is wrap-padded once per call by
+    M//2 per axis (the face ring reaches +M//2) and read through a sliding
+    window, so no block copies a field.
+
+    ``out`` is rows 1..n of a buffer whose row 0 holds the running sum, and
+    the block axis, an outer one, is reduced with ``np.sum``, which adds its
+    rows one after another.  So the result is the sequential sum over the
+    offsets whatever the blocks, and bit-identical across runs.
     """
     off = offsets or pv_offsets(grid)
-    windows = {}
+    windows, work = {}, []
 
-    def window(u):
+    def shifted(u):
         if id(u) not in windows:  # keep u, so its id stays unique during the call
             padded = np.pad(u, grid.points // 2, mode="wrap")
             windows[id(u)] = (u, sliding_window_view(padded, grid.shape))
-        return windows[id(u)][1]
+        return windows[id(u)][1][view]
 
-    acc = np.zeros(grid.shape if shape is None else shape)
+    def buffer(j):
+        while len(work) <= j:
+            work.append(np.empty((longest,) + grid.shape))
+        return work[j][:n]
+
+    longest = max(t[0].stop - t[0].start for t, _ in off.blocks)
+    acc = np.zeros((outputs,) + grid.shape)
+    rows = np.empty((outputs, longest + 1) + grid.shape)
     for t, view in off.blocks:
-        acc += np.sum(term(t, lambda u: window(u)[view]), axis=-1 - grid.dim)
+        n = t[0].stop - t[0].start
+        rows[:, 0] = acc
+        term(t, shifted, rows[:, 1:n + 1], buffer)
+        np.sum(rows[:, :n + 1], axis=1, out=acc)
     return acc
 
 

@@ -117,49 +117,75 @@ def _interface_sum(geom: InterfaceGeometry, op: _Operator, us, offsets) -> np.nd
     block at a time: df = f(x) - f(x-xi) for each offset xi of the block, a
     term (i, k, monomials) of op adds us[i](x-xi) times its monomials to
     output k, and a weighted offset set weights its terms; see
-    :func:`muskat.offsets.lattice_sum`.  The result has shape (outputs,) +
-    grid shape.
+    :func:`muskat.offsets.lattice_sum`, whose work buffers hold df, the
+    denominator and the factors.  The result has shape (outputs,) + grid
+    shape.
     """
-    g, outputs = geom.grid, op.outputs
-    fvals, xi_cols = geom.f.values, offsets.xi.T
-    gfv = [c.values for c in geom.grad_f]
+    g = geom.grid
+    fvals, r2 = geom.f.values, offsets.r**2
+    steps = _steps(op, offsets.xi.T, [c.values for c in geom.grad_f])
 
-    def term(t, shifted):
-        df = fvals - shifted(fvals)
-        den = df * df
-        den += offsets.r[t] ** 2
+    def term(t, shifted, out, buffer):
+        df, den, part = buffer(0), buffer(1), buffer(2)
+        np.subtract(fvals, shifted(fvals), out=df)
+        np.multiply(df, df, out=den)
+        den += r2[t]
         if g.dim == 2:
-            den *= np.sqrt(den)  # x * sqrt(x) is faster than x ** 1.5
+            den *= np.sqrt(den, out=part)  # x * sqrt(x) is faster than x ** 1.5
         elif g.dim == 3:
             den *= den
-        xi, outs = [col[t] for col in xi_cols], [None] * outputs
-        for i, k, monomials in op.terms:
-            fac = None
-            for sign, c, axis, m in monomials:
-                val = xi[axis] if axis is not None else None
-                for v in ((gfv[c],) if c is not None else ()) + ((df,) if m else ()):
-                    val = v if val is None else val * v
-                val = 1.0 if val is None else val
-                if fac is None:
-                    fac, lead = val, sign
+        for i, k, first, monomials in steps:
+            fac = None  # the sum of the monomials, in buffer 3 once it takes a pass
+            for add, row, coef, m, scale in monomials:
+                factors = [v for v in (None if row is None else row[t], coef, df if m else None,
+                                       scale) if v is not None]
+                if len(factors) < 2:
+                    val = factors[0] if factors else 1.0
                 else:
-                    fac = fac + val if sign == lead else fac - val
-            part = fac * shifted(us[i])
-            if outs[k] is None:
-                outs[k] = part if lead > 0 else -part
-            elif lead > 0:
-                outs[k] += part
+                    val = buffer(3) if fac is None else part
+                    np.multiply(factors[0], factors[1], out=val)
+                    for v in factors[2:]:
+                        val *= v
+                fac = val if fac is None else (np.add if add else np.subtract)(
+                    fac, val, out=buffer(3))
+            if first:
+                np.multiply(fac, shifted(us[i]), out=out[k])
             else:
-                outs[k] -= part
-        # one output is not stacked (a copy per block): its block sum broadcasts
-        # into the (1,) + grid shape accumulator
-        num = (outs[0] if outputs == 1 else np.stack(outs)) / den
+                out[k] += np.multiply(fac, shifted(us[i]), out=part)
+        out /= den
         if offsets.weight is not None:
-            num *= offsets.weight[t]
-        return num
+            out *= offsets.weight[t]
 
-    total = lattice_sum(g, term, (outputs,) + g.shape, offsets)
+    total = lattice_sum(g, term, op.outputs, offsets)
     return g.spacing**g.dim / sphere_area(g.dim) * total
+
+
+def _steps(op: _Operator, xi_rows, gfv) -> list:
+    """op's terms as the steps of :func:`_interface_sum`'s term, built once per sum.
+
+    A step (i, k, first, monomials) adds u_i(x-xi) times the sum of its
+    monomials to output k, or writes it there for the first step of output
+    k.  A monomial (add, row, coef, m, scale) is row[t] * coef * df^m * scale
+    (each factor absent for None, or m = 0), added to the sum, or subtracted
+    from it for not add.  The term's sign is folded into its first monomial,
+    on the first factor it has: a negated row of xi or field d_c f, so a
+    sign costs no pass over a block; only df alone and the constant 1 take
+    scale -1.  -(a*b) = (-a)*b and -(a+b) = (-a)-b exactly, so the steps
+    compute the table's terms bit for bit.
+    """
+    neg_rows = -xi_rows
+    steps, written = [], set()
+    for i, k, monomials in op.terms:
+        lead, folded = monomials[0][0], []
+        for n, (sign, c, axis, m) in enumerate(monomials):
+            flip = n == 0 and lead < 0
+            row = None if axis is None else (neg_rows if flip else xi_rows)[axis]
+            coef = None if c is None else -gfv[c] if flip and row is None else gfv[c]
+            scale = -1.0 if flip and row is None and coef is None else None
+            folded.append((sign > 0, row, coef, m, scale))
+        steps.append((i, k, k not in written, tuple(folded)))
+        written.add(k)
+    return steps
 
 
 def _apply(geom: InterfaceGeometry, op: _Operator, inputs, *,
@@ -523,6 +549,10 @@ _symbol_tables = _SymbolTables()
 # for the denominator), a field's wrap-padded window, a far-field product of
 # two half spectra, and an FFT (fixed per axis, plus per point times log2 of
 # the size); each pair is (fixed, per grid point).  Read only by _split_costs.
+# The allocation-free near field alone measures about 2 to 3 ns per pair term
+# and monomial at 2D M=32..64 and 1D M=1024, but PAIR_NS = 1.9 moves 2D picks to
+# splits that time up to 70% slower (and 1D picks to ones up to 25% faster): the
+# constants fit the picks as a set, so re-fit them together.
 PAIR_NS = 3.5
 WINDOW_NS = (40000.0, 50.0)
 PRODUCT_NS = (2000.0, 1.0)

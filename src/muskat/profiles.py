@@ -23,7 +23,8 @@ class SmoothProfile:
 
     arity = 1
 
-    def __call__(self, args):
+    def __call__(self, args, out=None):
+        """phi(args), written into ``out`` when given (an array of the args' shape)."""
         raise NotImplementedError
 
     def partial_profile(self, i) -> "SmoothProfile":
@@ -43,9 +44,12 @@ class PowerProfile(SmoothProfile):
         self.coeff = float(coeff)
         self.exponent = float(exponent)
 
-    def __call__(self, args):
+    def __call__(self, args, out=None):
         self._check_args(args)
-        return self.coeff * (1.0 + args[0]) ** self.exponent
+        val = np.add(1.0, args[0], out=out)
+        val **= self.exponent
+        val *= self.coeff
+        return val
 
     def partial_profile(self, i):
         if i != 0:
@@ -72,17 +76,21 @@ class DifferenceProfile(SmoothProfile):
         self.slot = i
         self.arity = 2 * base.arity
 
-    def _blend(self, args, s):
-        p = self.base.arity
-        return tuple(s * np.asarray(args[j]) + (1.0 - s) * np.asarray(args[p + j])
-                     for j in range(p))
-
-    def __call__(self, args):
+    def __call__(self, args, out=None):
+        """The rule's sum, accumulated in ``out`` on p + 1 work arrays allocated once per call."""
         self._check_args(args)
         dphi = self.base.partial_profile(self.slot)
-        acc = 0.0
+        p = self.base.arity
+        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+        acc = np.empty(shape) if out is None else out
+        acc[...] = 0.0
+        blend = [np.empty(shape) for _ in range(p)]
+        val = np.empty(shape)
         for s, w in zip(_GL_S, _GL_W):
-            acc = acc + w * dphi(self._blend(args, s))
+            for j, b in enumerate(blend):
+                np.multiply(s, args[j], out=b)
+                b += np.multiply(1.0 - s, args[p + j], out=val)
+            acc += np.multiply(w, dphi(blend), out=val)
         return acc
 
 

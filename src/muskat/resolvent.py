@@ -139,8 +139,8 @@ def solve_beta(geom: InterfaceGeometry, a_mu: float, tol: float = 1e-10,
     g = geom.grid
     rhs = geom.f.values
     if a_mu == 0.0:
-        # the equation degenerates to beta = f
-        return ScalarField(g, rhs), SolveReport(iterations=1, residual=0.0)
+        # the equation degenerates to beta = f: no GMRES runs
+        return ScalarField(g, rhs), SolveReport(iterations=0, residual=0.0)
 
     # a split within tau moves 2 a_mu D(f)[v] by at most scale tau ||v||_inf in the 2-norm
     scale = 2.0 * abs(a_mu) * sqrt(g.size) * split_weight(g)

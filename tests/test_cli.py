@@ -97,6 +97,10 @@ def test_evolve_cli_and_outputs(tmp_path):
     lines = (outdir / "series.csv").read_text().strip().splitlines()
     assert lines[0] == "t,min_rt_margin,volume,sobolev_norm_s,beta_iters,dt"
     assert len(lines) == 6  # header + t=0 + 4 steps
+    # at a_mu = 0 no GMRES runs: every solve reports 0 iterations
+    assert all(line.split(",")[4] == "0" for line in lines[1:])
+    solves = json.loads((outdir / "manifest.json").read_text())["density_solves"]
+    assert solves["iterations_per_solve"] == [0] * 9 and solves["max_residual"] == 0.0
     f = load_field(outdir / "final.bin")
     assert f.grid == GridSpec(1, 6.283185307179586, 32)
 
@@ -137,6 +141,10 @@ def test_evolve_manifest_counts_the_applies_of_D(tmp_path):
     assert main(["evolve", cfg]) == 0
     solves = json.loads((tmp_path / "out" / "manifest.json").read_text())["density_solves"]
     assert solves["count"] == 5  # the initial state and two RK2 stages per step
+    per_solve = solves["iterations_per_solve"]
+    assert len(per_solve) == 5 and sum(per_solve) == solves["iterations"]
+    assert all(n > 0 for n in per_solve)
+    assert 0.0 < solves["max_residual"] <= 1e-10
     applies = solves["d_applies"]
     assert sum(applies.values()) == solves["iterations"] + 2 * solves["count"] - 1
     assert applies["1e-13"] >= 2 * solves["count"] - 1 and len(applies) > 1, applies

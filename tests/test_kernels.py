@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+import muskat.offsets
+
 from muskat.grid import (GridSpec, ScalarField, band_limited_random,
                          make_gaussian_bump, make_mode, make_zero)
 from muskat.kernels import (OperatorSpec, apply_B, chain_rule_residual, core_fix_apply,
                             far_symbols, riesz_core_fix, riesz_core_weight)
 from muskat.multipliers import riesz_core_symbol_grid
-from muskat.offsets import pv_offsets, sphere_area
+from muskat.offsets import PVOffsets, pv_offsets, sphere_area
 from muskat.profiles import SmoothProfile, make_difference_profile, phibar
 
 
@@ -305,6 +307,27 @@ def test_offsets_symmetric_and_punctured():
         assert (0,) * dim not in ints
         if M % 2 == 0:
             assert all(abs(c) < M // 2 for v in ints for c in v)
+
+
+def test_apply_B_does_not_depend_on_the_block_cap(monkeypatch):
+    # the B-transforms share the kernel loop's running sum: the n = 0 core, a
+    # one-slot transform and the three-slot difference profile, bit for bit
+    g = GridSpec(1, 2 * np.pi, 512)
+    rng = np.random.default_rng(5)
+    a, at, b, beta = (band_limited_random(g, 3, rng, amplitude=0.7) for _ in range(4))
+    cases = [(OperatorSpec(phibar(1), 0, (1,)), [a], []),
+             (OperatorSpec(phibar(1), 1, (0,)), [a], [b]),
+             (OperatorSpec(make_difference_profile(phibar(1), 0), 3, (0,)), [a, at], [b, at, a])]
+    outs, blocks = [], set()
+    for cap in (8 * 1024, 64 * 1024, 1024 * 1024):
+        monkeypatch.setattr(muskat.offsets, "BLOCK_BYTES", cap)
+        # a fresh PV set for the kernel loop: the cached one keeps its blocks
+        monkeypatch.setattr(muskat.offsets, "pv_offsets", PVOffsets)
+        blocks.add(len(PVOffsets(g).blocks))
+        outs.append([apply_B(spec, a_f, b_f, beta).values for spec, a_f, b_f in cases])
+    assert len(blocks) == 3
+    for other in outs[1:]:
+        assert all(np.array_equal(x, y) for x, y in zip(outs[0], other))
 
 
 def test_thread_count_bit_identity(monkeypatch):

@@ -1,19 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import muskat.offsets
 
 from muskat.grid import (GridSpec, ScalarField, band_limited_random, gradient,
                          l2_norm, make_gaussian_bump, make_mode, make_zero)
 from muskat.kernels import OperatorSpec, apply_B, core_fix_apply, phibar_transform
 from muskat.potentials import (ROUNDING_GROWTH, SMALL_SLOPE_TOL, InterfaceGeometry,
                                _a_operator, _aa_operator, _d_operator, _d_star_operator,
-                               _direct_sum, _first_split, _interface_sum, _interpolant,
-                               _interval, _scales, _split_costs, _split_sum,
+                               _direct_sum, _first_split, _flux_operator, _interface_sum,
+                               _interpolant, _interval, _scales, _split_costs, _split_sum,
                                adjointness_defect,
                                apply_A, apply_A_composed, apply_AA, apply_AA_composed, apply_D,
                                apply_D_composed, apply_D_star, apply_D_star_composed,
                                boundary_trace, gradient_identity_residual, rellich_residual,
                                torus_byparts_flux)
-from muskat.offsets import face_ring, pv_offsets, sphere_area
+from muskat.offsets import OffsetSet, face_ring, near_offsets, pv_offsets, sphere_area
 from muskat.profiles import phibar
 
 
@@ -348,6 +352,64 @@ def test_the_split_leaves_the_pv_blocks_unbuilt():
     geom = InterfaceGeometry(make_gaussian_bump(g, 0.7, [np.pi] * 2, 0.5))
     apply_D(geom, band_limited_random(g, 4, np.random.default_rng(0)))
     assert "blocks" not in pv_offsets(g).__dict__
+
+
+# (dim, M, near radius): at 8 KB a block holds one or two offsets, at 1 MB a
+# whole run
+BLOCK_CAP_GRIDS = [(1, 512, 100), (2, 32, 8), (3, 16, 4)]
+
+
+@pytest.mark.parametrize("dim,M,R", BLOCK_CAP_GRIDS,
+                         ids=[f"{d}d-M{M}" for d, M, _ in BLOCK_CAP_GRIDS])
+def test_interface_sums_do_not_depend_on_the_block_cap(monkeypatch, dim, M, R):
+    # the block axis is summed in offset order into a running sum, so every
+    # operator's kernel sum is the sequential sum over its offsets, bit for bit
+    geom = gaussian_geometry(M, dim, amp=0.7)
+    g, rng = geom.grid, np.random.default_rng(M)
+    gfv = [c.values for c in geom.grad_f]
+    b = [band_limited_random(g, 3, rng).values for _ in range(dim)]
+    ops = [(_d_operator(dim), b[:1]), (_d_star_operator(dim), b[:1]), (_a_operator(dim), b),
+           (_aa_operator(dim), b), (_flux_operator(dim), b[:1])]
+    sums, blocks = [], set()
+    for cap in (8 * 1024, 64 * 1024, 1024 * 1024):
+        monkeypatch.setattr(muskat.offsets, "BLOCK_BYTES", cap)
+        # fresh sets: the cached ones keep the blocks of the cap they were built at
+        sets = [OffsetSet(g, near_offsets(g, R).ints),
+                OffsetSet(g, face_ring(g).ints, face_ring(g).weight)]
+        blocks.add(tuple(len(off.blocks) for off in sets))
+        sums.append([_interface_sum(geom, op, op.fields(gfv, bv), off)
+                     for op, bv in ops for off in sets])
+    assert len(blocks) == 3
+    for other in sums[1:]:
+        assert all(np.array_equal(a, c) for a, c in zip(sums[0], other))
+
+
+def test_a_near_sum_allocates_its_block_buffers_once(monkeypatch):
+    # one D near sum at 2D M=64 peaks at its three work buffers (df, the
+    # denominator, one product), its output rows, a padded window per field and
+    # its per-offset tables, whether the offsets fill 54 blocks or 176: no
+    # block allocates a block-shaped array of its own
+    monkeypatch.setattr(muskat.offsets, "BLOCK_BYTES", 256 * 1024)
+    geom = gaussian_geometry(64, 2, amp=0.7)
+    g, op, rng = geom.grid, _d_operator(2), np.random.default_rng(0)
+    us = op.fields([c.values for c in geom.grad_f], [band_limited_random(g, 4, rng).values])
+    grid_bytes = 8 * g.size
+    padded = 8 * (g.points + 2 * (g.points // 2)) ** g.dim
+    for R, nblocks in ((10, 54), (20, 176)):
+        off = OffsetSet(g, near_offsets(g, R).ints)
+        longest = max(t[0].stop - t[0].start for t, _ in off.blocks)
+        assert (len(off.blocks), longest) == (nblocks, 8)
+        buffers = grid_bytes * ((3 + op.outputs) * longest + op.outputs)
+        tables = 8 * off.count * (g.dim + 1)
+        # eight grids cover the running sum, the result and np.pad's scratch
+        budget = buffers + (len(us) + 1) * padded + tables + 8 * grid_bytes
+        tracemalloc.start()
+        try:
+            _interface_sum(geom, op, us, off)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (R, peak, budget)
 
 
 def test_misspelled_core_mode_is_rejected():

@@ -13,11 +13,12 @@ def gaussian_geometry(M, amp=0.8, width=0.5, L=2 * np.pi, dim=1):
     return InterfaceGeometry(make_gaussian_bump(g, amp, [L / 2] * dim, width))
 
 
-def test_identity_case_one_iteration():
+def test_identity_case_no_iteration():
     geom = gaussian_geometry(64)
     beta, report = solve_beta(geom, 0.0)
     assert np.array_equal(beta.values, geom.f.values)
-    assert report.iterations == 1
+    assert report.iterations == 0
+    assert report.d_applies == {}
     assert report.residual == 0.0
 
 
