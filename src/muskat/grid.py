@@ -8,9 +8,11 @@ measured by the refinement tests, not assumed away.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,27 +100,46 @@ def require_same_grid(*fields) -> GridSpec:
 
 
 def spectral_derivative(u: ScalarField, axis: int) -> ScalarField:
-    """d/dx_axis by FFT with symbol i*2*pi*k/L.
-
-    The Nyquist mode (even M) is zeroed: its one-sided representative has no
-    consistent odd symbol on a real field.
-    """
-    g = u.grid
-    if not 0 <= axis < g.dim:
-        raise ValueError(f"axis {axis} out of range for dim {g.dim}")
-    uh = np.fft.fftn(u.values)
-    k = g.mode_numbers()
-    if g.points % 2 == 0:
-        k = k.copy()
-        k[g.points // 2] = 0.0
-    shape = [1] * g.dim
-    shape[axis] = g.points
-    sym = 1j * (2.0 * np.pi / g.extent) * k.reshape(shape)
-    return ScalarField(g, np.fft.ifftn(uh * sym).real)
+    """d/dx_axis by FFT with symbol i*2*pi*k/L: the one-axis case of :func:`gradient`."""
+    if not 0 <= axis < u.grid.dim:
+        raise ValueError(f"axis {axis} out of range for dim {u.grid.dim}")
+    return _derivatives(u, (axis,))[0]
 
 
 def gradient(u: ScalarField) -> list:
-    return [spectral_derivative(u, j) for j in range(u.grid.dim)]
+    """The N spectral derivatives of u, from one rfftn and one stacked irfftn."""
+    return _derivatives(u, range(u.grid.dim))
+
+
+def _derivatives(u: ScalarField, axes) -> list:
+    """d/dx_j u for each j of axes, one rfftn and one irfftn for them all."""
+    g = u.grid
+    uh = np.fft.rfftn(u.values)
+    stack = np.empty((len(axes),) + uh.shape, complex)
+    for row, j in zip(stack, axes):
+        np.multiply(uh, _derivative_symbol(g, j), out=row)
+    return [ScalarField(g, v) for v in np.fft.irfftn(stack, s=g.shape, axes=range(1, g.dim + 1))]
+
+
+@lru_cache(maxsize=None)
+def _derivative_symbol(grid: GridSpec, axis: int) -> np.ndarray:
+    """i*2*pi*k/L along ``axis`` on the rfftn half, broadcast over the others.
+
+    The Nyquist mode (even M) is zeroed: its one-sided representative has no
+    consistent odd symbol on a real field.  The last axis holds the modes
+    0..M//2 of the half.
+    """
+    k = grid.mode_numbers()
+    if axis == grid.dim - 1:
+        k = k[:grid.points // 2 + 1]
+    if grid.points % 2 == 0:
+        k = k.copy()
+        k[grid.points // 2] = 0.0
+    shape = [1] * grid.dim
+    shape[axis] = k.size
+    sym = 1j * (2.0 * np.pi / grid.extent) * k.reshape(shape)
+    sym.setflags(write=False)
+    return sym
 
 
 def sobolev_norm(u: ScalarField, s: float) -> float:
@@ -188,7 +209,11 @@ def make_gaussian_bump(grid: GridSpec, amplitude: float, center, width: float) -
     """amplitude * exp(-|x-center|^2 / (2 width^2)), minimal-image displacement.
 
     A bump whose relative boundary value exceeds 1e-8 is rejected; such a
-    bump is not decayed enough for the torus proxy.
+    bump is not decayed enough for the torus proxy.  Lengths are taken in
+    units of s, the power of two with width/s in [1, 2): the scaling is
+    exact, so it changes no bit, and a displacement past 80 s, where the
+    exponential is 0 to double precision, is held at 80 s, so no square
+    overflows whatever grid.extent and width are.
     """
     if width <= 0:
         raise ValueError("width must be positive")
@@ -196,15 +221,18 @@ def make_gaussian_bump(grid: GridSpec, amplitude: float, center, width: float) -
     if center.shape != (grid.dim,):
         raise ValueError("center length must match grid dimension")
     L = grid.extent
+    s = math.ldexp(1.0, math.frexp(width)[1] - 1)
+    w, cap = width / s, 80.0 * s  # exp(-(80 s)^2 / (2 width^2)) <= exp(-800) = 0
     coords = grid.meshgrid()
     r2 = np.zeros(grid.shape)
     for j in range(grid.dim):
         d = coords[j] - center[j]
         d = (d + 0.5 * L) % L - 0.5 * L
+        d = np.clip(d, -cap, cap) / s
         r2 = r2 + d * d
-    values = amplitude * np.exp(-r2 / (2.0 * width * width))
+    values = amplitude * np.exp(-r2 / (2.0 * w * w))
     if amplitude != 0.0:
-        edge = np.exp(-((0.5 * L) ** 2) / (2.0 * width * width))
+        edge = np.exp(-((min(0.5 * L, cap) / s) ** 2) / (2.0 * w * w))
         if edge > 1e-8:
             raise ValueError(
                 f"bump does not decay at the torus boundary (relative edge value {edge:.3e} > 1e-8); "

@@ -14,9 +14,10 @@ by replacing the core's lattice symbol with the exact continuum symbol
 only cores the interface operators have).  ``riesz_core='lattice'``, the
 default of :func:`phibar_transform`, keeps the bare sum, which the
 brute-force oracle and the composed-form validators reproduce term by term.
-The replacement is made in one place, :func:`core_fix_apply`, on real-FFT
-halves; :func:`apply_B` and the velocity operator's near/far split
-(:mod:`muskat.potentials`) both call it.  :func:`far_symbols` builds the
+The replacement is made in one place, :func:`core_fix_apply`, on a field's
+real-FFT half that its caller passes; :func:`apply_B` and the velocity
+operator's near/far split (:mod:`muskat.potentials`, with its far field's
+spectrum) both call it.  :func:`far_symbols` builds the
 split's far-field symbols and holds none; the split keeps its own.
 """
 
@@ -121,10 +122,15 @@ def riesz_core_fix(grid: GridSpec, nu: tuple) -> np.ndarray:
     return fix
 
 
-def core_fix_apply(grid: GridSpec, nu, values: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """scale * F^-1[ riesz_core_fix * F[values] ] on real-FFT halves, as a plain array."""
-    spec = np.fft.rfftn(values) * riesz_core_fix(grid, nu)
-    return scale * np.fft.irfftn(spec, s=grid.shape, axes=range(grid.dim))
+def core_fix_apply(grid: GridSpec, nu, spectrum: np.ndarray, scale: float) -> np.ndarray:
+    """scale * F^-1[ riesz_core_fix * spectrum ], as a plain array; spectrum is a field's rfftn.
+
+    The caller transforms the field, so a spectrum it has already pays no
+    second rfftn: :func:`apply_B` passes its own, the near/far split the far
+    field's (:mod:`muskat.potentials`).
+    """
+    return scale * np.fft.irfftn(spectrum * riesz_core_fix(grid, nu), s=grid.shape,
+                                 axes=range(grid.dim))
 
 
 def _slot_product(factors, out):
@@ -185,7 +191,7 @@ def apply_B(spec: OperatorSpec, a, b, beta: ScalarField,
                      beta.values, grid)
     if spec.n == 0 and spectral:
         phi0 = float(spec.profile(tuple(0.0 for _ in range(spec.arity))))
-        out = out + core_fix_apply(grid, spec.nu, beta.values, phi0)
+        out = out + core_fix_apply(grid, spec.nu, np.fft.rfftn(beta.values), phi0)
     return ScalarField(grid, out)
 
 

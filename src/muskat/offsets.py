@@ -7,7 +7,8 @@ has no negative partner on the lattice and would break the PV cancellation.
 
 :func:`lattice_sum` walks a set's offsets a block at a time, in work buffers of
 at most BLOCK_BYTES (128 KB, measured on 1D M=256..1024, 2D M=64 and 3D M=16)
-allocated once per sum.
+allocated once per sum.  The near/far split's far field stacks its transforms
+in chunks of the same :func:`block_rows` fields.
 """
 
 from __future__ import annotations
@@ -50,12 +51,17 @@ class OffsetSet:
     @cached_property
     def blocks(self) -> list:
         grid, ints = self.grid, self.ints
-        cap = max(1, BLOCK_BYTES // (8 * grid.size))
+        cap = block_rows(grid)
         breaks = (np.flatnonzero(np.any(ints[1:, :-1] != ints[:-1, :-1], axis=1)
                                  | (ints[1:, -1] != ints[:-1, -1] + 1)) + 1).tolist()
         return [_block(grid, ints, lo, min(lo + cap, hi))
                 for run_lo, hi in zip([0] + breaks, breaks + [self.count])
                 for lo in range(run_lo, hi, cap)]
+
+
+def block_rows(grid: GridSpec) -> int:
+    """How many fields on grid a block of BLOCK_BYTES holds, at least one."""
+    return max(1, BLOCK_BYTES // (8 * grid.size))
 
 
 def _block(grid: GridSpec, ints, lo, hi) -> tuple:

@@ -22,8 +22,10 @@ geometry picks the cheapest (R, K) per operator within an a-priori error
 bound (:func:`_choose_split`), SMALL_SLOPE_TOL unless the density solve
 asks D for a looser one (:mod:`muskat.resolvent`); R = 0 is all far field
 (the small-slope expansion of every offset), R past the cell is the direct
-sum.  The torus
-flux is summed directly over the cell's face ring.
+sum.  The far field transforms each field's powers in one stacked rfftn,
+and each group's accumulators in one stacked irfftn, a chunk of
+:func:`muskat.offsets.block_rows` fields at a time.  The torus flux is
+summed directly over the cell's face ring.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ import numpy as np
 from .grid import (GridSpec, ScalarField, gradient, inner, integrate, l2_norm,
                    require_same_grid)
 from .kernels import core_fix_apply, far_symbols, phibar_transform
-from .offsets import face_ring, lattice_sum, near_offsets, pv_offsets, sphere_area
+from .offsets import (block_rows, face_ring, lattice_sum, near_offsets, pv_offsets,
+                      sphere_area)
 
 # An operator's near/far split takes the cheapest (R, K)
 # whose error bound, relative to the scale ||b||_inf W_0 (see _choose_split),
@@ -409,10 +412,14 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
     times the convolution of the truncated lattice kernel
     xi^nu / |xi|^(N+1+2k) 1{|xi| > R} with f^(e-a) u; its symbols are
     built once per split (:data:`_symbol_tables`).  Grouped by output
-    and x-coefficient (k, c), in batches of groups (see FAR_BATCH_BYTES): one
-    rfftn per field and power p = e - a in a batch, the products summed per
-    group and power a in Fourier space, and one irfftn per group and a.  Each
-    exact core adds :func:`muskat.kernels.core_fix_apply`, on every split.
+    and x-coefficient (k, c), in batches of groups (see FAR_BATCH_BYTES): per
+    field of a batch one stacked rfftn of its powers p = e - a, the products
+    summed per group and power a in Fourier space, and per group one stacked
+    irfftn of its powers a (:func:`_far_batch`).  Each exact core adds
+    :func:`muskat.kernels.core_fix_apply` of its field's p = 0 spectrum, the
+    far field's own (a transform of its own on the direct sum), on every
+    split; the cores are added before the far field, which is added batch
+    by batch.
     """
     g = geom.grid
     us = op.fields([c.values for c in geom.grad_f], bv)
@@ -420,22 +427,32 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
     out = (_interface_sum(geom, op, us, near) if near.count
            else np.zeros((op.outputs,) + g.shape))
     groups = {}  # (output k, x-coefficient c) -> the far field's entries (field, sign, axis, m)
+    cores = []  # the exact cores (field, output, axis, sign)
     for i, k, monomials in op.terms:
         for sign, c, axis, m in monomials:
             if op.exact_core and c is None and m == 0:
-                out[k] += core_fix_apply(g, tuple(int(j == axis) for j in range(g.dim)),
-                                         us[i], sign)
+                cores.append((i, k, axis, sign))
             groups.setdefault((k, c), []).append((i, sign, axis, m))
-    if near.count == pv_offsets(g).count:
-        return out
-    f = geom.f.values
-    fc = f - 0.5 * (np.max(f) + np.min(f))  # the sum sees f only through df
-    # as many groups per batch as FAR_BATCH_BYTES holds accumulators for (2K+2
-    # half spectra of about 8 M^N bytes each), at least one
-    items = list(groups.items())
-    per = max(1, FAR_BATCH_BYTES // ((2 * split.order + 2) * 8 * g.size))
-    for lo in range(0, len(items), per):
-        out += _far_batch(geom, op, split, us, dict(items[lo:lo + per]), fc)
+    spectra = dict.fromkeys(i for i, *_ in cores)  # each core field's rfftn, as it comes
+    parts = []  # the far field's batches, held until the cores are added
+    if near.count < pv_offsets(g).count:
+        f = geom.f.values
+        fc = f - 0.5 * (np.max(f) + np.min(f))  # the sum sees f only through df
+        # as many groups per batch as FAR_BATCH_BYTES holds accumulators for (2K+2
+        # half spectra of about 8 M^N bytes each), at least one
+        items = list(groups.items())
+        per = max(1, FAR_BATCH_BYTES // ((2 * split.order + 2) * 8 * g.size))
+        for lo in range(0, len(items), per):
+            part = _far_batch(geom, op, split, us, dict(items[lo:lo + per]), fc, spectra)
+            if cores:
+                parts.append(part)
+            else:
+                out += part
+    for i, k, axis, sign in cores:
+        spectrum = np.fft.rfftn(us[i]) if spectra[i] is None else spectra[i]
+        out[k] += core_fix_apply(g, tuple(int(j == axis) for j in range(g.dim)), spectrum, sign)
+    for part in parts:
+        out += part
     return out
 
 
@@ -444,42 +461,62 @@ def _direct_sum(geom: InterfaceGeometry, op: _Operator, bv) -> np.ndarray:
     return _split_sum(geom, op, bv, _direct_split(geom.grid))
 
 
-def _far_batch(geom, op, split, us, batch, fc) -> np.ndarray:
-    """The far field of a batch {(k, c): entries} of groups, per output; see _split_sum."""
+def _far_batch(geom, op, split, us, batch, fc, spectra) -> np.ndarray:
+    """The far field of a batch {(k, c): entries} of groups, per output; see _split_sum.
+
+    Each group's accumulators, one half spectrum per power a of f(x), are
+    stacked a chunk of :func:`block_rows` powers at a time (one stack per
+    group raised a contrast-2d evolve's own VmHWM by 0.4 MB), and each chunk
+    is inverted by one irfftn.  The fields' powers are transformed through
+    two work stacks of as many rows, one real and one complex, held for the
+    batch.  The p = 0 spectrum of a field that is a key of ``spectra`` is
+    copied there, unless it holds one already.
+    """
     g, K = geom.grid, split.order
     half = g.shape[:-1] + (g.points // 2 + 1,)
-    accs = {key: [np.zeros(half, complex) for _ in range(2 * K + 1 + max(m for *_, m in entries))]
-            for key, entries in batch.items()}  # per power a of f(x)
+    tops = {key: 2 * K + 1 + max(m for *_, m in entries) for key, entries in batch.items()}
+    rows = min(block_rows(g), max(tops.values()))
+    stacks = {key: [np.zeros((min(rows, top - lo),) + half, complex)
+                    for lo in range(0, top, rows)] for key, top in tops.items()}
+    accs = {key: [a for chunk in chunks for a in chunk] for key, chunks in stacks.items()}
     fields = {}
     for key, entries in batch.items():
         for i, sign, axis, m in entries:
             fields.setdefault(i, []).append((key, sign, axis, m))
+    work = np.empty((rows,) + g.shape), np.empty((rows,) + half, complex)
     for i, monomials in fields.items():
-        _far_field(geom, split, us[i], monomials, fc, accs)
+        spectrum = _far_field(geom, split, us[i], monomials, fc, accs, work,
+                              i in spectra and spectra[i] is None)
+        if spectrum is not None:
+            spectra[i] = spectrum
     out = np.zeros((op.outputs,) + g.shape)
-    for (k, c), spectra in accs.items():
+    for (k, c), chunks in stacks.items():
         power, row = None, out[k]
-        for a, spectrum in enumerate(spectra):
-            v = np.fft.irfftn(spectrum, s=g.shape, axes=range(g.dim))
-            if a:
-                power = fc if power is None else power * fc
-                v *= power
-            if a > 1:
-                v *= 1.0 / factorial(a)
-            if c is not None:
-                v *= geom.grad_f[c].values
-            row += v
+        for n, chunk in enumerate(chunks):
+            values = np.fft.irfftn(chunk, s=g.shape, axes=range(1, g.dim + 1),
+                                   out=work[0][:len(chunk)])
+            for a, v in enumerate(values, n * rows):
+                if a:
+                    power = fc if power is None else power * fc
+                    v *= power
+                if a > 1:
+                    v *= 1.0 / factorial(a)
+                if c is not None:
+                    v *= geom.grad_f[c].values
+                row += v
     return out
 
 
-def _far_field(geom, split, u, monomials, fc, accs):
+def _far_field(geom, split, u, monomials, fc, accs, work, keep):
     """Add the far-field terms of field u's monomials ((k, c), sign, axis, m) to accs[k, c][a].
 
-    The symbols are read from the split's table (:data:`_symbol_tables`),
-    built on first use; they carry no sign, so a term adds or subtracts.
+    The powers u fc^p are formed in work's real stack and transformed a
+    chunk at a time by one rfftn into its complex one.  The symbols are
+    read from the split's table (:data:`_symbol_tables`), built on first
+    use; they carry no sign, so a term adds or subtracts.  Returns a copy
+    of u's rfftn (p = 0) when ``keep``, else None.
     """
     g, K = geom.grid, split.order
-    half = g.shape[:-1] + (g.points // 2 + 1,)
     table = _symbol_tables.table(geom, split)
     terms = []
     for (k_out, c), sign, axis, m in monomials:
@@ -493,17 +530,27 @@ def _far_field(geom, split, u, monomials, fc, accs):
                 sym *= ck * factorial(m + 2 * k)
                 sym.setflags(write=False)
         terms.append((accs[k_out, c], np.add if sign > 0 else np.subtract, m, scaled))
-    buf, spec, v = np.empty(half, complex), np.empty(half, complex), u.copy()
-    for p in range(2 * K + 1 + max(m for _, _, m, _ in terms)):
-        if p:
-            v *= fc
-        np.fft.rfftn(v, out=spec)
-        if p:
-            spec *= (-1) ** p / factorial(p)
-        for acc, combine, m, scaled in terms:
-            for k in range(max(p - m + 1, 0) // 2, K + 1):
-                np.multiply(spec, scaled[k], out=buf)
-                combine(acc[m + 2 * k - p], buf, out=acc[m + 2 * k - p])
+    powers, transforms = work
+    buf, kept = np.empty(transforms.shape[1:], complex), None
+    top = 2 * K + 1 + max(m for _, _, m, _ in terms)
+    for lo in range(0, top, len(powers)):
+        n = min(len(powers), top - lo)
+        for j in range(n):
+            if lo + j == 0:
+                powers[0] = u
+            else:
+                np.multiply(powers[j - 1], fc, out=powers[j])  # row -1 ends the chunk before
+        np.fft.rfftn(powers[:n], axes=range(1, g.dim + 1), out=transforms[:n])
+        for p, spec in enumerate(transforms[:n], lo):
+            if p:
+                spec *= (-1) ** p / factorial(p)
+            elif keep:
+                kept = spec.copy()
+            for acc, combine, m, scaled in terms:
+                for k in range(max(p - m + 1, 0) // 2, K + 1):
+                    np.multiply(spec, scaled[k], out=buf)
+                    combine(acc[m + 2 * k - p], buf, out=acc[m + 2 * k - p])
+    return kept
 
 
 class _SymbolTables:
@@ -596,7 +643,9 @@ def _split_costs(grid: GridSpec, op: _Operator) -> tuple:
     entry (power m of df) 2K+1+m rfftn, K+1 symbols (an FFT and two
     products' work each) and (K+1)(K+1+m) products; per (output,
     x-coefficient) group (top power m) 2K+1+m irfftn.  The exact cores cost
-    the same on every split and are left out.
+    the same on every split and are left out.  The model counts a transform
+    per power, although the far field stacks them (one call per field or
+    group and chunk of :func:`muskat.offsets.block_rows`).
     """
     ms = [m for _, _, monomials in op.terms for *_, m in monomials]
     tops = {}

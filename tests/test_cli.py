@@ -450,3 +450,18 @@ def test_config_fuzz_ends_with_a_documented_exit_code(keys, tmp_path_factory):
     text = "".join(f"{k} = {v}\n" for k, v in keys.items())
     cfg = write(tmp / "c.cfg", text + f"output.dir = {tmp}/out\n")
     assert main(["evolve", cfg]) in (0, 2, 3, 4, 5, 6)
+
+
+def test_a_huge_extent_builds_the_bump_without_a_warning(tmp_path):
+    # at L = 1e300 the squares of the bump's displacements and of L/2 would
+    # overflow; the bump is built, and the run ends on the lattice's own
+    # overflow with the non-finite exit code, warning-free
+    cfg = write(tmp_path / "c.cfg", config_text({
+        "grid.dim": "2", "grid.points": "16", "grid.extent": "1e300",
+        "output.dir": tmp_path / "out"}))
+    proc = subprocess.run([sys.executable, "-m", "muskat.cli", "evolve", cfg],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 6, proc.stderr
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("non-finite interface: "), err
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr

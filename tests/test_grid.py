@@ -153,6 +153,71 @@ def test_snapshot_bad_magic(tmp_path):
         load_field(path)
 
 
+@pytest.mark.parametrize("dim,M", [(1, 64), (1, 63), (2, 16), (2, 15), (3, 8), (3, 9)])
+def test_gradient_is_the_stacked_spectral_derivative(dim, M):
+    # one rfftn and one stacked irfftn give each axis's derivative bit for bit
+    g = GridSpec(dim, 2 * np.pi, M)
+    u = band_limited_random(g, M // 2, np.random.default_rng(dim * M))
+    for j, du in enumerate(gradient(u)):
+        assert np.array_equal(du.values, spectral_derivative(u, j).values)
+
+
+@pytest.mark.parametrize("dim,M", [(1, 64), (1, 63), (2, 16), (2, 15), (3, 8), (3, 9)])
+def test_band_limited_fields_differentiate_to_rounding(dim, M):
+    g = GridSpec(dim, 2 * np.pi, M)
+    x = g.meshgrid()
+    rng = np.random.default_rng(M)
+    u, exact = np.zeros(g.shape), np.zeros((dim,) + g.shape)
+    for _ in range(4):
+        k, phase = rng.integers(-3, 4, dim), rng.uniform(0, 2 * np.pi)
+        arg = sum(kj * xj for kj, xj in zip(k, x)) + phase
+        u += np.sin(arg)
+        exact += np.cos(arg) * k.reshape((dim,) + (1,) * dim)
+    for du, ex in zip(gradient(ScalarField(g, u)), exact):
+        assert np.max(np.abs(du.values - ex)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim,M", [(1, 8), (1, 12), (2, 8), (2, 16), (3, 8), (3, 16)])
+def test_a_nyquist_mode_differentiates_to_zero(dim, M):
+    # the Nyquist plane of each axis has a zero symbol: (-1)^n along axis j,
+    # times the mode M/4 (1, 0, -1, 0, ...) along the next axis, has an exactly
+    # zero derivative along j; at these M the transforms of these values are
+    # exact, so nothing else is left to act on
+    g = GridSpec(dim, 2 * np.pi, M)
+    n = np.indices(g.shape)
+    for j in range(dim):
+        u = np.where(n[j] % 2 == 0, 1.0, -1.0)
+        if dim > 1:
+            u = u * np.array([1.0, 0.0, -1.0, 0.0])[n[(j + 1) % dim] % 4]
+        assert not np.any(gradient(ScalarField(g, u))[j].values)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gradient_takes_one_transform_each_way(monkeypatch, dim):
+    u = band_limited_random(GridSpec(dim, 2 * np.pi, 8), 2, np.random.default_rng(0))
+    calls = []
+
+    def counting(name):
+        fn = getattr(np.fft, name)
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counting(name))
+    assert len(gradient(u)) == dim
+    assert calls == ["rfftn", "irfftn"]
+
+
+def test_a_huge_extent_bump_does_not_overflow():
+    # no square of a displacement or of L/2 overflows; the bump is the one grid
+    # point at its center, and a bump too wide for the cell is still refused
+    g = GridSpec(2, 1e300, 16)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        u = make_gaussian_bump(g, 0.5, [g.extent / 2] * 2, 0.5)
+        with pytest.raises(ValueError, match="does not decay"):
+            make_gaussian_bump(g, 0.5, [g.extent / 2] * 2, 1e299)
+    assert u.values[8, 8] == 0.5 and np.count_nonzero(u.values) == 1
+
+
 def test_gradient_helper():
     g = GridSpec(2, 2 * np.pi, 16)
     u = make_mode(g, 1.0, (0, 2))

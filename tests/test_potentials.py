@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from muskat.potentials import (ROUNDING_GROWTH, SMALL_SLOPE_TOL, InterfaceGeomet
                                _a_operator, _aa_operator, _d_operator, _d_star_operator,
                                _direct_sum, _first_split, _flux_operator, _interface_sum,
                                _interpolant, _interval, _scales, _split_costs, _split_sum,
-                               adjointness_defect,
+                               _splits, adjointness_defect,
                                apply_A, apply_A_composed, apply_AA, apply_AA_composed, apply_D,
                                apply_D_composed, apply_D_star, apply_D_star_composed,
                                boundary_trace, gradient_identity_residual, rellich_residual,
@@ -221,7 +222,7 @@ def reference_sum(geom, op, bv):
         for sign, c, axis, m in monomials:
             if op.exact_core and c is None and m == 0:
                 nu = tuple(int(j == axis) for j in range(g.dim))
-                out[k] += core_fix_apply(g, nu, us[i], sign)
+                out[k] += core_fix_apply(g, nu, np.fft.rfftn(us[i]), sign)
     return out
 
 
@@ -382,6 +383,51 @@ def test_interface_sums_do_not_depend_on_the_block_cap(monkeypatch, dim, M, R):
     assert len(blocks) == 3
     for other in sums[1:]:
         assert all(np.array_equal(a, c) for a, c in zip(sums[0], other))
+
+
+# (dim, M, near radius) of a split of order 8, whatever its bound: 17 or 18
+# powers per field, all in one chunk at the default cap
+FAR_CHUNK_GRIDS = [(1, 64, 2), (2, 16, 1), (3, 8, 1)]
+
+
+@pytest.mark.parametrize("dim,M,R", FAR_CHUNK_GRIDS,
+                         ids=[f"{d}d-M{M}" for d, M, _ in FAR_CHUNK_GRIDS])
+def test_far_fields_do_not_depend_on_the_chunk_size(monkeypatch, dim, M, R):
+    # a stacked transform handles each field as a single one does, so the far
+    # field is the same bits with one power per chunk, three (a power carried
+    # across each chunk's end), the default chunks, or all powers in one chunk
+    geom = gaussian_geometry(M, dim, amp=0.7)
+    g, rng = geom.grid, np.random.default_rng(M)
+    b = [band_limited_random(g, 3, rng) for _ in range(dim)]
+    splits = [next(islice(_splits(g, _scales(geom, op), R, np.inf), 8, None))
+              for op, *_ in operands(geom, b)]
+    sums = []
+    for cap in (1, 3 * 8 * g.size, muskat.offsets.BLOCK_BYTES, 1 << 40):
+        monkeypatch.setattr(muskat.offsets, "BLOCK_BYTES", cap)
+        sums.append([_split_sum(geom, op, bv, split)
+                     for (op, bv, *_), split in zip(operands(geom, b), splits)])
+    for other in sums[1:]:
+        assert all(np.array_equal(a, c) for a, c in zip(sums[0], other))
+
+
+def test_a_velocity_operator_apply_transforms_each_field_once(monkeypatch):
+    # the demo decay's split (0, 1): its one field b's four powers in one
+    # forward transform, one inverse per (output, x-coefficient) group (two)
+    # and one for the exact core, which reads the far field's spectrum of b
+    geom = InterfaceGeometry(make_mode(GridSpec(1, 20 * np.pi, 512), 1e-3, (4,)))
+    assert geom.split(_aa_operator(1))[:2] == (0, 1)
+    b = [band_limited_random(geom.grid, 8, np.random.default_rng(0))]
+    first = apply_AA(geom, b).values  # builds the split's symbols
+    calls = []
+
+    def counting(name):
+        fn = getattr(np.fft, name)
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counting(name))
+    assert np.array_equal(apply_AA(geom, b).values, first)
+    assert calls == ["rfftn", "irfftn", "irfftn", "irfftn"]
 
 
 def test_a_near_sum_allocates_its_block_buffers_once(monkeypatch):
