@@ -7,8 +7,8 @@ has no negative partner on the lattice and would break the PV cancellation.
 
 :func:`lattice_sum` walks a set's offsets a block at a time, in work buffers of
 at most BLOCK_BYTES (128 KB, measured on 1D M=256..1024, 2D M=64 and 3D M=16)
-allocated once per sum.  The near/far split's far field stacks its transforms
-in chunks of the same :func:`block_rows` fields.
+allocated once per sum.  The near/far split's far field sizes its transform
+chunks and its batches of groups by the same :func:`block_rows`.
 """
 
 from __future__ import annotations

@@ -22,9 +22,12 @@ geometry picks the cheapest (R, K) per operator within an a-priori error
 bound (:func:`_choose_split`), SMALL_SLOPE_TOL unless the density solve
 asks D for a looser one (:mod:`muskat.resolvent`); R = 0 is all far field
 (the small-slope expansion of every offset), R past the cell is the direct
-sum.  The far field transforms each field's powers in one stacked rfftn,
-and each group's accumulators in one stacked irfftn, a chunk of
-:func:`muskat.offsets.block_rows` fields at a time.  The torus flux is
+sum.  A split sums the near field, then the far field, then the exact
+cores.  One byte cap, :data:`muskat.offsets.BLOCK_BYTES`, sizes every work
+buffer (:func:`muskat.offsets.block_rows`): the near field's blocks, the far
+field's transform chunks (each field's powers in one stacked rfftn, each
+group's accumulators in one stacked irfftn) and its batches of groups, each
+added straight into the output as it ends.  The torus flux is
 summed directly over the cell's face ring.
 """
 
@@ -50,12 +53,6 @@ from .offsets import (block_rows, face_ring, lattice_sum, near_offsets, pv_offse
 # is at most SMALL_SLOPE_TOL; only the density solve's Krylov products ask D
 # for a looser one.
 SMALL_SLOPE_TOL = 1e-13
-# Byte cap of the far field's accumulators held at once (2K+2 half spectra per
-# (output, x-coefficient) group): groups are batched up to it, so that a field
-# in several groups of a batch is transformed once (the demo decay's velocity
-# operator); at 2D M=64 one group alone exceeds it and the groups run one at a
-# time.
-FAR_BATCH_BYTES = 512 * 1024
 # Rounding model: an FFT convolution is off by at most ROUNDING_GROWTH * EPS *
 # log2(M^N) times its absolute mass (sum of |weight| times the largest |field|),
 # EPS the unit roundoff of a double.
@@ -412,14 +409,14 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
     times the convolution of the truncated lattice kernel
     xi^nu / |xi|^(N+1+2k) 1{|xi| > R} with f^(e-a) u; its symbols are
     built once per split (:data:`_symbol_tables`).  Grouped by output
-    and x-coefficient (k, c), in batches of groups (see FAR_BATCH_BYTES): per
-    field of a batch one stacked rfftn of its powers p = e - a, the products
-    summed per group and power a in Fourier space, and per group one stacked
-    irfftn of its powers a (:func:`_far_batch`).  Each exact core adds
+    and x-coefficient (k, c), in batches of as many groups as a block of
+    :func:`block_rows` holds accumulators for (at least one): per field of a
+    batch one stacked rfftn of its powers p = e - a, the products summed per
+    group and power a in Fourier space, and per group one stacked irfftn of
+    its powers a, added straight to the output (:func:`_far_batch`).  The
+    near field comes first, then the far field, then each exact core's
     :func:`muskat.kernels.core_fix_apply` of its field's p = 0 spectrum, the
-    far field's own (a transform of its own on the direct sum), on every
-    split; the cores are added before the far field, which is added batch
-    by batch.
+    far field's own (a transform of its own on the direct sum).
     """
     g = geom.grid
     us = op.fields([c.values for c in geom.grad_f], bv)
@@ -434,25 +431,17 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
                 cores.append((i, k, axis, sign))
             groups.setdefault((k, c), []).append((i, sign, axis, m))
     spectra = dict.fromkeys(i for i, *_ in cores)  # each core field's rfftn, as it comes
-    parts = []  # the far field's batches, held until the cores are added
     if near.count < pv_offsets(g).count:
         f = geom.f.values
         fc = f - 0.5 * (np.max(f) + np.min(f))  # the sum sees f only through df
-        # as many groups per batch as FAR_BATCH_BYTES holds accumulators for (2K+2
-        # half spectra of about 8 M^N bytes each), at least one
+        # as many groups per batch as a block holds accumulators for (2K+2 each)
         items = list(groups.items())
-        per = max(1, FAR_BATCH_BYTES // ((2 * split.order + 2) * 8 * g.size))
+        per = max(1, block_rows(g) // (2 * split.order + 2))
         for lo in range(0, len(items), per):
-            part = _far_batch(geom, op, split, us, dict(items[lo:lo + per]), fc, spectra)
-            if cores:
-                parts.append(part)
-            else:
-                out += part
+            _far_batch(geom, split, us, dict(items[lo:lo + per]), fc, spectra, out)
     for i, k, axis, sign in cores:
         spectrum = np.fft.rfftn(us[i]) if spectra[i] is None else spectra[i]
         out[k] += core_fix_apply(g, tuple(int(j == axis) for j in range(g.dim)), spectrum, sign)
-    for part in parts:
-        out += part
     return out
 
 
@@ -461,16 +450,17 @@ def _direct_sum(geom: InterfaceGeometry, op: _Operator, bv) -> np.ndarray:
     return _split_sum(geom, op, bv, _direct_split(geom.grid))
 
 
-def _far_batch(geom, op, split, us, batch, fc, spectra) -> np.ndarray:
-    """The far field of a batch {(k, c): entries} of groups, per output; see _split_sum.
+def _far_batch(geom, split, us, batch, fc, spectra, out):
+    """Add the far field of a batch {(k, c): entries} of groups to out[k]; see _split_sum.
 
     Each group's accumulators, one half spectrum per power a of f(x), are
-    stacked a chunk of :func:`block_rows` powers at a time (one stack per
-    group raised a contrast-2d evolve's own VmHWM by 0.4 MB), and each chunk
-    is inverted by one irfftn.  The fields' powers are transformed through
-    two work stacks of as many rows, one real and one complex, held for the
-    batch.  The p = 0 spectrum of a field that is a key of ``spectra`` is
-    copied there, unless it holds one already.
+    stacked a chunk of :func:`block_rows` powers at a time, and each chunk
+    is inverted by one irfftn and added to its output row power by power.
+    The fields' powers are transformed through two work stacks of as many
+    rows, one real and one complex, held for the batch.  The fields are
+    visited in index order, so the bits depend on neither the chunk nor the
+    batch size.  The p = 0 spectrum of a field that is a key of ``spectra``
+    is copied there, unless it holds one already.
     """
     g, K = geom.grid, split.order
     half = g.shape[:-1] + (g.points // 2 + 1,)
@@ -484,12 +474,11 @@ def _far_batch(geom, op, split, us, batch, fc, spectra) -> np.ndarray:
         for i, sign, axis, m in entries:
             fields.setdefault(i, []).append((key, sign, axis, m))
     work = np.empty((rows,) + g.shape), np.empty((rows,) + half, complex)
-    for i, monomials in fields.items():
-        spectrum = _far_field(geom, split, us[i], monomials, fc, accs, work,
+    for i in sorted(fields):
+        spectrum = _far_field(geom, split, us[i], fields[i], fc, accs, work,
                               i in spectra and spectra[i] is None)
         if spectrum is not None:
             spectra[i] = spectrum
-    out = np.zeros((op.outputs,) + g.shape)
     for (k, c), chunks in stacks.items():
         power, row = None, out[k]
         for n, chunk in enumerate(chunks):
@@ -504,7 +493,6 @@ def _far_batch(geom, op, split, us, batch, fc, spectra) -> np.ndarray:
                 if c is not None:
                     v *= geom.grad_f[c].values
                 row += v
-    return out
 
 
 def _far_field(geom, split, u, monomials, fc, accs, work, keep):

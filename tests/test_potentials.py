@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import muskat.offsets
+import muskat.potentials
 
 from muskat.grid import (GridSpec, ScalarField, band_limited_random, gradient,
                          l2_norm, make_gaussian_bump, make_mode, make_zero)
@@ -386,26 +387,41 @@ def test_interface_sums_do_not_depend_on_the_block_cap(monkeypatch, dim, M, R):
 
 
 # (dim, M, near radius) of a split of order 8, whatever its bound: 17 or 18
-# powers per field, all in one chunk at the default cap
+# powers per field, all in one chunk at the default cap, and 18 accumulators
+# per group, so 14, 3 and 1 group per batch at the default cap
 FAR_CHUNK_GRIDS = [(1, 64, 2), (2, 16, 1), (3, 8, 1)]
 
 
 @pytest.mark.parametrize("dim,M,R", FAR_CHUNK_GRIDS,
                          ids=[f"{d}d-M{M}" for d, M, _ in FAR_CHUNK_GRIDS])
-def test_far_fields_do_not_depend_on_the_chunk_size(monkeypatch, dim, M, R):
-    # a stacked transform handles each field as a single one does, so the far
-    # field is the same bits with one power per chunk, three (a power carried
-    # across each chunk's end), the default chunks, or all powers in one chunk
+def test_far_fields_do_not_depend_on_the_chunk_or_batch_size(monkeypatch, dim, M, R):
+    # a stacked transform handles each field as a single one does, and a batch
+    # visits its fields in index order and adds each group to the output in
+    # turn, so the far field is the same bits with one power per chunk and one
+    # group per batch, three powers (a power carried across each chunk's end),
+    # the default chunks and batches, or all powers and groups in one
     geom = gaussian_geometry(M, dim, amp=0.7)
     g, rng = geom.grid, np.random.default_rng(M)
     b = [band_limited_random(g, 3, rng) for _ in range(dim)]
     splits = [next(islice(_splits(g, _scales(geom, op), R, np.inf), 8, None))
               for op, *_ in operands(geom, b)]
-    sums = []
+    far_batch, batches = muskat.potentials._far_batch, []
+
+    def counting(*args):
+        batches[-1] += 1
+        return far_batch(*args)
+
+    monkeypatch.setattr(muskat.potentials, "_far_batch", counting)
+    sums, runs = [], {}
     for cap in (1, 3 * 8 * g.size, muskat.offsets.BLOCK_BYTES, 1 << 40):
         monkeypatch.setattr(muskat.offsets, "BLOCK_BYTES", cap)
-        sums.append([_split_sum(geom, op, bv, split)
-                     for (op, bv, *_), split in zip(operands(geom, b), splits)])
+        sums.append([])
+        for (op, bv, *_), split in zip(operands(geom, b), splits):
+            batches.append(0)
+            sums[-1].append(_split_sum(geom, op, bv, split))
+        runs[cap], batches = batches, []
+    assert max(runs[1]) > 1
+    assert runs[1 << 40] == [1] * len(splits)
     for other in sums[1:]:
         assert all(np.array_equal(a, c) for a, c in zip(sums[0], other))
 

@@ -1,7 +1,7 @@
 """Guards against library surface that nothing in the package uses, and against output
 written, the lattice kernel summed, the exact Riesz core corrected, the split's cost
-model built, the relaxation ladder read or a split tolerance passed, from more than one
-place."""
+model built, the relaxation ladder or the byte cap read or a split tolerance passed, from
+more than one place."""
 
 import ast
 import inspect
@@ -176,6 +176,23 @@ def test_the_relaxation_ladder_is_read_in_one_place():
                         and isinstance(name.ctx, ast.Load):
                     found.add((path.name, getattr(node, "name", "<module>")))
     assert found == {("resolvent.py", "_rung")}
+
+
+def test_one_byte_cap_sizes_every_work_buffer():
+    caps, found = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                caps |= {(path.name, t.id) for t in targets
+                         if isinstance(t, ast.Name) and t.id.endswith("_BYTES")}
+            for name in ast.walk(node):
+                if isinstance(name, ast.Name) and name.id == "BLOCK_BYTES" \
+                        and isinstance(name.ctx, ast.Load) \
+                        or isinstance(name, ast.Attribute) and name.attr == "BLOCK_BYTES":
+                    found.add((path.name, getattr(node, "name", "<module>")))
+    assert caps == {("offsets.py", "BLOCK_BYTES")}
+    assert found == {("offsets.py", "block_rows")}
 
 
 def test_only_the_density_solve_relaxes_a_split():
