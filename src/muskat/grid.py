@@ -66,9 +66,6 @@ class GridSpec:
         shape[axis] = self.points
         return k.reshape(shape)
 
-    def frequency_grid(self) -> list:
-        return [np.broadcast_to(self.frequencies(j), self.shape) for j in range(self.dim)]
-
 
 class ScalarField:
     """Real samples of a function on the lattice, immutable after construction."""
@@ -142,6 +139,14 @@ def _derivative_symbol(grid: GridSpec, axis: int) -> np.ndarray:
     return sym
 
 
+@lru_cache(maxsize=None)
+def wavenumber_squared(grid: GridSpec) -> np.ndarray:
+    """|2*pi*k/L|^2 on the full FFT grid, read-only; one array per grid."""
+    k2 = sum(grid.frequencies(j) ** 2 for j in range(grid.dim))
+    k2.setflags(write=False)
+    return k2
+
+
 def sobolev_norm(u: ScalarField, s: float) -> float:
     """Discrete H^s proxy: (sum_k (1+|2 pi k/L|^2)^s |u_k|^2 L^N / M^{2N})^(1/2).
 
@@ -153,10 +158,7 @@ def sobolev_norm(u: ScalarField, s: float) -> float:
         raise ValueError("Sobolev order must be nonnegative")
     g = u.grid
     uh = np.fft.fftn(u.values)
-    k2 = np.zeros(g.shape)
-    for j in range(g.dim):
-        k2 = k2 + g.frequencies(j) ** 2
-    terms = (1.0 + k2) ** (0.5 * s) * np.abs(uh)
+    terms = (1.0 + wavenumber_squared(g)) ** (0.5 * s) * np.abs(uh)
     peak = float(np.max(terms))
     if peak == 0.0:
         return 0.0

@@ -19,6 +19,12 @@ real-FFT half that its caller passes; :func:`apply_B` and the velocity
 operator's near/far split (:mod:`muskat.potentials`, with its far field's
 spectrum) both call it.  :func:`far_symbols` builds the
 split's far-field symbols and holds none; the split keeps its own.
+
+The n b-slots multiply into each term one at a time, in one order fixed per
+sum by the slots' values (their bytes), so a permutation of the slots gives
+the same bits.  The composed forms of the interface operators
+(:mod:`muskat.potentials`) skip the transforms whose field vanishes
+identically, and take a transform that several outputs share once.
 """
 
 from __future__ import annotations
@@ -133,27 +139,13 @@ def core_fix_apply(grid: GridSpec, nu, spectrum: np.ndarray, scale: float) -> np
                                  axes=range(grid.dim))
 
 
-def _slot_product(factors, out):
-    """Product over b-slots (in ``out`` past one slot), canonical per-point order for n >= 3.
-
-    IEEE multiplication commutes, so pairs are permutation safe; for three or
-    more slots the values are sorted pointwise first to keep the output
-    bit-identical under slot permutation.
-    """
-    if len(factors) == 1:
-        return factors[0]
-    if len(factors) == 2:
-        return np.multiply(factors[0], factors[1], out=out)
-    stack = np.stack(factors, axis=0)
-    stack.sort(axis=0)
-    return np.prod(stack, axis=0, out=out)
-
-
 def _naked_sum(spec: OperatorSpec, a_vals, b_vals, beta_vals, grid: GridSpec):
     off = pv_offsets(grid)
     w_geom = riesz_core_weight(grid, spec.nu, sum(spec.nu) + grid.dim)
     # phibar_transform passes one field as a and as every b: difference it once
     fields = {id(v): v for v in a_vals + b_vals}
+    # slots multiply in value order, so any permutation of b gives the same bits
+    b_vals = sorted(b_vals, key=lambda v: v.tobytes())
 
     def term(t, shifted, out, buffer):
         r, row = off.r[t], out[0]
@@ -165,8 +157,8 @@ def _naked_sum(spec: OperatorSpec, a_vals, b_vals, beta_vals, grid: GridSpec):
                         for j, av in enumerate(a_vals))
         phiv = spec.profile(squares, out=buffer(len(fields) + len(a_vals)))
         np.multiply(phiv, shifted(beta_vals), out=row)
-        if b_vals:
-            row *= _slot_product([quot[id(bv)] for bv in b_vals], phiv)
+        for bv in b_vals:
+            row *= quot[id(bv)]
         row *= w_geom[t]
 
     return lattice_sum(grid, term)[0]

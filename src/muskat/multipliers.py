@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import GridSpec
+from .grid import GridSpec, wavenumber_squared
 from .offsets import sphere_area
 from .profiles import phibar
 
@@ -165,9 +165,8 @@ def riesz_core_symbol_grid(grid: GridSpec, nu) -> np.ndarray:
     nu = tuple(int(v) for v in nu)
     if len(nu) != grid.dim or sorted(nu) != [0] * (grid.dim - 1) + [1]:
         raise ValueError(f"nu must be a unit multi-index of length {grid.dim}, got {nu}")
-    zs = grid.frequency_grid()
-    norm = np.sqrt(sum(z**2 for z in zs))
+    norm = np.sqrt(wavenumber_squared(grid))
     norm[(0,) * grid.dim] = 1.0
-    sym = -0.5j * zs[nu.index(1)] / norm
+    sym = -0.5j * grid.frequencies(nu.index(1)) / norm
     sym[(0,) * grid.dim] = 0.0
     return sym

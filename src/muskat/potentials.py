@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .grid import (GridSpec, ScalarField, gradient, inner, integrate, l2_norm,
-                   require_same_grid)
+                   require_same_grid, wavenumber_squared)
 from .kernels import core_fix_apply, far_symbols, phibar_transform
 from .offsets import (block_rows, face_ring, lattice_sum, near_offsets, pv_offsets,
                       sphere_area)
@@ -98,7 +98,7 @@ class InterfaceGeometry:
         grid points.
         """
         g, f = self.grid, self.f.values
-        s = float(np.sum(_wavenumbers(g) * np.abs(np.fft.fftn(f)))) / g.size
+        s = float(np.sum(np.sqrt(wavenumber_squared(g)) * np.abs(np.fft.fftn(f)))) / g.size
         lip = float(np.sqrt(np.max(sum(c.values**2 for c in self.grad_f))))
         return s, float(np.max(f) - np.min(f)), lip
 
@@ -241,12 +241,15 @@ def apply_A_composed(geom: InterfaceGeometry, b) -> list:
     b = list(b)
     require_same_grid(geom.f, *b)
     f, gfv, bv = geom.f, [c.values for c in geom.grad_f], [c.values for c in b]
+    # the cross term's field vanishes at i = k; B(f)[b_i] does not depend on k
+    plain = [phibar_transform(f, 0, i, bv[i]) for i in range(geom.grid.dim)]
     out = []
     for k in range(geom.grid.dim):
         acc = phibar_transform(f, 1, None, bv[k])
         for i in range(geom.grid.dim):
-            acc = acc + phibar_transform(f, 0, i, gfv[k] * bv[i] - gfv[i] * bv[k])
-            acc = acc - gfv[k] * phibar_transform(f, 0, i, bv[i])
+            if i != k:
+                acc = acc + phibar_transform(f, 0, i, gfv[k] * bv[i] - gfv[i] * bv[k])
+            acc = acc - gfv[k] * plain[i]
         out.append(ScalarField(geom.grid, acc))
     return out
 
@@ -661,14 +664,6 @@ class _Scales(NamedTuple):
     beta: float
 
 
-@lru_cache(maxsize=None)
-def _wavenumbers(grid: GridSpec) -> np.ndarray:
-    """|k| on the FFT grid."""
-    k = np.sqrt(sum(grid.frequencies(j) ** 2 for j in range(grid.dim)))
-    k.setflags(write=False)
-    return k
-
-
 def _scales(geom: InterfaceGeometry, op: _Operator) -> _Scales:
     s, osc, lip = geom.slope_bound
     # alpha and beta of each output; the largest of each bounds every output
@@ -888,7 +883,8 @@ def apply_AA_composed(geom: InterfaceGeometry, b) -> ScalarField:
     out = np.zeros(geom.grid.shape)
     for i in range(geom.grid.dim):
         for k in range(geom.grid.dim):
-            out = out + gfv[k] * phibar_transform(f, 0, i, bv[k] * gfv[i] - bv[i] * gfv[k])
+            if k != i:  # the field vanishes at k = i
+                out = out + gfv[k] * phibar_transform(f, 0, i, bv[k] * gfv[i] - bv[i] * gfv[k])
         out = out - phibar_transform(f, 0, i, bv[i], "spectral")
         out = out - gfv[i] * phibar_transform(f, 1, None, bv[i])
     return ScalarField(geom.grid, out)

@@ -222,15 +222,26 @@ def test_multilinearity_scaling():
     np.testing.assert_allclose(scaled.values, 3.0 * base.values, rtol=0, atol=1e-13)
 
 
-def test_slot_permutation_bit_identical():
+@pytest.mark.parametrize("order,twins",
+                         [pytest.param(p, False, id="".join(map(str, p)))
+                          for p in itertools.permutations(range(3))]
+                         + [pytest.param((1, 0), False, id="10"),
+                            pytest.param((1, 2, 0), True, id="120-twins")])
+def test_slot_permutation_bit_identical(order, twins):
+    # b permuted by ``order``: every order of three slots, two slots, and
+    # three slots of which two are distinct arrays holding equal values
     g = GridSpec(1, 2 * np.pi, 24)
     rng = np.random.default_rng(9)
     a = band_limited_random(g, 2, rng, amplitude=0.5)
     bs = [band_limited_random(g, 2, rng) for _ in range(3)]
     beta = band_limited_random(g, 2, rng)
-    spec = OperatorSpec(phibar(1), 3, (0,))
+    if twins:
+        bs[0] = ScalarField(g, bs[2].values)
+        assert bs[0].values is not bs[2].values
+    bs = bs[:len(order)]
+    spec = OperatorSpec(phibar(1), len(order), ((len(order) + 1) % 2,))  # n + |nu| odd
     out1 = apply_B(spec, [a], bs, beta)
-    out2 = apply_B(spec, [a], [bs[2], bs[0], bs[1]], beta)
+    out2 = apply_B(spec, [a], [bs[i] for i in order], beta)
     assert np.array_equal(out1.values, out2.values)
 
 

@@ -211,6 +211,26 @@ def test_AA_direct_equals_composed():
         assert rel_err(direct.values, composed.values) < 1e-10
 
 
+@pytest.mark.parametrize("dim,M", [(1, 16), (2, 8), (3, 8)])
+def test_composed_forms_take_each_nonvanishing_transform_once(monkeypatch, dim, M):
+    # A: B_1[b_k] per k, a cross term per i != k, B_0[b_i] once per i;
+    # AA: a cross term per k != i, B_0[b_i] and B_1[b_i] per i
+    geom = gaussian_geometry(M, dim)
+    b = [band_limited_random(geom.grid, 2, np.random.default_rng(dim)) for _ in range(dim)]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return phibar_transform(*args, **kwargs)
+
+    monkeypatch.setattr(muskat.potentials, "phibar_transform", counting)
+    apply_A_composed(geom, b)
+    assert len(calls) == dim + dim * (dim - 1) + dim
+    calls.clear()
+    apply_AA_composed(geom, b)
+    assert len(calls) == dim * (dim - 1) + 2 * dim
+
+
 def reference_sum(geom, op, bv):
     """op's PV lattice sum over every offset, its exact cores added by kernels.core_fix_apply.
 
