@@ -80,16 +80,20 @@ def _write_manifest(cfg: SimConfig, outdir, extra):
 
 def _solve_totals(reports) -> dict:
     """The density solves' count, GMRES iterations (in all and per solve, in solve order),
-    worst true residual and applies of D per split tolerance."""
-    applies = {}
+    worst true residual, applies of D per split tolerance, and per split tolerance
+    D's applies per (R, K) it took ("R,K")."""
+    applies, splits = {}, {}
     for report in reports:
         for tol, n in report.d_applies.items():
             applies[repr(tol)] = applies.get(repr(tol), 0) + n
+            picks = splits.setdefault(repr(tol), {})
+            pick = "%d,%d" % report.d_splits[tol]
+            picks[pick] = picks.get(pick, 0) + n
     per_solve = [r.iterations for r in reports]
     return {"count": len(reports), "iterations": sum(per_solve),
             "iterations_per_solve": per_solve,
             "max_residual": max((r.residual for r in reports), default=0.0),
-            "d_applies": applies}
+            "d_applies": applies, "d_splits": splits}
 
 
 def cmd_evolve(args) -> int:

@@ -624,6 +624,11 @@ def split_weight(grid: GridSpec) -> float:
     return _radii(grid).w0
 
 
+def d_split(geom: InterfaceGeometry, split_tol: float = SMALL_SLOPE_TOL) -> tuple:
+    """(R, K) of the split D takes on geom within split_tol; see _choose_split."""
+    return geom.split(_d_operator(geom.grid.dim), split_tol=split_tol)[:2]
+
+
 @lru_cache(maxsize=None)
 def _split_costs(grid: GridSpec, op: _Operator) -> tuple:
     """(near, A, B, C): op's split on grid costs near[R] + A (K+1)^2 + B (K+1) + C ns.
@@ -685,20 +690,26 @@ def _interval(x: float) -> int:
 
 
 @lru_cache(maxsize=None)
-def _chebyshev(K: int) -> tuple:
-    """(v, C, S, sigma) of degree K on [0, 1], in long double.
+def _cosines(K: int) -> tuple:
+    """(v, C) of degree K on [0, 1], in long double.
 
     v are the K+1 Chebyshev points of the first kind, (1 + cos theta_i)/2,
     theta_i = (2i+1) pi / (2K+2); C is the discrete cosine matrix that takes
-    values at v to the coefficients a_j of the interpolant sum_j a_j T*_j(v);
-    row j of S holds the monomial coefficients of the shifted Chebyshev
-    polynomial T*_j(v) = T_j(2v - 1), by T*_j = (4v - 2) T*_(j-1) - T*_(j-2);
-    sigma_j = sum_k |S_jk|.
+    values at v to the coefficients a_j of the interpolant sum_j a_j T*_j(v),
+    T*_j(v) = T_j(2v - 1).
     """
     n = K + 1
     theta = (2 * np.arange(n) + 1) * np.arccos(np.longdouble(-1)) / (2 * n)
     C = np.cos(np.outer(np.arange(n), theta)) * (np.longdouble(2) / n)
     C[0] /= 2
+    return (1 + np.cos(theta)) / 2, C
+
+
+@lru_cache(maxsize=None)
+def _chebyshev(K: int) -> tuple:
+    """(S, sigma) of degree K, in long double: row j of S holds the monomial coefficients
+    of T*_j(v), by T*_j = (4v - 2) T*_(j-1) - T*_(j-2); sigma_j = sum_k |S_jk|."""
+    n = K + 1
     S = np.zeros((n, n), np.longdouble)
     S[0, 0] = 1
     if K:
@@ -706,11 +717,46 @@ def _chebyshev(K: int) -> tuple:
     for j in range(2, n):
         S[j, 1:] = 4 * S[j - 1, :-1]
         S[j] -= 2 * S[j - 1] + S[j - 2]
-    return (1 + np.cos(theta)) / 2, C, S, np.sum(np.abs(S), axis=1)
+    return S, np.sum(np.abs(S), axis=1)
+
+
+def _coefficients(dim: int, j: int, K: int) -> tuple:
+    """(g - 1, a = C g) for g = (1+u)^(-p) at u = X v, v and C of :func:`_cosines`, in
+    long double; see _interpolant."""
+    p, X = (dim + 1) / 2, 2.0 ** (j / 8)
+    v, C = _cosines(K)
+    gm = np.expm1(-p * np.log1p(X * v))  # g - 1 keeps its digits when X is small
+    a = C @ gm
+    a[0] += 1
+    return gm, a
 
 
 # Ellipse parameters r = rho^(1 - delta) over which _interpolant minimizes its bound
 _ELLIPSES = 1.0 - np.geomspace(1e-4, 0.999, 64)
+# The degree J of the interpolant whose computed coefficients bound the
+# truncation of every lower degree; see _interpolant
+TAIL_DEGREE = 64
+
+
+def _ellipse(dim: int, j: int, K: int) -> float:
+    """min over the r of _ELLIPSES of 4 M_r r^(-K) / (r - 1); see _interpolant."""
+    p, X = (dim + 1) / 2, 2.0 ** (j / 8)
+    # log r over the ellipses, log rho = arccosh(y); X/2 (y - cosh log r) = 1 - X sinh^2(log r/2)
+    log_r = _ELLIPSES * log1p(2.0 / X + sqrt(2.0 / X * (2.0 + 2.0 / X)))
+    log_m = -p * np.log(1.0 - X * np.sinh(log_r / 2) ** 2)
+    return float((4.0 * np.exp(log_m - K * log_r) / np.expm1(log_r)).min())
+
+
+@lru_cache(maxsize=None)
+def _tails(dim: int, j: int) -> tuple:
+    """Per K < J = TAIL_DEGREE: 2 sum_{K<i<=J} |a~_i| + 2 E_J + rounding; see _interpolant."""
+    J = TAIL_DEGREE
+    gm, a = _coefficients(dim, j, J)
+    eps_l = float(np.finfo(np.longdouble).eps)
+    rest = 2.0 * _ellipse(dim, j, J) + 4 * J * ((3 * np.pi + 1) * J + 7) * eps_l * float(
+        np.abs(gm).max())
+    tails = np.cumsum(np.abs(a[:0:-1]))[::-1]  # sum_{K<i<=J} |a~_i| for K = 0..J-1
+    return tuple((2.0 * tails.astype(float) + rest).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -719,22 +765,42 @@ def _interpolant(dim: int, j: int, K: int) -> tuple:
 
     X = 2^(j/8) (see :func:`_interval`); coefs are the interpolant's monomial
     coefficients c_k in u, and sum_k c_k u^k lies within error of (1+u)^(-p)
-    for every u in [0, X].  With v = u/X on the points of :func:`_chebyshev`,
+    for every u in [0, X].  With v = u/X on the points of :func:`_cosines`,
     the values g, their Chebyshev coefficients a = C g and the monomial
-    coefficients in v, d = S^T a, are taken in long double; c_k = d_k / X^k.
-    S grows like 5.83^K but a decays as fast, so the product S^T a stays
-    small; the premultiplied S^T C would carry S's rounding into every g.
+    coefficients in v, d = S^T a (:func:`_chebyshev`), are taken in long
+    double; c_k = d_k / X^k.  S grows like 5.83^K but a decays as fast, so
+    the product S^T a stays small; the premultiplied S^T C would carry S's
+    rounding into every g.
 
-    Truncation: z = 2v - 1 maps [-1, 1] onto [0, X], and the kernel's one
+    Truncation: let a_i be the kernel's own Chebyshev coefficients.  At the
+    K+1 first-kind points T_i, i > K, equals +-T_l for one l <= K or
+    vanishes, so the interpolant aliases each a_i past K onto at most one
+    index below and |g - p_K| <= 2 sum_{i>K} |a_i|, for K = 0 too.
+
+    Ellipse: z = 2v - 1 maps [-1, 1] onto [0, X], and the kernel's one
     singularity u = -1 lies at z = -y, y = 1 + 2/X.  So the kernel is
     analytic inside the Bernstein ellipse E_rho, rho = y + sqrt(y^2 - 1),
     and on E_r, r < rho, at most M_r = ((X/2)(y - (r + 1/r)/2))^(-p), its
-    value at the vertex nearest -y.  Its Chebyshev coefficients are then at
-    most 2 M_r r^(-k) (Trefethen, Approximation Theory and Approximation
-    Practice, 2013, Thm 8.1); at the first-kind points the interpolant
-    aliases each coefficient past K onto at most one below, so it is within
-    2 sum_{k>K} |a_k| <= 4 M_r r^(-K) / (r - 1) (Thm 8.2), for K = 0 too.
-    The bound takes the least over the r of _ELLIPSES.
+    value at the vertex nearest -y.  Then |a_i| <= 2 M_r r^(-i) (Trefethen,
+    Approximation Theory and Approximation Practice, 2013, Thm 8.1), and
+    2 sum_{i>K} |a_i| <= E_K = 4 M_r r^(-K) / (r - 1) (Thm 8.2), the least
+    over the r of _ELLIPSES (:func:`_ellipse`).
+
+    Computed tail, for K < J = TAIL_DEGREE (:func:`_tails`): the degree-J
+    interpolant's coefficients are a~_i = a_i + the a_l, l > J, aliased
+    onto i, each l onto at most one i, so sum_{K<i<=J} |a_i| <=
+    sum_{K<i<=J} |a~_i| + sum_{i>J} |a_i|, and with sum_{i>J} |a_i| <= E_J/2
+
+        |g - p_K| <= 2 sum_{K<i<=J} |a~_i| + 8 M_r r^(-J) / (r - 1).
+
+    The truncation is the lesser of the two bounds; the tail's is within
+    about 2 of the error where E_K is 40-90 times above it.  Rounding of
+    a~, by the model below: g - 1 moves each a~_i by at most 8 eps_L
+    max|g - 1| (sum_k |C_ik| <= 2), the product C g by 2(J+1) eps_L
+    max|g - 1| and C by 2(3 pi J + 2) eps_L max|g - 1| (each cosine's
+    argument, up to J pi, off by 3 eps_L relative), so the tail adds
+    4 J ((3 pi + 1) J + 7) eps_L max|g - 1|.  The tail reads only v and C
+    of degree J, not S.
 
     Conversion, by the standard rounding model with unit eps_L in long
     double: g - 1 (to 4 eps_L relative) moves the interpolant by at most
@@ -746,19 +812,16 @@ def _interpolant(dim: int, j: int, K: int) -> tuple:
     than a double makes the term larger, not wrong.  A c_k past double's
     range makes the error inf.
     """
-    p, X = (dim + 1) / 2, 2.0 ** (j / 8)
-    v, C, S, sigma = _chebyshev(K)
-    gm = np.expm1(-p * np.log1p(X * v))  # g - 1 keeps its digits when X is small
-    a = C @ gm
-    a[0] += 1
+    X = 2.0 ** (j / 8)
+    gm, a = _coefficients(dim, j, K)
+    S, sigma = _chebyshev(K)
     d = S.T @ a
     powers = np.longdouble(X) ** np.arange(K + 1)
     with np.errstate(over="ignore"):  # past double range the walk ends; see _splits
         coefs = tuple((d / powers).astype(float).tolist())
-    # log r over the ellipses, log rho = arccosh(y); X/2 (y - cosh log r) = 1 - X sinh^2(log r/2)
-    log_r = _ELLIPSES * log1p(2.0 / X + sqrt(2.0 / X * (2.0 + 2.0 / X)))
-    log_m = -p * np.log(1.0 - X * np.sinh(log_r / 2) ** 2)
-    truncation = float((4.0 * np.exp(log_m - K * log_r) / np.expm1(log_r)).min())
+    truncation = _ellipse(dim, j, K)
+    if K < TAIL_DEGREE:
+        truncation = min(truncation, _tails(dim, j)[K])
     eps_l = float(np.finfo(np.longdouble).eps)
     d_abs = float(np.abs(d).sum())
     conversion = (EPS * d_abs + eps_l * (K + 2) * (
@@ -818,9 +881,11 @@ def _choose_split(geom: InterfaceGeometry, op: _Operator, tol: float) -> _Split:
     (:func:`_interval`, at most 9% above x^2).  With p = (N+1)/2 the kernel
     is (1+u)^(-p) |xi|^(-2p); the far field replaces (1+u)^(-p) by its
     degree-K Chebyshev interpolant on [0, X], sum_{k<=K} c_k u^k, within
-    E_K (:func:`_interpolant`, the Bernstein-ellipse bound plus the
-    conversion to monomials) of it.  The coefficients are the split's, so
-    the bound and the far field read one table.
+    E_K (:func:`_interpolant`: the computed Chebyshev tail of a degree-64
+    interpolant plus a proven remainder, or the Bernstein-ellipse bound
+    where that is less, plus the conversion to monomials) of it.  The
+    coefficients are the split's, so the bound and the far field read one
+    table.
 
     The coefficients d_c f(x) and op's fields are only taken at grid points,
     so by the fields' sizes and G = max |grad f| there each output's

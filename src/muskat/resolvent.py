@@ -14,7 +14,11 @@ J. Matrix Anal. Appl. 26, 2005).  D's near/far split within a tolerance tau
 errs by at most tau ||v||_inf W_0 at each of the M^N points, so each product
 takes the loosest split tolerance of a short fixed ladder
 (RELAXATION_LADDER) whose 2-norm bound 2 |a_mu| sqrt(M^N) W_0 tau ||v||_inf
-is within that allowance.  The residuals, the first and the substituted one,
+is within that allowance.  The ladder is measured, not derived: with the
+split bounded by its computed Chebyshev tail, a third rung at 1e-5 ran a
+2D M=64 evolve at a_mu = 0.5 faster than one at 1e-3, 1e-4, 1e-6 or 1e-7
+(the last products of most solves take it), with the same iterations
+per solve.  The residuals, the first and the substituted one,
 are exact (SMALL_SLOPE_TOL); a substituted residual that misses tol restarts
 GMRES on exact products.
 """
@@ -27,7 +31,7 @@ from math import sqrt
 import numpy as np
 
 from .grid import ScalarField
-from .potentials import SMALL_SLOPE_TOL, InterfaceGeometry, apply_D, split_weight
+from .potentials import SMALL_SLOPE_TOL, InterfaceGeometry, apply_D, d_split, split_weight
 
 
 class SolveFailure(RuntimeError):
@@ -45,11 +49,12 @@ class SolveReport:
     iterations: int
     residual: float
     d_applies: dict = field(default_factory=dict)  # split tolerance -> applies of D
+    d_splits: dict = field(default_factory=dict)  # split tolerance -> the (R, K) D took
 
 
 GMRES_RESTART = 30
 # The split tolerances a density solve's Arnoldi products may take, tightest first
-RELAXATION_LADDER = (SMALL_SLOPE_TOL, 1e-8)
+RELAXATION_LADDER = (SMALL_SLOPE_TOL, 1e-8, 1e-5)
 
 
 def _dot(u, v):
@@ -130,7 +135,8 @@ def solve_beta(geom: InterfaceGeometry, a_mu: float, tol: float = 1e-10,
     The returned residual is obtained by substituting beta back, with D
     at SMALL_SLOPE_TOL, independently of the solver's own estimate; the
     Krylov products take the ladder's split tolerances (see the module
-    docstring), and the report counts D's applies per tolerance.  Raises
+    docstring), and the report counts D's applies per tolerance and names
+    the (R, K) D took at each.  Raises
     SolveFailure on non-convergence (a discretization pathology;
     invertibility itself is guaranteed for |a_mu| < 1).
     """
@@ -155,7 +161,8 @@ def solve_beta(geom: InterfaceGeometry, a_mu: float, tol: float = 1e-10,
 
     x0 = warm_start.values if warm_start is not None else np.zeros(g.shape)
     sol, iters, true_resid = _gmres(op, rhs, x0, tol, max_iter)
-    report = SolveReport(iterations=iters, residual=true_resid, d_applies=applies)
+    report = SolveReport(iterations=iters, residual=true_resid, d_applies=applies,
+                         d_splits={t: d_split(geom, t) for t in applies})
     if true_resid > tol:
         raise SolveFailure(report)
     return ScalarField(g, sol), report

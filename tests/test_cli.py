@@ -13,6 +13,7 @@ from muskat.cli import main
 from muskat.config import (KEYS, ConfigError, build_config, initial_field, parse_config,
                            parse_kv_text)
 from muskat.grid import GridSpec, load_field, make_gaussian_bump, save_field
+from muskat.potentials import InterfaceGeometry, d_split
 
 
 def write(path, text):
@@ -148,6 +149,23 @@ def test_evolve_manifest_counts_the_applies_of_D(tmp_path):
     applies = solves["d_applies"]
     assert sum(applies.values()) == solves["iterations"] + 2 * solves["count"] - 1
     assert applies["1e-13"] >= 2 * solves["count"] - 1 and len(applies) > 1, applies
+
+
+def test_evolve_manifest_names_the_splits_of_D(tmp_path):
+    # per split tolerance, D's applies per (R, K) it took: they add up to the applies
+    # at that tolerance, and the first solve's exact split is the initial interface's
+    text = GMRES_2D.replace("grid.points = 16", "grid.points = 32")
+    cfg = write(tmp_path / "c.cfg", text + f"output.dir = {tmp_path}/out\n")
+    assert main(["evolve", cfg]) == 0
+    solves = json.loads((tmp_path / "out" / "manifest.json").read_text())["density_solves"]
+    applies, splits = solves["d_applies"], solves["d_splits"]
+    assert set(splits) == set(applies)
+    for tol, picks in splits.items():
+        assert sum(picks.values()) == applies[tol], (tol, picks)
+        assert all(len(pick.split(",")) == 2 for pick in picks)
+    first = InterfaceGeometry(initial_field(parse_config(cfg)))
+    assert "%d,%d" % d_split(first) in splits["1e-13"]
+    assert any(pick.split(",")[1] != "0" for picks in splits.values() for pick in picks)
 
 
 def test_config_error_exit_code(tmp_path):

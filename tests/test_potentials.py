@@ -259,7 +259,7 @@ def operands(geom, b):
                                     (_a_operator(g.dim), vector), (_aa_operator(g.dim), vector))]
 
 
-@pytest.mark.parametrize("dim,M", [(1, 64), (1, 512), (2, 16), (2, 32)])
+@pytest.mark.parametrize("dim,M", [(1, 64), (1, 512), (2, 16), (2, 32), (3, 8)])
 def test_split_within_its_bound(dim, M):
     # a ladder of oscillations and slopes: the split each geometry picks for D,
     # D*, A and AA must be within its own bound of the direct sum, in each
@@ -317,11 +317,19 @@ def test_AA_path_choice_on_the_benchmark_interfaces():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_the_interpolant_is_within_its_bound(dim):
+def test_the_interpolant_is_within_its_bound(monkeypatch, dim):
     # each coefficient table entry on a ladder of slopes x: the polynomial sum_k c_k u^k
     # the far field sums, its stored coefficients taken exactly (in long double), lies
     # within the entry's bound of (1+u)^(-p) on its whole interval [0, X], which holds
-    # [0, x^2], at every order until the rounding term (t = x, log2(M^N) = 1) ends the walk
+    # [0, x^2], at every order until the rounding term (t = x, log2(M^N) = 1) ends the walk;
+    # the bound is never above the Bernstein-ellipse bound alone (no computed tail, as
+    # with TAIL_DEGREE = 0), and tracks the error: wherever it exceeds 1e-12 it is at
+    # most 4 times the error sampled on the interval
+    def ellipse_only(j, K):
+        with monkeypatch.context() as m:
+            m.setattr(muskat.potentials, "TAIL_DEGREE", 0)
+            return _interpolant.__wrapped__(dim, j, K)[1]
+
     p, eps = np.longdouble(dim + 1) / 2, np.finfo(float).eps
     for x in np.geomspace(1e-3, 1.3, 24):
         j = _interval(x)
@@ -337,7 +345,11 @@ def test_the_interpolant_is_within_its_bound(dim):
             poly = np.zeros_like(u)
             for c in reversed(coefs):
                 poly = poly * u + np.longdouble(c)
-            assert np.max(np.abs(poly - exact)) <= error, (x, K)
+            sampled = float(np.max(np.abs(poly - exact)))
+            assert sampled <= error, (x, K)
+            assert error <= ellipse_only(j, K), (x, K)
+            if error > 1e-12:
+                assert error <= 4 * sampled, (x, K, error / sampled)
         assert K > 5, x
 
 

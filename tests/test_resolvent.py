@@ -127,7 +127,10 @@ def test_relaxed_solve_keeps_its_promise(monkeypatch, M, a_mu):
         assert report.iterations <= exact.iterations + 1, (report, exact)
         assert used[0] == used[-1] == SMALL_SLOPE_TOL
         assert max(used) > SMALL_SLOPE_TOL, used
+        if warm_start is not None and M == 64:  # no rung of the ladder is dead
+            assert ladder[-1] in used, used
         assert report.d_applies == {t: used.count(t) for t in ladder if t in used}
+        assert set(report.d_splits) == set(report.d_applies)
         return beta
 
     cold = check(None)

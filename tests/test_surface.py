@@ -198,7 +198,8 @@ def test_one_byte_cap_sizes_every_work_buffer():
 def test_only_the_density_solve_relaxes_a_split():
     # split_tol is keyword-only all the way down; the density solve's apply of D
     # is the one call that sets it, the rest of the chain passes it on, and D*,
-    # A and the velocity operator never see it
+    # A and the velocity operator never see it; d_split only reads the split D
+    # took at a tolerance, for the solve's report
     for fn in (potentials.apply_D, potentials._apply, potentials.InterfaceGeometry.split):
         assert inspect.signature(fn).parameters["split_tol"].kind is inspect.Parameter.KEYWORD_ONLY
     found = set()
@@ -211,4 +212,5 @@ def test_only_the_density_solve_relaxes_a_split():
                     found.add((path.name, getattr(node, "name", "<module>"), callee))
     assert found == {("resolvent.py", "solve_beta", "apply_D"),
                      ("potentials.py", "apply_D", "_apply"),
-                     ("potentials.py", "_apply", "split")}
+                     ("potentials.py", "_apply", "split"),
+                     ("potentials.py", "d_split", "split")}
