@@ -20,16 +20,17 @@ from .multipliers import MultiplierSpec, SphereRule, symbol_D, symbol_T
 from .potentials import (InterfaceGeometry, apply_A, apply_AA, apply_D,
                          apply_D_star, gradient_identity_residual,
                          rellich_residual)
-from .profiles import SmoothProfile, make_difference_profile, phibar
+from .profiles import DifferenceProfile, SmoothProfile, phibar
 from .resolvent import SolveFailure, SolveReport, solve_beta
 
 __all__ = [
-    "GridSpec", "InterfaceGeometry", "InterfaceState", "MultiplierSpec",
-    "OperatorSpec", "PhysicalParams", "ScalarField", "SmoothProfile",
-    "SolveFailure", "SolveReport", "SphereRule", "StepperConfig", "apply_A",
-    "apply_AA", "apply_B", "apply_D", "apply_D_star", "chain_rule_residual",
-    "evolve", "gradient_identity_residual", "integrate", "l2_norm",
-    "load_field", "make_difference_profile", "phibar", "rellich_residual",
-    "rt_margin", "save_field", "sobolev_norm", "solve_beta",
-    "spectral_derivative", "step", "symbol_D", "symbol_T", "wow_residual",
+    "DifferenceProfile", "GridSpec", "InterfaceGeometry", "InterfaceState",
+    "MultiplierSpec", "OperatorSpec", "PhysicalParams", "ScalarField",
+    "SmoothProfile", "SolveFailure", "SolveReport", "SphereRule",
+    "StepperConfig", "apply_A", "apply_AA", "apply_B", "apply_D",
+    "apply_D_star", "chain_rule_residual", "evolve",
+    "gradient_identity_residual", "integrate", "l2_norm", "load_field",
+    "phibar", "rellich_residual", "rt_margin", "save_field", "sobolev_norm",
+    "solve_beta", "spectral_derivative", "step", "symbol_D", "symbol_T",
+    "wow_residual",
 ]

@@ -14,11 +14,12 @@ by replacing the core's lattice symbol with the exact continuum symbol
 only cores the interface operators have).  ``riesz_core='lattice'``, the
 default of :func:`phibar_transform`, keeps the bare sum, which the
 brute-force oracle and the composed-form validators reproduce term by term.
-The replacement is made in one place, :func:`core_fix_apply`, on a field's
-real-FFT half that its caller passes; :func:`apply_B` and the velocity
-operator's near/far split (:mod:`muskat.potentials`, with its far field's
-spectrum) both call it.  :func:`far_symbols` builds the
-split's far-field symbols and holds none; the split keeps its own.
+The replacement is made in one place, :func:`core_fix_apply`, the product
+of the fix with a field's real-FFT half; :func:`apply_B` transforms and
+inverts around it, and the velocity operator's near/far split
+(:mod:`muskat.potentials`) adds it inside its far field's pass, before that
+pass's one inverse per output.  :func:`far_symbols` builds the split's
+far-field symbols and holds none; the split keeps its own.
 
 The n b-slots multiply into each term one at a time, in one order fixed per
 sum by the slots' values (their bytes), so a permutation of the slots gives
@@ -128,15 +129,13 @@ def riesz_core_fix(grid: GridSpec, nu: tuple) -> np.ndarray:
     return fix
 
 
-def core_fix_apply(grid: GridSpec, nu, spectrum: np.ndarray, scale: float) -> np.ndarray:
-    """scale * F^-1[ riesz_core_fix * spectrum ], as a plain array; spectrum is a field's rfftn.
+def core_fix_apply(grid: GridSpec, nu, spectrum: np.ndarray, out=None) -> np.ndarray:
+    """spectrum * riesz_core_fix, into out if given; spectrum is a field's rfftn half.
 
-    The caller transforms the field, so a spectrum it has already pays no
-    second rfftn: :func:`apply_B` passes its own, the near/far split the far
-    field's (:mod:`muskat.potentials`).
+    The callers transform and invert: :func:`apply_B` on its own, the
+    near/far split inside its far field's pass (:mod:`muskat.potentials`).
     """
-    return scale * np.fft.irfftn(spectrum * riesz_core_fix(grid, nu), s=grid.shape,
-                                 axes=range(grid.dim))
+    return np.multiply(spectrum, riesz_core_fix(grid, nu), out=out)
 
 
 def _naked_sum(spec: OperatorSpec, a_vals, b_vals, beta_vals, grid: GridSpec):
@@ -183,7 +182,8 @@ def apply_B(spec: OperatorSpec, a, b, beta: ScalarField,
                      beta.values, grid)
     if spec.n == 0 and spectral:
         phi0 = float(spec.profile(tuple(0.0 for _ in range(spec.arity))))
-        out = out + core_fix_apply(grid, spec.nu, np.fft.rfftn(beta.values), phi0)
+        out = out + phi0 * np.fft.irfftn(core_fix_apply(grid, spec.nu, np.fft.rfftn(beta.values)),
+                                         s=grid.shape, axes=range(grid.dim))
     return ScalarField(grid, out)
 
 

@@ -7,9 +7,9 @@ term on the lattice, so the cross-checks hold near rounding.
 
 The velocity operator carries the non-decaying constant Riesz core
 (-xi . b(x-xi) in its kernel); that core is always evaluated with its exact
-continuum symbol, added on every split by
-:func:`muskat.kernels.core_fix_apply`; the double layer keeps its lattice
-core.
+continuum symbol, its fix (:func:`muskat.kernels.core_fix_apply`) added in
+the far field's pass on every split, the direct one included; the double
+layer keeps its lattice core.
 
 Every operator's numerator is one table (:class:`_Operator`), read by one
 kernel sum (:func:`_interface_sum`).  D, D*, A and the velocity operator are
@@ -22,13 +22,13 @@ geometry picks the cheapest (R, K) per operator within an a-priori error
 bound (:func:`_choose_split`), SMALL_SLOPE_TOL unless the density solve
 asks D for a looser one (:mod:`muskat.resolvent`); R = 0 is all far field
 (the small-slope expansion of every offset), R past the cell is the direct
-sum.  A split sums the near field, then the far field, then the exact
-cores.  One byte cap, :data:`muskat.offsets.BLOCK_BYTES`, sizes every work
-buffer (:func:`muskat.offsets.block_rows`): the near field's blocks, the far
-field's transform chunks (each field's powers in one stacked rfftn, each
-group's accumulators in one stacked irfftn) and its batches of groups, each
-added straight into the output as it ends.  The torus flux is
-summed directly over the cell's face ring.
+sum.  A split sums the near field, then the far field with the exact cores
+in it.  One byte cap, :data:`muskat.offsets.BLOCK_BYTES`, sizes every work
+buffer (:func:`muskat.offsets.block_rows`): the near field's blocks, the
+far field's transform chunks (each field's powers in one stacked rfftn,
+each group's accumulators in one stacked irfftn) and its batches of groups,
+each added straight into the output as it ends.  The torus flux is summed
+directly over the cell's face ring.
 """
 
 from __future__ import annotations
@@ -417,34 +417,30 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
     batch one stacked rfftn of its powers p = e - a, the products summed per
     group and power a in Fourier space, and per group one stacked irfftn of
     its powers a, added straight to the output (:func:`_far_batch`).  The
-    near field comes first, then the far field, then each exact core's
-    :func:`muskat.kernels.core_fix_apply` of its field's p = 0 spectrum, the
-    far field's own (a transform of its own on the direct sum).
+    exact cores ride the same pass (:func:`_far_field`); the direct split
+    (no coefficients) runs it for them alone.  The near field comes first,
+    then the pass.
     """
     g = geom.grid
     us = op.fields([c.values for c in geom.grad_f], bv)
     near = near_offsets(g, split.radius)
     out = (_interface_sum(geom, op, us, near) if near.count
            else np.zeros((op.outputs,) + g.shape))
-    groups = {}  # (output k, x-coefficient c) -> the far field's entries (field, sign, axis, m)
-    cores = []  # the exact cores (field, output, axis, sign)
+    far = bool(split.coefs)
+    groups = {}  # (output k, x-coefficient c) -> the pass's entries (field, sign, axis, m, core)
     for i, k, monomials in op.terms:
         for sign, c, axis, m in monomials:
-            if op.exact_core and c is None and m == 0:
-                cores.append((i, k, axis, sign))
-            groups.setdefault((k, c), []).append((i, sign, axis, m))
-    spectra = dict.fromkeys(i for i, *_ in cores)  # each core field's rfftn, as it comes
-    if near.count < pv_offsets(g).count:
+            core = op.exact_core and c is None and m == 0
+            if far or core:
+                groups.setdefault((k, c), []).append((i, sign, axis, m, core))
+    if groups:
         f = geom.f.values
         fc = f - 0.5 * (np.max(f) + np.min(f))  # the sum sees f only through df
         # as many groups per batch as a block holds accumulators for (2K+2 each)
         items = list(groups.items())
         per = max(1, block_rows(g) // (2 * split.order + 2))
         for lo in range(0, len(items), per):
-            _far_batch(geom, split, us, dict(items[lo:lo + per]), fc, spectra, out)
-    for i, k, axis, sign in cores:
-        spectrum = np.fft.rfftn(us[i]) if spectra[i] is None else spectra[i]
-        out[k] += core_fix_apply(g, tuple(int(j == axis) for j in range(g.dim)), spectrum, sign)
+            _far_batch(geom, split, us, dict(items[lo:lo + per]), fc, out)
     return out
 
 
@@ -453,7 +449,7 @@ def _direct_sum(geom: InterfaceGeometry, op: _Operator, bv) -> np.ndarray:
     return _split_sum(geom, op, bv, _direct_split(geom.grid))
 
 
-def _far_batch(geom, split, us, batch, fc, spectra, out):
+def _far_batch(geom, split, us, batch, fc, out):
     """Add the far field of a batch {(k, c): entries} of groups to out[k]; see _split_sum.
 
     Each group's accumulators, one half spectrum per power a of f(x), are
@@ -462,26 +458,23 @@ def _far_batch(geom, split, us, batch, fc, spectra, out):
     The fields' powers are transformed through two work stacks of as many
     rows, one real and one complex, held for the batch.  The fields are
     visited in index order, so the bits depend on neither the chunk nor the
-    batch size.  The p = 0 spectrum of a field that is a key of ``spectra``
-    is copied there, unless it holds one already.
+    batch size.
     """
     g, K = geom.grid, split.order
     half = g.shape[:-1] + (g.points // 2 + 1,)
-    tops = {key: 2 * K + 1 + max(m for *_, m in entries) for key, entries in batch.items()}
+    tops = {key: 2 * K + 1 + max(m for _, _, _, m, _ in entries)
+            for key, entries in batch.items()}
     rows = min(block_rows(g), max(tops.values()))
     stacks = {key: [np.zeros((min(rows, top - lo),) + half, complex)
                     for lo in range(0, top, rows)] for key, top in tops.items()}
     accs = {key: [a for chunk in chunks for a in chunk] for key, chunks in stacks.items()}
     fields = {}
     for key, entries in batch.items():
-        for i, sign, axis, m in entries:
-            fields.setdefault(i, []).append((key, sign, axis, m))
+        for i, *entry in entries:
+            fields.setdefault(i, []).append((key, *entry))
     work = np.empty((rows,) + g.shape), np.empty((rows,) + half, complex)
     for i in sorted(fields):
-        spectrum = _far_field(geom, split, us[i], fields[i], fc, accs, work,
-                              i in spectra and spectra[i] is None)
-        if spectrum is not None:
-            spectra[i] = spectrum
+        _far_field(geom, split, us[i], fields[i], fc, accs, work)
     for (k, c), chunks in stacks.items():
         power, row = None, out[k]
         for n, chunk in enumerate(chunks):
@@ -498,21 +491,24 @@ def _far_batch(geom, split, us, batch, fc, spectra, out):
                 row += v
 
 
-def _far_field(geom, split, u, monomials, fc, accs, work, keep):
-    """Add the far-field terms of field u's monomials ((k, c), sign, axis, m) to accs[k, c][a].
+def _far_field(geom, split, u, monomials, fc, accs, work):
+    """Add the terms of field u's monomials ((k, c), sign, axis, m, core) to accs[k, c][a].
 
     The powers u fc^p are formed in work's real stack and transformed a
     chunk at a time by one rfftn into its complex one.  The symbols are
     read from the split's table (:data:`_symbol_tables`), built on first
-    use; they carry no sign, so a term adds or subtracts.  Returns a copy
-    of u's rfftn (p = 0) when ``keep``, else None.
+    use; they carry no sign, so a term adds or subtracts.  An exact core
+    (c None, m = 0) also adds its p = 0 spectrum times the core's fix
+    (:func:`muskat.kernels.core_fix_apply`) to accumulator a = 0, the one
+    its symbols meet p = 0 in; the direct split has no symbols, so there
+    the pass adds the fixes alone.
     """
     g, K = geom.grid, split.order
-    table = _symbol_tables.table(geom, split)
+    table = _symbol_tables.table(geom, split) if split.coefs else None
     terms = []
-    for (k_out, c), sign, axis, m in monomials:
+    for (k_out, c), sign, axis, m, core in monomials:
         nu = tuple(int(j == axis) for j in range(g.dim))
-        scaled = table.get((nu, m))
+        scaled = () if table is None else table.get((nu, m))
         if scaled is None:
             # binom(e, a) = e! / (a! p!): e! goes with the symbol, 1/p! with
             # the field's spectrum, 1/a! with the power of f(x)
@@ -520,10 +516,11 @@ def _far_field(geom, split, u, monomials, fc, accs, work, keep):
             for k, (sym, ck) in enumerate(zip(scaled, split.coefs)):
                 sym *= ck * factorial(m + 2 * k)
                 sym.setflags(write=False)
-        terms.append((accs[k_out, c], np.add if sign > 0 else np.subtract, m, scaled))
+        terms.append((accs[k_out, c], np.add if sign > 0 else np.subtract, m, scaled,
+                      nu if core else None))
     powers, transforms = work
-    buf, kept = np.empty(transforms.shape[1:], complex), None
-    top = 2 * K + 1 + max(m for _, _, m, _ in terms)
+    buf = np.empty(transforms.shape[1:], complex)
+    top = 2 * K + 1 + max(m for _, _, m, _, _ in terms)
     for lo in range(0, top, len(powers)):
         n = min(len(powers), top - lo)
         for j in range(n):
@@ -535,13 +532,12 @@ def _far_field(geom, split, u, monomials, fc, accs, work, keep):
         for p, spec in enumerate(transforms[:n], lo):
             if p:
                 spec *= (-1) ** p / factorial(p)
-            elif keep:
-                kept = spec.copy()
-            for acc, combine, m, scaled in terms:
-                for k in range(max(p - m + 1, 0) // 2, K + 1):
+            for acc, combine, m, scaled, core in terms:
+                for k in range(max(p - m + 1, 0) // 2, len(scaled)):
                     np.multiply(spec, scaled[k], out=buf)
                     combine(acc[m + 2 * k - p], buf, out=acc[m + 2 * k - p])
-    return kept
+                if core is not None and p == 0:
+                    combine(acc[0], core_fix_apply(g, core, spec, out=buf), out=acc[0])
 
 
 class _SymbolTables:
@@ -804,13 +800,16 @@ def _interpolant(dim: int, j: int, K: int) -> tuple:
 
     Conversion, by the standard rounding model with unit eps_L in long
     double: g - 1 (to 4 eps_L relative) moves the interpolant by at most
-    4(K+1) eps_L max|g - 1| (a Lebesgue constant of at most K+1), C by
-    2(K+1)(K+2) eps_L max|g - 1| (|C_ij| <= 2/(K+1)), S^T by (K+2) eps_L
-    sum_j sigma_j |a_j|, and c_k = d_k / X^k by (K+2) eps_L sum_k |d_k|;
-    rounding c_k to double adds eps/2 sum_k |d_k|, and 2^-1075 sum_k X^k
-    where c_k falls below double's normal range.  A long double no wider
-    than a double makes the term larger, not wrong.  A c_k past double's
-    range makes the error inf.
+    4(K+1) eps_L max|g - 1| (a Lebesgue constant of at most K+1); each
+    entry of C is off by at most (3 pi K + 2) eps_L 2/(K+1) (its cosine's
+    argument, up to K pi, off by 3 eps_L relative, as in the tail) and
+    |C_ij| <= 2/(K+1), so C g moves it by 2(K+1)((3 pi + 1) K + 3) eps_L
+    max|g - 1| with the product's own rounding (the term charges both
+    with K+2 for K+1); S^T by (K+2) eps_L sum_j sigma_j |a_j|, and
+    c_k = d_k / X^k by (K+2) eps_L sum_k |d_k|; rounding c_k to double adds
+    eps/2 sum_k |d_k|, and 2^-1075 sum_k X^k where c_k falls below double's
+    normal range.  A long double no wider than a double makes the term
+    larger, not wrong.  A c_k past double's range makes the error inf.
     """
     X = 2.0 ** (j / 8)
     gm, a = _coefficients(dim, j, K)
@@ -823,9 +822,9 @@ def _interpolant(dim: int, j: int, K: int) -> tuple:
     if K < TAIL_DEGREE:
         truncation = min(truncation, _tails(dim, j)[K])
     eps_l = float(np.finfo(np.longdouble).eps)
-    d_abs = float(np.abs(d).sum())
+    d_abs, g_max = float(np.abs(d).sum()), float(np.abs(gm).max())
     conversion = (EPS * d_abs + eps_l * (K + 2) * (
-        1.0 + d_abs + float(sigma @ np.abs(a)) + 2 * (K + 3) * float(np.abs(gm).max()))
+        1.0 + d_abs + float(sigma @ np.abs(a)) + 2 * ((3 * np.pi + 1) * K + 5) * g_max)
         + float(powers.sum() * np.longdouble(2) ** -1075))  # c_k below double's normal range
     return coefs, truncation + conversion if isfinite(sum(coefs)) else inf
 

@@ -93,7 +93,3 @@ class DifferenceProfile(SmoothProfile):
             acc += np.multiply(w, dphi(blend), out=val)
         return acc
 
-
-def make_difference_profile(phi: SmoothProfile, i: int) -> DifferenceProfile:
-    """The profile phi^i pairing with the operator-difference identity."""
-    return DifferenceProfile(phi, i)

@@ -22,7 +22,7 @@ from .potentials import (InterfaceGeometry, _a_operator, _aa_operator,
                          apply_A_composed, apply_AA, apply_AA_composed, apply_D,
                          apply_D_composed, apply_D_star, apply_D_star_composed,
                          gradient_identity_residual, rellich_residual)
-from .profiles import make_difference_profile, phibar
+from .profiles import DifferenceProfile, phibar
 from .resolvent import solve_beta
 
 
@@ -157,7 +157,7 @@ def suite_difference(cfg):
         spec = OperatorSpec(phibar(1), 1, (0,))
         lhs = (apply_B(spec, [a], [b], beta).values
                - apply_B(spec, [at], [b], beta).values)
-        dspec = OperatorSpec(make_difference_profile(phibar(1), 0), 3, (0,))
+        dspec = OperatorSpec(DifferenceProfile(phibar(1), 0), 3, (0,))
         rhs = apply_B(dspec, [a, at],
                       [ScalarField(g, a.values - at.values),
                        ScalarField(g, a.values + at.values), b], beta).values

@@ -11,10 +11,10 @@ from muskat.grid import (GridSpec, ScalarField, band_limited_random, gradient,
                          l2_norm, make_gaussian_bump, make_mode, make_zero)
 from muskat.kernels import OperatorSpec, apply_B, core_fix_apply, phibar_transform
 from muskat.potentials import (ROUNDING_GROWTH, SMALL_SLOPE_TOL, InterfaceGeometry,
-                               _a_operator, _aa_operator, _d_operator, _d_star_operator,
-                               _direct_sum, _first_split, _flux_operator, _interface_sum,
-                               _interpolant, _interval, _scales, _split_costs, _split_sum,
-                               _splits, adjointness_defect,
+                               _a_operator, _aa_operator, _cosines, _d_operator,
+                               _d_star_operator, _direct_sum, _first_split, _flux_operator,
+                               _interface_sum, _interpolant, _interval, _scales, _split_costs,
+                               _split_sum, _splits, adjointness_defect,
                                apply_A, apply_A_composed, apply_AA, apply_AA_composed, apply_D,
                                apply_D_composed, apply_D_star, apply_D_star_composed,
                                boundary_trace, gradient_identity_residual, rellich_residual,
@@ -243,7 +243,8 @@ def reference_sum(geom, op, bv):
         for sign, c, axis, m in monomials:
             if op.exact_core and c is None and m == 0:
                 nu = tuple(int(j == axis) for j in range(g.dim))
-                out[k] += core_fix_apply(g, nu, np.fft.rfftn(us[i]), sign)
+                fix = core_fix_apply(g, nu, np.fft.rfftn(us[i]))
+                out[k] += sign * np.fft.irfftn(fix, s=g.shape, axes=range(g.dim))
     return out
 
 
@@ -353,6 +354,26 @@ def test_the_interpolant_is_within_its_bound(monkeypatch, dim):
         assert K > 5, x
 
 
+@pytest.mark.parametrize("K", [16, 32, 64])
+def test_the_cosine_matrix_is_within_its_rounding_model(K):
+    # every entry of _cosines(K)'s C, taken exactly, against 40 digits: within
+    # the per-entry model the interpolant's conversion and tail terms charge,
+    # (3 pi K + 2) eps_L 2/(K+1), the cosines' arguments reaching K pi
+    mpmath = pytest.importorskip("mpmath")
+    C, n = _cosines(K)[1], K + 1
+    info = np.finfo(np.longdouble)
+    mant, expo = np.frexp(C)
+    worst = mpmath.mpf(0)
+    with mpmath.workdps(40):
+        for i in range(n):
+            for j in range(n):
+                got = mpmath.ldexp(int(np.ldexp(mant[i, j], info.nmant + 1)),
+                                   int(expo[i, j]) - info.nmant - 1)
+                exact = mpmath.cos(i * (2 * j + 1) * mpmath.pi / (2 * n)) * 2 / n
+                worst = max(worst, abs(got - (exact / 2 if i == 0 else exact)))
+    assert worst <= (3 * np.pi * K + 2) * float(info.eps) * 2 / n, float(worst * n / 2 / info.eps)
+
+
 def test_the_pick_is_the_cheapest_pair_within_the_bound():
     # at each radius of the schedule the first order K <= 200 within the bound,
     # costed by the cost model: the cheapest of those, or the direct sum (first
@@ -460,12 +481,18 @@ def test_far_fields_do_not_depend_on_the_chunk_or_batch_size(monkeypatch, dim, M
 
 def test_a_velocity_operator_apply_transforms_each_field_once(monkeypatch):
     # the demo decay's split (0, 1): its one field b's four powers in one
-    # forward transform, one inverse per (output, x-coefficient) group (two)
-    # and one for the exact core, which reads the far field's spectrum of b
+    # forward transform and one inverse per (output, x-coefficient) group
+    # (two), the exact core's fix added in the far field's pass; the 2D direct
+    # sum has no far field, yet its two cores' fields, one forward transform
+    # each, share their output's one inverse
     geom = InterfaceGeometry(make_mode(GridSpec(1, 20 * np.pi, 512), 1e-3, (4,)))
     assert geom.split(_aa_operator(1))[:2] == (0, 1)
     b = [band_limited_random(geom.grid, 8, np.random.default_rng(0))]
     first = apply_AA(geom, b).values  # builds the split's symbols
+    direct = gaussian_geometry(16, 2, amp=0.7)
+    rng = np.random.default_rng(1)
+    bv = [band_limited_random(direct.grid, 4, rng).values for _ in range(2)]
+    first_direct = _direct_sum(direct, _aa_operator(2), bv)  # builds the cores' fixes
     calls = []
 
     def counting(name):
@@ -475,7 +502,10 @@ def test_a_velocity_operator_apply_transforms_each_field_once(monkeypatch):
     for name in ("rfftn", "irfftn", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, counting(name))
     assert np.array_equal(apply_AA(geom, b).values, first)
-    assert calls == ["rfftn", "irfftn", "irfftn", "irfftn"]
+    assert calls == ["rfftn", "irfftn", "irfftn"]
+    calls.clear()
+    assert np.array_equal(_direct_sum(direct, _aa_operator(2), bv), first_direct)
+    assert calls == ["rfftn", "rfftn", "irfftn"]
 
 
 def test_a_near_sum_allocates_its_block_buffers_once(monkeypatch):

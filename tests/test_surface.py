@@ -1,9 +1,11 @@
 """Guards against library surface that nothing in the package uses, and against output
 written, the lattice kernel summed, the exact Riesz core corrected, the split's cost
 model built, the relaxation ladder or the byte cap read or a split tolerance passed, from
-more than one place."""
+more than one place, and against a benchmark hook that names a layer the package no
+longer has."""
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -143,11 +145,11 @@ def test_the_lattice_kernel_is_summed_in_one_place_per_family():
 
 
 def test_the_exact_riesz_core_is_corrected_in_one_place():
-    # the symbol is read only by the one apply, which B and the interface
-    # operators' split call for their exact cores
+    # the symbol is read only by the one product, which B and the interface
+    # operators' far-field pass take for their exact cores
     assert _callers("riesz_core_fix") == {("kernels.py", "core_fix_apply")}
     assert _callers("core_fix_apply") == {("kernels.py", "apply_B"),
-                                          ("potentials.py", "_split_sum")}
+                                          ("potentials.py", "_far_field")}
 
 
 # the split's cost constants, read only where the cost model is built
@@ -214,3 +216,19 @@ def test_only_the_density_solve_relaxes_a_split():
                      ("potentials.py", "apply_D", "_apply"),
                      ("potentials.py", "_apply", "split"),
                      ("potentials.py", "d_split", "split")}
+
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
+def test_the_benchmarks_traced_layers_resolve():
+    # the benchmark's child wraps each (module, attribute) of LAYERS and
+    # InterfaceState.compute in traced runs only, so a renamed layer would break
+    # no other run; its source is executed here, not imported, so nothing is
+    # written beside it
+    hooks = {"__name__": "child"}
+    exec(compile(CHILD.read_text(), str(CHILD), "exec"), hooks)
+    assert hooks["LAYERS"]
+    assert [(module, attr) for _, module, attr in hooks["LAYERS"]
+            if not hasattr(importlib.import_module(module), attr)] == []
+    assert callable(importlib.import_module("muskat.dynamics").InterfaceState.compute)
