@@ -14,6 +14,7 @@ import json
 import os
 import platform
 import sys
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -96,6 +97,11 @@ def _solve_totals(reports) -> dict:
             "d_applies": applies, "d_splits": splits}
 
 
+def _split_totals(picks) -> dict:
+    """The applies per (R, K) pick, keyed "R,K"."""
+    return dict(Counter("%d,%d" % pick for pick in picks))
+
+
 def cmd_evolve(args) -> int:
     cfg = parse_config(args.config)
     outdir = _output_dir(args, cfg)
@@ -108,7 +114,8 @@ def cmd_evolve(args) -> int:
         save_field(os.path.join(outdir, "final.bin"), result.final.f)
     steps = len(result.series) - 1
     _write_manifest(cfg, outdir, {"halted": result.halted, "steps": steps,
-                                  "density_solves": _solve_totals(result.solves)})
+                                  "density_solves": _solve_totals(result.solves),
+                                  "velocity_splits": _split_totals(result.velocity_splits)})
     if result.halted:
         print(f"halted ({result.halted}) at t={result.final.t:.6f} after {steps} steps; "
               f"outputs in {outdir}", file=sys.stderr)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid import ScalarField, gradient, integrate, l2_norm, sobolev_norm
 from .kernels import phibar_transform
-from .potentials import InterfaceGeometry, apply_AA
+from .potentials import InterfaceGeometry, apply_AA, velocity_split
 from .resolvent import SolveReport, solve_beta
 
 
@@ -113,7 +113,8 @@ class StepperConfig:
 class InterfaceState:
     """Interface plus caches: beta(f), the scaled velocity, the RT margin.
 
-    The scaled velocity is Phi~ = AA(f)[grad beta(f)], the right side without Lambda.
+    The scaled velocity is Phi~ = AA(f)[grad beta(f)], the right side without Lambda;
+    where beta is f itself (a_mu = 0), grad beta is the geometry's grad f.
     """
 
     geom: InterfaceGeometry
@@ -131,7 +132,7 @@ class InterfaceState:
             geom = InterfaceGeometry(f)
             beta, report = solve_beta(geom, params.a_mu, tol=tol, max_iter=max_iter,
                                       warm_start=warm_start)
-            phi = apply_AA(geom, gradient(beta))
+            phi = apply_AA(geom, geom.grad_f if beta is geom.f else gradient(beta))
             margin = ScalarField(f.grid, 1.0 - 2.0 * params.a_mu * phi.values)
         return cls(geom=geom, beta=beta, phi_tilde=phi, rt_margin_field=margin,
                    t=t, beta_report=report)
@@ -177,10 +178,10 @@ def wow_residual(state: InterfaceState, params: PhysicalParams) -> float:
 
 def step(state: InterfaceState, params: PhysicalParams, dt: float,
          scheme: str = "rk2", tol: float = 1e-10, max_iter: int = 200,
-         solves: list | None = None) -> InterfaceState:
+         on_stage=None) -> InterfaceState:
     """Advance one explicit step: an Euler stage, plus the SSP-RK2 correction for 'rk2'.
 
-    Each stage's SolveReport is appended to ``solves`` when given.  Raises
+    Each stage's InterfaceState is passed to ``on_stage`` when given.  Raises
     NonFiniteInterface when a stage overflows.
     """
     if scheme not in ("rk2", "euler"):
@@ -190,8 +191,8 @@ def step(state: InterfaceState, params: PhysicalParams, dt: float,
     def stage(values, warm_start):
         out = InterfaceState.compute(ScalarField(g, values), params, tol=tol, t=t,
                                      warm_start=warm_start, max_iter=max_iter)
-        if solves is not None:
-            solves.append(out.beta_report)
+        if on_stage is not None:
+            on_stage(out)
         return out
 
     with overflow_guard(t):
@@ -210,6 +211,8 @@ class EvolutionResult:
     snapshots: list             # (step index, ScalarField)
     halted: str | None = None   # 'rt-floor' or 'non-finite' when the run stopped early
     solves: list = field(default_factory=list)  # every density solve's SolveReport, in order
+    # the (R, K) of every stage's velocity-operator apply, in order
+    velocity_splits: list = field(default_factory=list)
 
     SERIES_HEADER = ("t", "min_rt_margin", "volume", "sobolev_norm_s", "beta_iters", "dt")
 
@@ -231,8 +234,14 @@ def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
     keeps the last finite state as the final snapshot.
     """
     n_steps, dt = stepper.steps(f0.grid, params.lam)
+    solves, velocity_splits = [], []
+
+    def record(stage):
+        solves.append(stage.beta_report)
+        velocity_splits.append(velocity_split(stage.geom))
+
     state = InterfaceState.compute(f0, params, tol=solver_tol, max_iter=solver_max_iter)
-    solves = [state.beta_report]
+    record(state)
     series = []
     snapshots = []
     halted = None
@@ -240,7 +249,7 @@ def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
         if i:
             try:
                 state = step(state, params, dt, scheme=stepper.scheme, tol=solver_tol,
-                             max_iter=solver_max_iter, solves=solves)
+                             max_iter=solver_max_iter, on_stage=record)
             except NonFiniteInterface:
                 halted = "non-finite"
                 break
@@ -254,4 +263,4 @@ def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
             break
     snapshots.append((len(series) - 1, state.f))
     return EvolutionResult(final=state, series=series, snapshots=snapshots,
-                           halted=halted, solves=solves)
+                           halted=halted, solves=solves, velocity_splits=velocity_splits)

@@ -100,18 +100,16 @@ def spectral_derivative(u: ScalarField, axis: int) -> ScalarField:
     """d/dx_axis by FFT with symbol i*2*pi*k/L: the one-axis case of :func:`gradient`."""
     if not 0 <= axis < u.grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {u.grid.dim}")
-    return _derivatives(u, (axis,))[0]
+    return _derivatives(u.grid, np.fft.rfftn(u.values), (axis,))[0]
 
 
 def gradient(u: ScalarField) -> list:
     """The N spectral derivatives of u, from one rfftn and one stacked irfftn."""
-    return _derivatives(u, range(u.grid.dim))
+    return _derivatives(u.grid, np.fft.rfftn(u.values), range(u.grid.dim))
 
 
-def _derivatives(u: ScalarField, axes) -> list:
-    """d/dx_j u for each j of axes, one rfftn and one irfftn for them all."""
-    g = u.grid
-    uh = np.fft.rfftn(u.values)
+def _derivatives(g: GridSpec, uh: np.ndarray, axes) -> list:
+    """d/dx_j u for each j of axes from u's rfftn half uh, by one irfftn for them all."""
     stack = np.empty((len(axes),) + uh.shape, complex)
     for row, j in zip(stack, axes):
         np.multiply(uh, _derivative_symbol(g, j), out=row)

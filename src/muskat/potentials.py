@@ -26,9 +26,11 @@ sum.  A split sums the near field, then the far field with the exact cores
 in it.  One byte cap, :data:`muskat.offsets.BLOCK_BYTES`, sizes every work
 buffer (:func:`muskat.offsets.block_rows`): the near field's blocks, the
 far field's transform chunks (each field's powers in one stacked rfftn,
-each group's accumulators in one stacked irfftn) and its batches of groups,
-each added straight into the output as it ends.  The torus flux is summed
-directly over the cell's face ring.
+the accumulators of every group of a batch in one stacked irfftn) and its
+batches of groups, each added straight into the output as it ends.  A
+geometry transforms f once each way: its rfftn half is held, read by grad f
+and the slope bound alike.  The torus flux is summed directly over the
+cell's face ring.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import (GridSpec, ScalarField, gradient, inner, integrate, l2_norm,
+from .grid import (GridSpec, ScalarField, _derivatives, gradient, inner, integrate, l2_norm,
                    require_same_grid, wavenumber_squared)
 from .kernels import core_fix_apply, far_symbols, phibar_transform
 from .offsets import (block_rows, face_ring, lattice_sum, near_offsets, pv_offsets,
@@ -62,14 +64,24 @@ EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class InterfaceGeometry:
-    """Interface function f with cached gradient; omega = 1 + |grad f|^2 and normal on first use."""
+    """Interface function f with its cached spectrum and gradient; omega = 1 + |grad f|^2
+    and normal on first use.
+
+    ``spectrum`` is f's rfftn half, taken once and read-only: grad f and the
+    slope bound both read it, so a geometry transforms f once each way.
+    """
 
     f: ScalarField
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     grad_f: tuple = field(init=False)
     _splits: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "grad_f", tuple(gradient(self.f)))
+        spectrum = np.fft.rfftn(self.f.values)
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "grad_f", tuple(_derivatives(self.grid, spectrum,
+                                                              range(self.grid.dim))))
 
     @cached_property
     def omega(self) -> ScalarField:
@@ -95,10 +107,11 @@ class InterfaceGeometry:
 
         s = sum_k |k| |f^_k| bounds |grad f| and every |df| / |xi|, osc f =
         max f - min f bounds every |df|, and G is the largest |grad f| at the
-        grid points.
+        grid points.  s is summed over the held half spectrum, each conjugate
+        pair counted twice (:func:`_slope_weights`).
         """
         g, f = self.grid, self.f.values
-        s = float(np.sum(np.sqrt(wavenumber_squared(g)) * np.abs(np.fft.fftn(f)))) / g.size
+        s = float(np.sum(_slope_weights(g) * np.abs(self.spectrum))) / g.size
         lip = float(np.sqrt(np.max(sum(c.values**2 for c in self.grad_f))))
         return s, float(np.max(f) - np.min(f)), lip
 
@@ -108,6 +121,25 @@ class InterfaceGeometry:
         if split is None:
             split = self._splits[op, split_tol] = _choose_split(self, op, split_tol)
         return split
+
+
+@lru_cache(maxsize=None)
+def _slope_weights(grid: GridSpec) -> np.ndarray:
+    """|2 pi k/L| on the rfftn half, doubled where the mode's conjugate is not in the half.
+
+    The half holds the last axis's modes 0..M//2; a mode with last index 0
+    or (even M) M/2 has its conjugate in the half, every other one stands
+    for itself and its conjugate.  So sum w |f^| over the half is
+    sum |k| |f^_k| over the full spectrum of a real f.  Read-only.
+    """
+    k2 = wavenumber_squared(grid)[..., :grid.points // 2 + 1]
+    pairs = np.full(grid.points // 2 + 1, 2.0)
+    pairs[0] = 1.0
+    if grid.points % 2 == 0:
+        pairs[-1] = 1.0
+    weights = np.sqrt(k2) * pairs
+    weights.setflags(write=False)
+    return weights
 
 
 def _interface_sum(geom: InterfaceGeometry, op: _Operator, us, offsets) -> np.ndarray:
@@ -415,11 +447,11 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
     and x-coefficient (k, c), in batches of as many groups as a block of
     :func:`block_rows` holds accumulators for (at least one): per field of a
     batch one stacked rfftn of its powers p = e - a, the products summed per
-    group and power a in Fourier space, and per group one stacked irfftn of
-    its powers a, added straight to the output (:func:`_far_batch`).  The
-    exact cores ride the same pass (:func:`_far_field`); the direct split
-    (no coefficients) runs it for them alone.  The near field comes first,
-    then the pass.
+    group and power a in Fourier space, and one stacked irfftn of every
+    group's powers a per chunk of the batch, added straight to the output
+    (:func:`_far_batch`).  The exact cores ride the same pass
+    (:func:`_far_field`); the direct split (no coefficients) runs it for
+    them alone.  The near field comes first, then the pass.
     """
     g = geom.grid
     us = op.fields([c.values for c in geom.grad_f], bv)
@@ -452,22 +484,25 @@ def _direct_sum(geom: InterfaceGeometry, op: _Operator, bv) -> np.ndarray:
 def _far_batch(geom, split, us, batch, fc, out):
     """Add the far field of a batch {(k, c): entries} of groups to out[k]; see _split_sum.
 
-    Each group's accumulators, one half spectrum per power a of f(x), are
-    stacked a chunk of :func:`block_rows` powers at a time, and each chunk
-    is inverted by one irfftn and added to its output row power by power.
-    The fields' powers are transformed through two work stacks of as many
-    rows, one real and one complex, held for the batch.  The fields are
-    visited in index order, so the bits depend on neither the chunk nor the
-    batch size.
+    The accumulators of every group of the batch, one half spectrum per
+    power a of f(x), form one run in (group, a) order, stacked a chunk of
+    :func:`block_rows` at a time; each chunk is inverted by one irfftn and
+    added to its outputs' rows accumulator by accumulator, so out[k] takes
+    its additions in the same order whatever the chunks.  The fields'
+    powers are transformed through two work stacks of as many rows, one
+    real and one complex, held for the batch.  The fields are visited in
+    index order, so the bits depend on neither the chunk nor the batch size.
     """
     g, K = geom.grid, split.order
     half = g.shape[:-1] + (g.points // 2 + 1,)
     tops = {key: 2 * K + 1 + max(m for _, _, _, m, _ in entries)
             for key, entries in batch.items()}
-    rows = min(block_rows(g), max(tops.values()))
-    stacks = {key: [np.zeros((min(rows, top - lo),) + half, complex)
-                    for lo in range(0, top, rows)] for key, top in tops.items()}
-    accs = {key: [a for chunk in chunks for a in chunk] for key, chunks in stacks.items()}
+    slots = [(key, a) for key, top in tops.items() for a in range(top)]
+    rows = min(block_rows(g), len(slots))
+    chunks = [np.zeros((min(rows, len(slots) - lo),) + half, complex)
+              for lo in range(0, len(slots), rows)]
+    run = (acc for chunk in chunks for acc in chunk)
+    accs = {key: list(islice(run, top)) for key, top in tops.items()}
     fields = {}
     for key, entries in batch.items():
         for i, *entry in entries:
@@ -475,20 +510,19 @@ def _far_batch(geom, split, us, batch, fc, out):
     work = np.empty((rows,) + g.shape), np.empty((rows,) + half, complex)
     for i in sorted(fields):
         _far_field(geom, split, us[i], fields[i], fc, accs, work)
-    for (k, c), chunks in stacks.items():
-        power, row = None, out[k]
-        for n, chunk in enumerate(chunks):
-            values = np.fft.irfftn(chunk, s=g.shape, axes=range(1, g.dim + 1),
-                                   out=work[0][:len(chunk)])
-            for a, v in enumerate(values, n * rows):
-                if a:
-                    power = fc if power is None else power * fc
-                    v *= power
-                if a > 1:
-                    v *= 1.0 / factorial(a)
-                if c is not None:
-                    v *= geom.grad_f[c].values
-                row += v
+    slots, power = iter(slots), None
+    for chunk in chunks:
+        values = np.fft.irfftn(chunk, s=g.shape, axes=range(1, g.dim + 1),
+                               out=work[0][:len(chunk)])
+        for v, ((k, c), a) in zip(values, slots):  # values first: zip takes no slot past it
+            if a:
+                power = fc if a == 1 else power * fc
+                v *= power
+            if a > 1:
+                v *= 1.0 / factorial(a)
+            if c is not None:
+                v *= geom.grad_f[c].values
+            out[k] += v
 
 
 def _far_field(geom, split, u, monomials, fc, accs, work):
@@ -625,6 +659,11 @@ def d_split(geom: InterfaceGeometry, split_tol: float = SMALL_SLOPE_TOL) -> tupl
     return geom.split(_d_operator(geom.grid.dim), split_tol=split_tol)[:2]
 
 
+def velocity_split(geom: InterfaceGeometry) -> tuple:
+    """(R, K) of the split the velocity operator takes on geom; see _choose_split."""
+    return geom.split(_aa_operator(geom.grid.dim))[:2]
+
+
 @lru_cache(maxsize=None)
 def _split_costs(grid: GridSpec, op: _Operator) -> tuple:
     """(near, A, B, C): op's split on grid costs near[R] + A (K+1)^2 + B (K+1) + C ns.
@@ -636,8 +675,9 @@ def _split_costs(grid: GridSpec, op: _Operator) -> tuple:
     products' work each) and (K+1)(K+1+m) products; per (output,
     x-coefficient) group (top power m) 2K+1+m irfftn.  The exact cores cost
     the same on every split and are left out.  The model counts a transform
-    per power, although the far field stacks them (one call per field or
-    group and chunk of :func:`muskat.offsets.block_rows`).
+    per power, although the far field stacks them (one call per field and
+    chunk, and one per chunk of a batch's accumulators, of
+    :func:`muskat.offsets.block_rows`).
     """
     ms = [m for _, _, monomials in op.terms for *_, m in monomials]
     tops = {}

@@ -138,15 +138,16 @@ def solve_beta(geom: InterfaceGeometry, a_mu: float, tol: float = 1e-10,
     docstring), and the report counts D's applies per tolerance and names
     the (R, K) D took at each.  Raises
     SolveFailure on non-convergence (a discretization pathology;
-    invertibility itself is guaranteed for |a_mu| < 1).
+    invertibility itself is guaranteed for |a_mu| < 1).  At a_mu = 0 the
+    equation is beta = f: no GMRES runs and beta is geom.f itself, so a
+    caller can take grad beta from geom.grad_f.
     """
     if not -1.0 < a_mu < 1.0:
         raise ValueError(f"a_mu must lie in (-1, 1), got {a_mu}")
+    if a_mu == 0.0:
+        return geom.f, SolveReport(iterations=0, residual=0.0)
     g = geom.grid
     rhs = geom.f.values
-    if a_mu == 0.0:
-        # the equation degenerates to beta = f: no GMRES runs
-        return ScalarField(g, rhs), SolveReport(iterations=0, residual=0.0)
 
     # a split within tau moves 2 a_mu D(f)[v] by at most scale tau ||v||_inf in the 2-norm
     scale = 2.0 * abs(a_mu) * sqrt(g.size) * split_weight(g)

@@ -13,7 +13,10 @@ from muskat.cli import main
 from muskat.config import (KEYS, ConfigError, build_config, initial_field, parse_config,
                            parse_kv_text)
 from muskat.grid import GridSpec, load_field, make_gaussian_bump, save_field
-from muskat.potentials import InterfaceGeometry, d_split
+from muskat.potentials import InterfaceGeometry, d_split, velocity_split
+
+
+DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "decay_demo.cfg")
 
 
 def write(path, text):
@@ -149,6 +152,26 @@ def test_evolve_manifest_counts_the_applies_of_D(tmp_path):
     applies = solves["d_applies"]
     assert sum(applies.values()) == solves["iterations"] + 2 * solves["count"] - 1
     assert applies["1e-13"] >= 2 * solves["count"] - 1 and len(applies) > 1, applies
+
+
+@pytest.mark.parametrize("text, stages", [(MINIMAL, 9), (GMRES_2D, 5)], ids=["1d", "2d-gmres"])
+def test_evolve_manifest_counts_the_velocity_operators_picks(text, stages, tmp_path):
+    # one velocity-operator apply per stage, as many as density solves, keyed by
+    # the (R, K) each stage's geometry took; the initial interface's is among them
+    cfg = write(tmp_path / "c.cfg", text + f"output.dir = {tmp_path}/out\n")
+    assert main(["evolve", cfg]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    picks = manifest["velocity_splits"]
+    assert sum(picks.values()) == manifest["density_solves"]["count"] == stages
+    first = InterfaceGeometry(initial_field(parse_config(cfg)))
+    assert "%d,%d" % velocity_split(first) in picks
+
+
+def test_evolve_manifest_counts_the_demo_decays_velocity_applies(tmp_path):
+    # 66 RK2 steps of the demo decay, all on the small-slope split (0, 1)
+    assert main(["evolve", DEMO, "--output", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["velocity_splits"] == {"0,1": 133}
 
 
 def test_evolve_manifest_names_the_splits_of_D(tmp_path):

@@ -246,6 +246,42 @@ def test_demo_decay_small_slope_path_matches_the_direct_sum(monkeypatch):
     assert diff <= 1e-12 * np.max(np.abs(direct.f.values))
 
 
+def test_a_warm_stage_at_equal_viscosities_transforms_f_once_each_way(monkeypatch):
+    # the demo decay's stage: f's spectrum and grad f (the slope bound and
+    # grad beta reuse them), then the velocity operator's one field forward
+    # and its two groups' accumulators in one inverse
+    cfg = parse_config(DEMO)
+    f = initial_field(cfg)
+    first = InterfaceState.compute(f, cfg.params).phi_tilde.values  # builds the split's symbols
+    calls = []
+
+    def counting(name):
+        fn = getattr(np.fft, name)
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counting(name))
+    assert np.array_equal(InterfaceState.compute(f, cfg.params).phi_tilde.values, first)
+    assert calls == ["rfftn", "irfftn", "rfftn", "irfftn"]
+
+
+@pytest.mark.parametrize("case", ["demo", "bump-2d"])
+def test_equal_viscosities_take_beta_as_f_itself(case):
+    # at a_mu = 0 beta is the geometry's f, and the velocity reads the
+    # geometry's grad f: the same bits as the gradient taken afresh
+    if case == "demo":
+        cfg = parse_config(DEMO)
+        f, params = initial_field(cfg), cfg.params
+    else:
+        f = make_gaussian_bump(GridSpec(2, 2 * np.pi, 16), 0.7, [np.pi] * 2, 0.5)
+        params = PhysicalParams(lam=1.0, a_mu=0.0)
+    geom = InterfaceGeometry(f)
+    assert solve_beta(geom, 0.0)[0] is geom.f
+    state = InterfaceState.compute(f, params)
+    assert state.beta is state.geom.f
+    assert np.array_equal(state.phi_tilde.values, apply_AA(geom, gradient(geom.f)).values)
+
+
 def test_a_step_builds_no_omega_or_normal():
     # evolve reads neither; the validators and the fields module build them on first use
     cfg = parse_config(DEMO)

@@ -8,7 +8,8 @@ import muskat.offsets
 import muskat.potentials
 
 from muskat.grid import (GridSpec, ScalarField, band_limited_random, gradient,
-                         l2_norm, make_gaussian_bump, make_mode, make_zero)
+                         l2_norm, make_gaussian_bump, make_mode, make_zero,
+                         wavenumber_squared)
 from muskat.kernels import OperatorSpec, apply_B, core_fix_apply, phibar_transform
 from muskat.potentials import (ROUNDING_GROWTH, SMALL_SLOPE_TOL, InterfaceGeometry,
                                _a_operator, _aa_operator, _cosines, _d_operator,
@@ -481,10 +482,10 @@ def test_far_fields_do_not_depend_on_the_chunk_or_batch_size(monkeypatch, dim, M
 
 def test_a_velocity_operator_apply_transforms_each_field_once(monkeypatch):
     # the demo decay's split (0, 1): its one field b's four powers in one
-    # forward transform and one inverse per (output, x-coefficient) group
-    # (two), the exact core's fix added in the far field's pass; the 2D direct
-    # sum has no far field, yet its two cores' fields, one forward transform
-    # each, share their output's one inverse
+    # forward transform, and the accumulators of both (output, x-coefficient)
+    # groups in one inverse, the exact core's fix added in the far field's
+    # pass; the 2D direct sum has no far field, yet its two cores' fields, one
+    # forward transform each, share their output's one inverse
     geom = InterfaceGeometry(make_mode(GridSpec(1, 20 * np.pi, 512), 1e-3, (4,)))
     assert geom.split(_aa_operator(1))[:2] == (0, 1)
     b = [band_limited_random(geom.grid, 8, np.random.default_rng(0))]
@@ -502,10 +503,27 @@ def test_a_velocity_operator_apply_transforms_each_field_once(monkeypatch):
     for name in ("rfftn", "irfftn", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, counting(name))
     assert np.array_equal(apply_AA(geom, b).values, first)
-    assert calls == ["rfftn", "irfftn", "irfftn"]
+    assert calls == ["rfftn", "irfftn"]
     calls.clear()
     assert np.array_equal(_direct_sum(direct, _aa_operator(2), bv), first_direct)
     assert calls == ["rfftn", "rfftn", "irfftn"]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("M", [16, 17])
+def test_the_slope_bound_sums_the_held_half_spectrum(dim, M):
+    # every mode present, the Nyquist one too for even M: the half-spectrum
+    # sum, each conjugate pair counted twice, is the full spectrum's
+    g = GridSpec(dim, 2 * np.pi, M)
+    f = band_limited_random(g, M // 2, np.random.default_rng(M + dim))
+    geom = InterfaceGeometry(f)
+    s, _, lip = geom.slope_bound
+    full = np.sum(np.sqrt(wavenumber_squared(g)) * np.abs(np.fft.fftn(f.values))) / g.size
+    assert abs(s - full) <= 1e-13 * full
+    assert s >= lip > 0.0
+    assert not geom.spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        geom.spectrum[0] = 0.0
 
 
 def test_a_near_sum_allocates_its_block_buffers_once(monkeypatch):
