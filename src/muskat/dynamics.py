@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarField, gradient, integrate, l2_norm, sobolev_norm
+from .grid import ScalarField, gradient, half_sobolev_norm, integrate, l2_norm
 from .kernels import phibar_transform
 from .potentials import InterfaceGeometry, apply_AA, velocity_split
 from .resolvent import SolveReport, solve_beta
@@ -253,8 +253,8 @@ def evolve(f0: ScalarField, params: PhysicalParams, stepper: StepperConfig,
             except NonFiniteInterface:
                 halted = "non-finite"
                 break
-        series.append((state.t, float(np.min(state.rt_margin_field.values)),
-                       integrate(state.f), sobolev_norm(state.f, sobolev_s),
+        series.append((state.t, float(np.min(state.rt_margin_field.values)), integrate(state.f),
+                       half_sobolev_norm(state.f.grid, state.geom.spectrum, sobolev_s),
                        state.beta_report.iterations, dt))
         if i and stepper.snapshot_stride and i % stepper.snapshot_stride == 0:
             snapshots.append((i, state.f))

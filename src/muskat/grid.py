@@ -145,22 +145,57 @@ def wavenumber_squared(grid: GridSpec) -> np.ndarray:
     return k2
 
 
+@lru_cache(maxsize=None)
+def half_pairs(grid: GridSpec) -> np.ndarray:
+    """How many modes of the full spectrum each last-axis index of the rfftn half stands for.
+
+    The half holds the last axis's modes 0..M//2; a mode with last index 0
+    or (even M) M/2 has its conjugate in the half, every other one stands
+    for itself and its conjugate.  Read-only.
+    """
+    pairs = np.full(grid.points // 2 + 1, 2.0)
+    pairs[0] = 1.0
+    if grid.points % 2 == 0:
+        pairs[-1] = 1.0
+    pairs.setflags(write=False)
+    return pairs
+
+
 def sobolev_norm(u: ScalarField, s: float) -> float:
     """Discrete H^s proxy: (sum_k (1+|2 pi k/L|^2)^s |u_k|^2 L^N / M^{2N})^(1/2).
 
-    Computed as a scaled 2-norm, with the largest (1+|k|^2)^(s/2) |u_k|
-    factored out, so the squares cannot overflow.
+    Summed over u's rfftn half; see :func:`half_sobolev_norm`.
+    """
+    return half_sobolev_norm(u.grid, np.fft.rfftn(u.values), s)
+
+
+def half_sobolev_norm(grid: GridSpec, uh: np.ndarray, s: float) -> float:
+    """:func:`sobolev_norm` of the real field whose rfftn half is ``uh``.
+
+    Each mode of the half is weighted by the square root of the modes it
+    stands for (:func:`half_pairs`).  Computed as a scaled 2-norm, with the
+    largest weighted |u_k| factored out, so the squares cannot overflow.
     """
     s = float(s)
     if s < 0:
         raise ValueError("Sobolev order must be nonnegative")
-    g = u.grid
-    uh = np.fft.fftn(u.values)
-    terms = (1.0 + wavenumber_squared(g)) ** (0.5 * s) * np.abs(uh)
+    terms = np.abs(uh)
+    terms *= _sobolev_weights(grid, s)
     peak = float(np.max(terms))
     if peak == 0.0:
         return 0.0
-    return peak * float(np.sqrt(np.sum((terms / peak) ** 2) * g.extent**g.dim / g.size**2))
+    terms /= peak
+    return peak * float(np.sqrt(np.sum(np.square(terms, out=terms))
+                                * grid.extent**grid.dim / grid.size**2))
+
+
+@lru_cache(maxsize=None)
+def _sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
+    """(1+|2 pi k/L|^2)^(s/2) times the square root of half_pairs, on the rfftn half; read-only."""
+    k2 = wavenumber_squared(grid)[..., :grid.points // 2 + 1]
+    weights = (1.0 + k2) ** (0.5 * s) * np.sqrt(half_pairs(grid))
+    weights.setflags(write=False)
+    return weights
 
 
 def l2_norm(u: ScalarField) -> float:

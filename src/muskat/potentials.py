@@ -44,8 +44,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import (GridSpec, ScalarField, _derivatives, gradient, inner, integrate, l2_norm,
-                   require_same_grid, wavenumber_squared)
+from .grid import (GridSpec, ScalarField, _derivatives, gradient, half_pairs, inner, integrate,
+                   l2_norm, require_same_grid, wavenumber_squared)
 from .kernels import core_fix_apply, far_symbols, phibar_transform
 from .offsets import (block_rows, face_ring, lattice_sum, near_offsets, pv_offsets,
                       sphere_area)
@@ -125,19 +125,13 @@ class InterfaceGeometry:
 
 @lru_cache(maxsize=None)
 def _slope_weights(grid: GridSpec) -> np.ndarray:
-    """|2 pi k/L| on the rfftn half, doubled where the mode's conjugate is not in the half.
+    """|2 pi k/L| on the rfftn half, times the modes each one stands for (half_pairs).
 
-    The half holds the last axis's modes 0..M//2; a mode with last index 0
-    or (even M) M/2 has its conjugate in the half, every other one stands
-    for itself and its conjugate.  So sum w |f^| over the half is
-    sum |k| |f^_k| over the full spectrum of a real f.  Read-only.
+    So sum w |f^| over the half is sum |k| |f^_k| over the full spectrum of
+    a real f.  Read-only.
     """
     k2 = wavenumber_squared(grid)[..., :grid.points // 2 + 1]
-    pairs = np.full(grid.points // 2 + 1, 2.0)
-    pairs[0] = 1.0
-    if grid.points % 2 == 0:
-        pairs[-1] = 1.0
-    weights = np.sqrt(k2) * pairs
+    weights = np.sqrt(k2) * half_pairs(grid)
     weights.setflags(write=False)
     return weights
 

@@ -9,13 +9,6 @@ differentiation, which the chain-rule and difference constructions rely on.
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-
-_GL_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
-# map from [-1,1] to [0,1]
-_GL_S = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
 
 
 class SmoothProfile:
@@ -63,33 +56,38 @@ def phibar(dim: int) -> PowerProfile:
 
 
 class DifferenceProfile(SmoothProfile):
-    """phi^i(x, y) = int_0^1 d_i phi(s x + (1-s) y) ds, arity doubled.
+    """phi^0(x, y) = int_0^1 phi'(s x + (1-s) y) ds = (phi(x) - phi(y)) / (x - y), arity 2.
 
-    Evaluated with fixed 16-point Gauss-Legendre on [0,1]; the integrand is
-    smooth so the rule is far below the quadrature noise of the lattice sums.
+    For a power base phi = c (1+x)^e take v = 1 + min(x, y), d = |x - y| / v:
+    1 + max(x, y) = v (1 + d), so phi^0 = c v^(e-1) expm1(e log1p(d)) / d, or
+    c e v^(e-1) as d -> 0.  log1p and expm1 keep relative accuracy as d -> 0,
+    where the power difference cancels; d >= 0 keeps log1p off its pole at -1.
+    A subnormal d, where e log1p(d) would lose digits, counts as the diagonal.
     """
 
+    arity = 2
+
     def __init__(self, base: SmoothProfile, i: int):
-        if not 0 <= i < base.arity:
-            raise IndexError(f"slot {i} out of range for arity {base.arity}")
+        if not isinstance(base, PowerProfile):
+            raise TypeError("the difference profile needs a PowerProfile base")
+        if i != 0:
+            raise IndexError(f"slot {i} out of range for an arity-1 base")
         self.base = base
-        self.slot = i
-        self.arity = 2 * base.arity
 
     def __call__(self, args, out=None):
-        """The rule's sum, accumulated in ``out`` on p + 1 work arrays allocated once per call."""
+        """phi^0 at args = (x, y), written into ``out`` (not an arg) on one work array."""
         self._check_args(args)
-        dphi = self.base.partial_profile(self.slot)
-        p = self.base.arity
-        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-        acc = np.empty(shape) if out is None else out
-        acc[...] = 0.0
-        blend = [np.empty(shape) for _ in range(p)]
-        val = np.empty(shape)
-        for s, w in zip(_GL_S, _GL_W):
-            for j, b in enumerate(blend):
-                np.multiply(s, args[j], out=b)
-                b += np.multiply(1.0 - s, args[p + j], out=val)
-            acc += np.multiply(w, dphi(blend), out=val)
-        return acc
-
+        x, y = args
+        c, e = self.base.coeff, self.base.exponent
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        out = np.empty(shape) if out is None else out
+        d = np.maximum(x, y, out=np.empty(shape))
+        d -= np.minimum(x, y, out=out)
+        d /= np.add(out, 1.0, out=out)
+        diagonal = d < np.finfo(float).tiny
+        np.expm1(np.multiply(e, np.log1p(d, out=out), out=out), out=out)
+        np.divide(out, d, out=out, where=~diagonal)
+        np.copyto(out, e, where=diagonal)
+        out *= np.power(np.add(np.minimum(x, y, out=d), 1.0, out=d), e - 1.0, out=d)
+        out *= c
+        return out

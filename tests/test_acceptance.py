@@ -309,16 +309,15 @@ stepper.t_end = 0.1
 def test_criterion_11_determinism(tmp_path):
     """Bit-identical evolve and validate outputs across thread settings in {1,4}.
 
-    MUSKAT_THREADS, OPENBLAS_NUM_THREADS and OMP_NUM_THREADS vary together;
-    numpy's BLAS reads the last two at import.
+    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS vary together; numpy's BLAS
+    reads them at import.
     """
     outputs = {}
     for threads in ("1", "4"):
         base = tmp_path / f"t{threads}"
         cfg_path = tmp_path / f"c{threads}.cfg"
         cfg_path.write_text(CONFIG_TEXT + f"output.dir = {base}/evo\n")
-        env = dict(os.environ, MUSKAT_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         r1 = subprocess.run([sys.executable, "-m", "muskat.cli", "evolve",
                              str(cfg_path)], env=env, capture_output=True, text=True)
         assert r1.returncode == 0, r1.stderr
@@ -336,5 +335,5 @@ def test_criterion_11_determinism(tmp_path):
         )
     passed = report(11, outputs["1"] == outputs["4"],
                     "evolve series/final and validate report bit-identical "
-                    "across MUSKAT_THREADS, OPENBLAS_NUM_THREADS and OMP_NUM_THREADS in {1,4}")
+                    "across OPENBLAS_NUM_THREADS and OMP_NUM_THREADS in {1,4}")
     assert passed

@@ -303,8 +303,7 @@ def test_thread_env_bit_identity(tmp_path):
         outdir = tmp_path / f"t{threads}"
         cfg = write(tmp_path / f"c{threads}.cfg",
                     MINIMAL + f"output.dir = {outdir}\n")
-        env = dict(os.environ, MUSKAT_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "muskat.cli", "evolve", cfg],
             env=env, capture_output=True, text=True)

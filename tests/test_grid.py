@@ -4,7 +4,7 @@ import pytest
 from muskat.grid import (GridSpec, ScalarField, band_limited_random, gradient,
                          integrate, l2_norm, load_field,
                          make_gaussian_bump, make_mode, make_zero, save_field,
-                         sobolev_norm, spectral_derivative)
+                         sobolev_norm, spectral_derivative, wavenumber_squared)
 
 
 def test_gridspec_validation():
@@ -112,6 +112,18 @@ def test_sobolev_single_mode():
         u = make_mode(g, eps, (k,))
         expected = eps * (1 + k**2) ** (s / 2) * np.sqrt(g.extent / coeffs)
         assert abs(sobolev_norm(u, s) - expected) < 1e-12 * expected
+
+
+@pytest.mark.parametrize("dim, M", [(1, 64), (1, 63), (2, 16), (2, 15), (3, 8), (3, 9)])
+def test_sobolev_half_spectrum_matches_full(dim, M):
+    # the rfftn half with conjugate pairs weighted, against the full fftn sum
+    g = GridSpec(dim, 2 * np.pi, M)
+    u = band_limited_random(g, M // 2, np.random.default_rng(dim + M))
+    full = np.abs(np.fft.fftn(u.values)) ** 2
+    for s in (0.0, 1.0, 2.0, 3.5):
+        expected = np.sqrt(np.sum((1.0 + wavenumber_squared(g)) ** s * full)
+                           * g.extent**dim / g.size**2)
+        assert abs(sobolev_norm(u, s) - expected) <= 1e-13 * expected
 
 
 def test_integrate_constant_and_mode():

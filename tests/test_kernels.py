@@ -11,7 +11,7 @@ from muskat.kernels import (OperatorSpec, apply_B, chain_rule_residual, core_fix
                             far_symbols, riesz_core_fix, riesz_core_weight)
 from muskat.multipliers import riesz_core_symbol_grid
 from muskat.offsets import PVOffsets, pv_offsets, sphere_area
-from muskat.profiles import DifferenceProfile, SmoothProfile, phibar
+from muskat.profiles import DifferenceProfile, PowerProfile, SmoothProfile, phibar
 
 
 def oracle_apply_B(profile, n, nu, a_fields, b_fields, beta):
@@ -66,17 +66,15 @@ def test_phibar_values_and_partials():
 
 def test_difference_profile_linear_base():
     # linear phi: the s-integrand is constant, phi^i(x, y) = d_i phi
-    class Linear(SmoothProfile):
-        arity = 1
-
-        def __call__(self, args):
-            return 3.0 * np.asarray(args[0]) + 1.0
-
-        def partial_profile(self, i):
-            return lambda args: 3.0
-
-    d = DifferenceProfile(Linear(), 0)
+    d = DifferenceProfile(PowerProfile(3.0, 1.0), 0)
     assert abs(d((np.asarray(2.0), np.asarray(0.5))) - 3.0) < 1e-14
+
+
+def test_difference_profile_needs_a_power_base():
+    with pytest.raises(TypeError):
+        DifferenceProfile(SmoothProfile(), 0)
+    with pytest.raises(IndexError):
+        DifferenceProfile(phibar(2), 1)
 
 
 def test_difference_profile_diagonal():
@@ -96,6 +94,42 @@ def test_difference_profile_vs_adaptive_quadrature():
     ref, _ = quad(lambda s: float(dp((s * x + (1 - s) * y,))), 0.0, 1.0,
                   epsabs=1e-14, epsrel=1e-14)
     assert abs(d((np.asarray(x), np.asarray(y))) - ref) < 1e-12
+
+
+def test_difference_profile_against_mpmath():
+    """phi^0 of phibar(N) and its partial within 1e-14 relative of (phi(x) - phi(y)) / (x - y).
+
+    The reference takes that quotient of the doubles themselves at 1300
+    bits, so 1 + x is exact even for a subnormal x and the quotient is good
+    to 40 digits.  The points take in steep data, the diagonal, pairs down
+    to x - y = 1e-12, a y where 1 + y rounds to y, and subnormals; each in
+    both orders, one at a time and as one array.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    points = [(4.4, 0.0), (10.0, 0.0), (100.0, 0.0), (0.0, 50.0), (0.0, 0.0), (0.7, 0.7),
+              (3.0, 3.0), (1.0 + 1e-3, 1.0), (1.0 + 1e-6, 1.0), (1.0 + 1e-9, 1.0),
+              (1.0 + 1e-12, 1.0), (0.3, 0.3 - 1e-12), (2.5, 2.5 + 1e-12), (0.0, 1e17),
+              (1e-310, 0.0), (5e-324, 0.0)]
+
+    def reference(p, x, y):
+        with mpmath.workprec(1300):
+            c, e, x, y = (mpmath.mpf(v) for v in (p.coeff, p.exponent, x, y))
+            if x == y:
+                return float(c * e * (1 + x) ** (e - 1))
+            return float(c * ((1 + x) ** e - (1 + y) ** e) / (x - y))
+
+    pairs = points + [(y, x) for x, y in points]
+    xs, ys = (np.array(v) for v in zip(*pairs))
+    for N in (1, 2, 3):
+        for p in (phibar(N), phibar(N).partial_profile(0)):
+            d = DifferenceProfile(p, 0)
+            ref = np.array([reference(p, x, y) for x, y in pairs])
+            one = np.array([float(d((x, y))) for x, y in pairs])
+            out = np.empty(len(pairs))
+            assert d((xs, ys), out=out) is out
+            assert np.array_equal(out, one)
+            err = np.abs(one - ref) / np.abs(ref)
+            assert np.max(err) <= 1e-14, (N, p.exponent, pairs[int(np.argmax(err))], err.max())
 
 
 # -- operator spec ------------------------------------------------------------
@@ -342,15 +376,13 @@ def test_apply_B_does_not_depend_on_the_block_cap(monkeypatch):
         assert all(np.array_equal(x, y) for x, y in zip(outs[0], other))
 
 
-def test_thread_count_bit_identity(monkeypatch):
+def test_apply_B_repeats_bit_for_bit():
     g = GridSpec(1, 2 * np.pi, 48)
     rng = np.random.default_rng(5)
     a = band_limited_random(g, 3, rng, amplitude=0.7)
     b = band_limited_random(g, 2, rng)
     beta = band_limited_random(g, 3, rng)
     spec = OperatorSpec(phibar(1), 1, (0,))
-    monkeypatch.setenv("MUSKAT_THREADS", "1")
     one = apply_B(spec, [a], [b], beta)
-    monkeypatch.setenv("MUSKAT_THREADS", "4")
-    four = apply_B(spec, [a], [b], beta)
-    assert np.array_equal(one.values, four.values)
+    two = apply_B(spec, [a], [b], beta)
+    assert np.array_equal(one.values, two.values)
