@@ -14,7 +14,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .dynamics import PhysicalParams, StepperConfig
+from .dynamics import SCHEMES, PhysicalParams, StepperConfig
 from .fields import ProbePoint, check_clearance
 from .grid import GridSpec, ScalarField, load_field, make_gaussian_bump, make_mode, make_zero
 from .validate import SUITES
@@ -70,7 +70,7 @@ KEYS = {
                        lambda v: all(map(math.isfinite, v))),
     "initial.width": (float, "0.5", *_POSITIVE),
     "initial.path": (str, None, "be a snapshot file", lambda v: True),
-    "stepper.scheme": (str, "rk2", "be rk2 or euler", lambda v: v in ("rk2", "euler")),
+    "stepper.scheme": (str, "rk2", f"be {' or '.join(SCHEMES)}", lambda v: v in SCHEMES),
     "stepper.dt": (lambda raw: None if raw == "auto" else float(raw), "auto",
                    "be auto or finite and > 0", lambda v: v is None or _POSITIVE[1](v)),
     "stepper.cfl": (float, "0.5", *_POSITIVE),
@@ -171,6 +171,14 @@ def build_config(kv: dict) -> SimConfig:
     if not math.isfinite(k_top):
         raise ConfigError(f"grid.extent = {grid.extent:.4g}: the top frequency "
                           f"{grid.points // 2} * 2 pi / grid.extent overflows")
+    # the lattice sums raise the longest PV offset sqrt(N) ((M-1)//2) h to the
+    # power N+1, which overflows for a huge grid.extent
+    reach = math.sqrt(grid.dim) * ((grid.points - 1) // 2) * grid.spacing
+    try:
+        reach ** (grid.dim + 1)
+    except OverflowError:
+        raise ConfigError(f"grid.extent = {grid.extent:.4g}: the longest lattice offset "
+                          f"{reach:.4g} overflows at the power N+1 = {grid.dim + 1}") from None
     try:
         (1.0 + grid.dim * k_top ** 2) ** values["monitor.sobolev_s"]
     except OverflowError:

@@ -67,6 +67,7 @@ class PhysicalParams:
 
 
 MAX_STEPS = 10**6  # the most time steps one run may take
+SCHEMES = ("rk2", "euler")  # the explicit steppers step knows
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class StepperConfig:
     rt_floor: float = 0.05
 
     def __post_init__(self):
-        if self.scheme not in ("rk2", "euler"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
@@ -184,7 +185,7 @@ def step(state: InterfaceState, params: PhysicalParams, dt: float,
     Each stage's InterfaceState is passed to ``on_stage`` when given.  Raises
     NonFiniteInterface when a stage overflows.
     """
-    if scheme not in ("rk2", "euler"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     g, t = state.f.grid, state.t + dt
 

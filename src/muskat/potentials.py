@@ -35,7 +35,6 @@ cell's face ring.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import count, islice
@@ -437,7 +436,7 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
     (-f(x-xi))^(e-a), each monomial's term of order k is coef(x) f(x)^a
     times the convolution of the truncated lattice kernel
     xi^nu / |xi|^(N+1+2k) 1{|xi| > R} with f^(e-a) u; its symbols are
-    built once per split (:data:`_symbol_tables`).  Grouped by output
+    built once per split (:func:`_symbol_table`).  Grouped by output
     and x-coefficient (k, c), in batches of as many groups as a block of
     :func:`block_rows` holds accumulators for (at least one): per field of a
     batch one stacked rfftn of its powers p = e - a, the products summed per
@@ -524,7 +523,7 @@ def _far_field(geom, split, u, monomials, fc, accs, work):
 
     The powers u fc^p are formed in work's real stack and transformed a
     chunk at a time by one rfftn into its complex one.  The symbols are
-    read from the split's table (:data:`_symbol_tables`), built on first
+    read from the split's table (:func:`_symbol_table`), built on first
     use; they carry no sign, so a term adds or subtracts.  An exact core
     (c None, m = 0) also adds its p = 0 spectrum times the core's fix
     (:func:`muskat.kernels.core_fix_apply`) to accumulator a = 0, the one
@@ -532,7 +531,7 @@ def _far_field(geom, split, u, monomials, fc, accs, work):
     the pass adds the fixes alone.
     """
     g, K = geom.grid, split.order
-    table = _symbol_tables.table(geom, split) if split.coefs else None
+    table = _symbol_table(g, split.radius, split.coefs) if split.coefs else None
     terms = []
     for (k_out, c), sign, axis, m, core in monomials:
         nu = tuple(int(j == axis) for j in range(g.dim))
@@ -568,42 +567,18 @@ def _far_field(geom, split, u, monomials, fc, accs, work):
                     combine(acc[0], core_fix_apply(g, core, spec, out=buf), out=acc[0])
 
 
-class _SymbolTables:
-    """The far field's symbol tables of the current stage, one per split (grid, radius, coefs).
+@lru_cache(maxsize=4)
+def _symbol_table(grid: GridSpec, radius: int, coefs: tuple) -> dict:
+    """The far field's symbol table of the split (grid, radius, coefs), empty at first.
 
-    A table maps (nu, m) to :func:`muskat.kernels.far_symbols` of orders
-    k <= K, each scaled by c_k (m+2k)! and read-only, filled by
-    :func:`_far_field`.  coefs fix N, the ladder interval and K, so every
-    operator on the split shares its entries (and every operator's
-    monomials take the same N+1 of them).  The current stage is the last
-    geometry to read a table; the tables it has not read (the stage
-    before's) are dropped before a table is added.  So the tables a stage
-    shares with the one before are not built again, and no stale table is
-    held while memory grows.  Nothing is dropped within a stage: no list is
-    built twice in one density solve, whatever split tolerances its
-    products take.
+    It maps (nu, m) to :func:`muskat.kernels.far_symbols` of orders k <= K,
+    each scaled by c_k (m+2k)! and read-only, filled by :func:`_far_field`;
+    coefs fix N, the ladder interval and K, so the split's operators share
+    its N+1 entries.  Four tables are held, the most one stage reads: D at
+    each rung of the density solve's relaxation ladder, and the velocity
+    operator.
     """
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self.owner, self.read, self.held = None, set(), {}
-
-    def table(self, geom: InterfaceGeometry, split: _Split) -> dict:
-        """The split's table, for the stage of geom."""
-        key = (geom.grid, split.radius, split.coefs)
-        if self.owner is None or self.owner() is not geom:
-            self.owner, self.read = weakref.ref(geom), set()
-        self.read.add(key)
-        table = self.held.get(key)
-        if table is None:
-            self.held = {k: t for k, t in self.held.items() if k in self.read}
-            table = self.held[key] = {}
-        return table
-
-
-_symbol_tables = _SymbolTables()
+    return {}
 
 
 # Cost model of the split, in ns on one core of a 2-core Xeon (fitted on 1D

@@ -333,6 +333,12 @@ BAD_INPUT = {
     "step-count-beyond-ceiling": ({"stepper.dt": "1e-300"}, []),
     "extent-top-frequency-overflows": ({"grid.extent": "1e-300"}, []),
     "extent-top-frequency-inf": ({"grid.extent": "1e-310", "initial.kind": "mode"}, []),
+    # the longest offset 7 h, squared in 1D and cubed in 2D, overflows
+    "extent-offset-overflows-1d": ({"grid.points": "16", "grid.extent": "4e154"}, []),
+    "extent-offset-overflows-2d": ({"grid.dim": "2", "grid.points": "16",
+                                    "grid.extent": "1.2e103"}, []),
+    "extent-offset-overflows-flat": ({"grid.points": "16", "grid.extent": "1e200",
+                                      "initial.kind": "zero"}, []),
     # 8e15 bytes per field, which numpy refuses before allocating anything
     "grid-beyond-memory": ({"grid.dim": "3", "grid.points": "100000"}, []),
     "tol-negative": ({"params.a_mu": "0.5", "solver.tol": "-1"}, []),
@@ -494,14 +500,29 @@ def test_config_fuzz_ends_with_a_documented_exit_code(keys, tmp_path_factory):
 
 def test_a_huge_extent_builds_the_bump_without_a_warning(tmp_path):
     # at L = 1e300 the squares of the bump's displacements and of L/2 would
-    # overflow; the bump is built, and the run ends on the lattice's own
-    # overflow with the non-finite exit code, warning-free
+    # overflow; the bump is built warning-free (pytest turns a RuntimeWarning
+    # into an error), and the run is refused as a config error, warning-free,
+    # before the lattice's powers overflow
+    bump = make_gaussian_bump(GridSpec(2, 1e300, 16), 0.2, [5e299] * 2, 0.5)
+    assert np.all(np.isfinite(bump.values))
     cfg = write(tmp_path / "c.cfg", config_text({
         "grid.dim": "2", "grid.points": "16", "grid.extent": "1e300",
         "output.dir": tmp_path / "out"}))
     proc = subprocess.run([sys.executable, "-m", "muskat.cli", "evolve", cfg],
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 6, proc.stderr
+    assert proc.returncode == 2, proc.stderr
     err = proc.stderr.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("non-finite interface: "), err
+    assert len(err) == 1 and err[0].startswith("config error: grid.extent = 1e+300"), err
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("dim, extent", [("1", "3e154"), ("2", "9e102")])
+def test_the_largest_extents_below_the_offset_overflow_run(dim, extent, tmp_path):
+    # the same bump at any scale (amplitude L/100, width L/40): just below the
+    # extent whose longest offset overflows at the power N+1, the run ends well
+    L = float(extent)
+    cfg = write(tmp_path / "c.cfg", config_text({
+        "grid.dim": dim, "grid.points": "16", "grid.extent": extent,
+        "initial.amplitude": repr(L / 100), "initial.width": repr(L / 40),
+        "output.dir": tmp_path / "out"}))
+    assert main(["evolve", cfg]) == 0

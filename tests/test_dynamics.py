@@ -15,7 +15,7 @@ from muskat.grid import (GridSpec, ScalarField, gradient, l2_norm,
 from muskat.kernels import far_symbols
 from muskat.potentials import (InterfaceGeometry, _aa_operator, _d_operator, _d_star_operator,
                                _direct_sum, apply_AA, apply_D, apply_D_star)
-from muskat.resolvent import solve_beta
+from muskat.resolvent import RELAXATION_LADDER, solve_beta
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "decay_demo.cfg")
 
@@ -309,7 +309,7 @@ def test_a_density_solve_builds_each_symbol_list_once(monkeypatch):
         return far_symbols(*args)
 
     monkeypatch.setattr(muskat.potentials, "far_symbols", counting)
-    muskat.potentials._symbol_tables.clear()
+    muskat.potentials._symbol_table.cache_clear()
     geom, _, _ = _contrast_bump(64)
     _, report = solve_beta(geom, 0.5)
     splits = {geom.split(_d_operator(2), split_tol=tol) for tol in report.d_applies}
@@ -329,21 +329,21 @@ def test_far_field_symbols_are_scaled_once():
     apply_AA(geom, b)
     again = [apply_D(geom, beta).values for _ in range(2)]
     shared = apply_D_star(geom, beta).values
-    muskat.potentials._symbol_tables.clear()
+    muskat.potentials._symbol_table.cache_clear()
     fresh = apply_D_star(geom, beta).values
     assert all(np.array_equal(first, d) for d in again)
     assert np.array_equal(shared, fresh)
 
 
-def test_far_field_holds_only_the_current_stages_tables(monkeypatch):
-    # a stage (a geometry's density solve, then its velocity operator) holds
-    # the tables of every split it read, D's at each split tolerance and the
-    # velocity operator's; the next stage drops those it has not read before
-    # it builds, and one at the same splits builds nothing: the held tables
-    # are the current stage's, one list per (nu, m), at most N+1, each
+def test_far_field_holds_at_most_four_tables(monkeypatch):
+    # a stage (a geometry's density solve with D at every relaxation rung,
+    # then its velocity operator) reads at most four tables, which the cache
+    # holds: the stage builds each list once, one at the same splits builds
+    # nothing, and each table holds one list per (nu, m), at most N+1, each
     # read-only
-    tables = muskat.potentials._symbol_tables
-    tables.clear()
+    table = muskat.potentials._symbol_table
+    assert table.cache_parameters()["maxsize"] >= len(RELAXATION_LADDER) + 1
+    table.cache_clear()
     builds = []
 
     def counting(*args):
@@ -354,23 +354,26 @@ def test_far_field_holds_only_the_current_stages_tables(monkeypatch):
 
     def stage(amp):
         geom, _, _ = _contrast_bump(64, amp)
-        beta, report = solve_beta(geom, 0.5)
+        beta, _ = solve_beta(geom, 0.5)
+        for tol in RELAXATION_LADDER:
+            apply_D(geom, beta, split_tol=tol)
         apply_AA(geom, gradient(beta))
-        splits = [geom.split(_d_operator(2), split_tol=tol) for tol in report.d_applies]
+        splits = [geom.split(_d_operator(2), split_tol=tol) for tol in RELAXATION_LADDER]
         splits.append(geom.split(_aa_operator(2)))
         return {(geom.grid, s.radius, s.coefs): s for s in splits if s.coefs}
 
     first = stage(0.7)
-    assert len(first) > 2 and set(tables.held) == set(first)
+    assert len(first) > 2 and table.cache_info().currsize == len(first)
+    assert len(builds) == sum(len(table(*key)) for key in first)  # each list once
     second = stage(0.35)
     assert set(second) - set(first)  # the second stage builds
-    assert set(tables.held) == set(second)
+    assert table.cache_info().currsize <= 4
     built = len(builds)
     assert stage(0.35) == second and len(builds) == built
-    for key, table in tables.held.items():
-        assert 0 < len(table) <= 3
-        for symbols in table.values():
-            assert len(symbols) == second[key].order + 1
+    for key, split in second.items():
+        assert 0 < len(table(*key)) <= 3
+        for symbols in table(*key).values():
+            assert len(symbols) == split.order + 1
             assert all(s.shape == (64, 33) and s.dtype == complex and not s.flags.writeable
                        for s in symbols)
     with pytest.raises(ValueError):

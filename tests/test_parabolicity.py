@@ -15,7 +15,11 @@ punctured origin of D's lattice sum adds an O(h) k^3 term to q.  At
 a_mu = -0.5 that term damps, and only the sign of q is checked (it reads
 -0.48 to -2.80 in 1D).  At a_mu = +0.5 it is an anti-diffusion that makes
 q(M/2 - 1) positive (+0.25, +1.04 and +2.64 at M = 64, 128 and 256), an
-expected failure until the origin is filled (ROADMAP item 2).
+expected failure until the origin is filled (ROADMAP item 2).  In 2D, at
+M = 32 and 64, q stays negative at both contrasts (-0.49 to -0.61 at
+a_mu = -0.5, -0.34 to -0.49 at +0.5), and only its sign is checked: at
++0.5 the top mode moves toward zero as M doubles (-0.42 to -0.34), the
+same O(h) k^3 term.
 """
 
 import numpy as np
@@ -65,6 +69,13 @@ def test_the_damping_settles_under_refinement(symbols):
 @pytest.mark.parametrize("M", (64, 128, 256))
 def test_the_right_side_damps_every_mode_at_negative_contrast(M):
     qs = [q(1, M, k, a_mu=-0.5) for k in modes(M)]
+    assert all(v < 0 for v in qs), qs
+
+
+@pytest.mark.parametrize("M", (32, 64))
+@pytest.mark.parametrize("a_mu", (-0.5, 0.5))
+def test_the_right_side_damps_every_mode_at_either_contrast_in_2d(M, a_mu):
+    qs = [q(2, M, k, a_mu=a_mu) for k in modes(M)]
     assert all(v < 0 for v in qs), qs
 
 

@@ -526,6 +526,28 @@ def test_the_slope_bound_sums_the_held_half_spectrum(dim, M):
         geom.spectrum[0] = 0.0
 
 
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 16), (3, 8)])
+def test_every_operator_field_is_within_its_size(dim, M):
+    # sizes[i] = (n, q) claims |u_i| <= n G^q ||b||_inf, G the largest |grad f|
+    # at the grid points, and _scales builds the split's bound from it.  On a
+    # steep bump (G > 1) and random signs b (|b| = ||b||_inf everywhere) the
+    # fields come near their bounds, so a size too small shows
+    geom = gaussian_geometry(M, dim, amp=1.5, width=0.4)
+    gfv = [c.values for c in geom.grad_f]
+    G = np.sqrt(np.max(sum(v**2 for v in gfv)))
+    assert G > 1.5
+    rng = np.random.default_rng(dim)
+    for make, inputs in ((_d_operator, 1), (_d_star_operator, 1), (_flux_operator, 1),
+                         (_a_operator, dim), (_aa_operator, dim)):
+        op = make(dim)
+        bv = [rng.choice([-1.0, 1.0], geom.grid.shape) for _ in range(inputs)]
+        b_inf = max(np.max(np.abs(v)) for v in bv)
+        us = op.fields(gfv, bv)
+        assert len(op.sizes) == len(us), make
+        for i, (u, (n, q)) in enumerate(zip(us, op.sizes)):
+            assert np.max(np.abs(u)) <= n * G**q * b_inf * (1 + 1e-12), (make, i)
+
+
 def test_a_near_sum_allocates_its_block_buffers_once(monkeypatch):
     # one D near sum at 2D M=64 peaks at its three work buffers (df, the
     # denominator, one product), its output rows, a padded window per field and
