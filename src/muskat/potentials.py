@@ -104,15 +104,28 @@ class InterfaceGeometry:
     def slope_bound(self) -> tuple:
         """(s, osc f, G): what every operator's split bound knows of f; see _choose_split.
 
-        s = sum_k |k| |f^_k| bounds |grad f| and every |df| / |xi|, osc f =
+        s bounds |grad f| and every |df| / |xi| between grid points, osc f =
         max f - min f bounds every |df|, and G is the largest |grad f| at the
-        grid points.  s is summed over the held half spectrum, each conjugate
-        pair counted twice (:func:`_slope_weights`).
+        grid points.  s is the lesser of the Wiener sum sum_k |k| |f^_k| and
+
+            L = G + (sqrt(N) h / 2) sum_k |k|^2 |f^_k|.
+
+        L: the real part p of the trigonometric interpolant matches f at the
+        grid points, and its gradient there is grad f, the spectral one with
+        the Nyquist mode zeroed (d_j of a mode at the Nyquist index of axis j
+        is imaginary at every grid point).  Every point lies within
+        sqrt(N) h / 2 of a grid point and p's Hessian has operator norm at
+        most sum_k |k|^2 |f^_k|, so |grad p| <= L everywhere and |df| <= L |xi|
+        along the segment between any two grid points.  Both sums run over the
+        held half spectrum, each conjugate pair counted twice
+        (:func:`_slope_weights`).  G and the sums are taken in floating point,
+        as every scale of the bound is.
         """
         g, f = self.grid, self.f.values
-        s = float(np.sum(_slope_weights(g) * np.abs(self.spectrum))) / g.size
         lip = float(np.sqrt(np.max(sum(c.values**2 for c in self.grad_f))))
-        return s, float(np.max(f) - np.min(f)), lip
+        spectrum = np.abs(self.spectrum)
+        wiener, curvature = (float(np.sum(w * spectrum)) / g.size for w in _slope_weights(g))
+        return min(wiener, lip + sqrt(g.dim) / 2 * curvature), float(np.max(f) - np.min(f)), lip
 
     def split(self, op: _Operator, *, split_tol: float = SMALL_SLOPE_TOL) -> _Split:
         """op's near/far split within split_tol, chosen once per pair; see _choose_split."""
@@ -123,15 +136,17 @@ class InterfaceGeometry:
 
 
 @lru_cache(maxsize=None)
-def _slope_weights(grid: GridSpec) -> np.ndarray:
-    """|2 pi k/L| on the rfftn half, times the modes each one stands for (half_pairs).
+def _slope_weights(grid: GridSpec) -> tuple:
+    """(|k|, |k| (h |k|)) on the rfftn half, each times the modes it stands for (half_pairs).
 
-    So sum w |f^| over the half is sum |k| |f^_k| over the full spectrum of
-    a real f.  Read-only.
+    So sum w |f^| over the half is sum |k| |f^_k|, and h sum |k|^2 |f^_k|,
+    over the full spectrum of a real f; h |k| <= pi sqrt(N), so the second
+    overflows nowhere the first does not.  Read-only.
     """
-    k2 = wavenumber_squared(grid)[..., :grid.points // 2 + 1]
-    weights = np.sqrt(k2) * half_pairs(grid)
-    weights.setflags(write=False)
+    k = np.sqrt(wavenumber_squared(grid)[..., :grid.points // 2 + 1])
+    weights = k * half_pairs(grid), k * (grid.spacing * k) * half_pairs(grid)
+    for w in weights:
+        w.setflags(write=False)
     return weights
 
 
@@ -417,7 +432,7 @@ def _a_operator(dim: int) -> _Operator:
 
 
 class _Split(NamedTuple):
-    """A near/far split, as :func:`_splits` builds it."""
+    """A near/far split, as :func:`_choose_split` picks it."""
 
     radius: int    # the near field |xi| <= radius * h is summed directly
     order: int     # the far field's degree K in (df/|xi|)^2
@@ -668,7 +683,7 @@ def _split_costs(grid: GridSpec, op: _Operator) -> tuple:
 class _Scales(NamedTuple):
     """What the split's error bound knows of an interface and an operator; see _choose_split."""
 
-    slope: float  # s = sum_k |k| |f^_k|
+    slope: float  # s, the lesser of sum_k |k| |f^_k| and L; see InterfaceGeometry.slope_bound
     osc: float    # max f - min f
     alpha: float  # the numerator's bound: |xi| ||b||_inf (alpha + beta |df| / |xi|)
     beta: float
@@ -825,7 +840,7 @@ def _interpolant(dim: int, j: int, K: int) -> tuple:
     S, sigma = _chebyshev(K)
     d = S.T @ a
     powers = np.longdouble(X) ** np.arange(K + 1)
-    with np.errstate(over="ignore"):  # past double range the walk ends; see _splits
+    with np.errstate(over="ignore"):  # past double range the walk ends; see _walk
         coefs = tuple((d / powers).astype(float).tolist())
     truncation = _ellipse(dim, j, K)
     if K < TAIL_DEGREE:
@@ -838,33 +853,65 @@ def _interpolant(dim: int, j: int, K: int) -> tuple:
     return coefs, truncation + conversion if isfinite(sum(coefs)) else inf
 
 
-def _splits(grid: GridSpec, scales: _Scales, radius: int, tol: float):
-    """The splits (radius, K) for K = 0, 1, 2, ..., each with its bound and coefficients.
+@lru_cache(maxsize=None)
+def _schedule(grid: GridSpec, op: _Operator) -> tuple:
+    """(radii, (A, B, C), direct): op's split search on grid; see _choose_split.
 
-    See :func:`_choose_split`; radius stays inside the cell (the direct sum
-    is :func:`_direct_split`).  The walk ends where the rounding term alone
-    passes tol.
+    radii holds (R, r, w, near) for R = 0..8 and then in steps of 1 + R // 8
+    while R stays inside the cell: r the smallest far |xi|, w the far
+    field's share of W_0 and near the near field's cost; A, B and C price
+    the far field and direct the direct sum (:func:`_split_costs`).
     """
-    radii = _radii(grid)
-    r = radii.nearest[radius]
-    # x bounds |df| / |xi| on the far field, t = osc f / r, w its share of W_0
-    t, w = scales.osc / r, radii.share[radius]
-    x = min(scales.slope, t)
-    if not x <= 2.0**32:  # past the ladder; nan on a non-finite interface
-        return
-    j, t2 = _interval(x), t * t
-    # the truncation term is error times w (alpha + beta x), the rounding term
-    # sum_k |c_k| t^(2k) times w (alpha + beta t) ROUNDING_GROWTH eps log2(M^N)
-    truncation = w * (scales.alpha + scales.beta * x)
-    rounding = w * (scales.alpha + scales.beta * t) * ROUNDING_GROWTH * EPS * log2(grid.size)
-    for K in count():
-        coefs, error = _interpolant(grid.dim, j, K)
-        mass = 0.0
-        for c in reversed(coefs):
-            mass = mass * t2 + abs(c)
-        if not rounding * mass <= tol:  # nan past double range
-            return
-        yield _Split(radius, K, truncation * error + rounding * mass, coefs)
+    radii, (near, *costs) = _radii(grid), _split_costs(grid, op)
+    schedule, R = [], 0
+    while R < len(near) - 1:
+        schedule.append((R, radii.nearest[R], radii.share[R], near[R]))
+        R += 1 + R // 8
+    return tuple(schedule), tuple(costs), near[-1]
+
+
+def _walk(grid: GridSpec, scales: _Scales, schedule, tol: float, costs: tuple,
+          best_ns: float) -> tuple | None:
+    """The cheapest (R, K, bound, coefs) within tol over schedule that costs below best_ns, or None.
+
+    schedule holds (R, r, w, near) per radius, as :func:`_schedule`'s radii
+    do; with costs (A, B, C) a split costs near + A (K+1)^2 + B (K+1) + C.  At
+    each radius the slope's ladder interval is taken once, and K = 0, 1, 2,
+    ... is walked to the first K within tol, which becomes the best; the
+    walk at R ends first where the next K costs at least the best or where
+    the rounding term alone passes tol, and the search ends at the first R
+    whose K = 0 costs at least the best.  See :func:`_choose_split`.
+    """
+    slope, osc, alpha, beta = scales
+    A, B, C = costs
+    best, log_size = None, log2(grid.size)
+    for R, r, w, near in schedule:
+        if not near + (A + B) + C < best_ns:
+            break
+        # x bounds |df| / |xi| on the far field, t = osc f / r
+        t = osc / r
+        x = min(slope, t)
+        if not x <= 2.0**32:  # past the ladder; nan on a non-finite interface
+            continue
+        j, t2 = _interval(x), t * t
+        # the truncation term is error times w (alpha + beta x), the rounding term
+        # sum_k |c_k| t^(2k) times w (alpha + beta t) ROUNDING_GROWTH eps log2(M^N)
+        truncation = w * (alpha + beta * x)
+        rounding = w * (alpha + beta * t) * ROUNDING_GROWTH * EPS * log_size
+        for K in count():
+            coefs, error = _interpolant(grid.dim, j, K)
+            mass = 0.0
+            for c in reversed(coefs):
+                mass = mass * t2 + abs(c)
+            if not rounding * mass <= tol:  # nan past double range
+                break
+            bound = truncation * error + rounding * mass
+            if bound <= tol:
+                best, best_ns = (R, K, bound, coefs), near + (A * (K + 1) + B) * (K + 1) + C
+                break
+            if not near + (A * (K + 2) + B) * (K + 2) + C < best_ns:
+                break
+    return best
 
 
 def _direct_split(grid: GridSpec) -> _Split:
@@ -874,17 +921,21 @@ def _direct_split(grid: GridSpec) -> _Split:
 
 def _first_split(grid: GridSpec, scales: _Scales, radius: int, orders: int):
     """The split at radius with the first K < orders within SMALL_SLOPE_TOL, or None."""
-    splits = islice(_splits(grid, scales, radius, SMALL_SLOPE_TOL), orders)
-    return next((split for split in splits if split.bound <= SMALL_SLOPE_TOL), None)
+    radii = _radii(grid)
+    # a split costs K + 1 here, so K < orders
+    first = _walk(grid, scales, [(radius, radii.nearest[radius], radii.share[radius], 0.0)],
+                  SMALL_SLOPE_TOL, (0.0, 1.0, 0.0), orders + 1)
+    return None if first is None else _Split(*first)
 
 
 def _choose_split(geom: InterfaceGeometry, op: _Operator, tol: float) -> _Split:
     """The cheapest (R, K) whose error bound, relative to ||b||_inf W_0, is at most tol.
 
-    Bound the slope by s = sum_k |k| |f^_k| (Fourier coefficients, any alias
-    of the Nyquist mode): s >= sup |grad f| and s >= |df| / |xi| for every
-    offset.  On the far field |xi| > R also |df| <= osc f = max f - min f,
-    so |df| / |xi| <= x = min(s, osc f / r), r the smallest far |xi|, and
+    Bound the slope by s (:attr:`InterfaceGeometry.slope_bound`, the lesser
+    of the Wiener sum and a Lipschitz bound from G and f's curvature):
+    s >= |df| / |xi| for every offset.  On the far field |xi| > R also
+    |df| <= osc f = max f - min f, so |df| / |xi| <= x = min(s, osc f / r),
+    r the smallest far |xi|, and
     u = (df/|xi|)^2 <= x^2 <= X, X the top of the ladder interval
     (:func:`_interval`, at most 9% above x^2).  With p = (N+1)/2 the kernel
     is (1+u)^(-p) |xi|^(-2p); the far field replaces (1+u)^(-p) by its
@@ -912,31 +963,19 @@ def _choose_split(geom: InterfaceGeometry, op: _Operator, tol: float) -> _Split:
     model, not a proof, is meant to cover the near field's rounding as well;
     the bound-ladder test checks it against the direct sum.
 
-    The search starts from the direct sum (R past the cell, bound 0).  R
-    runs over whole cells from 0 (no near field: the small-slope expansion of
-    every offset), every cell up to 8 and then in steps of 1 + R // 8, while
-    its K = 0 is cheaper (:func:`_split_costs`) than the best so far; there
-    the first K within the bound becomes the best, unless a K that costs at
-    least the best comes first.
+    The search starts from the direct sum (R past the cell, bound 0) and
+    walks op's radius schedule (:func:`_schedule`, held per grid and op):
+    R = 0 (no near field: the small-slope expansion of every offset), every
+    cell up to 8 and then in steps of 1 + R // 8, while its K = 0 is cheaper
+    (:func:`_split_costs`) than the best so far.  At each R the first K
+    within the bound becomes the best, unless a K that costs at least the
+    best comes first (:func:`_walk`); only the pick is built into a
+    :class:`_Split`.
     """
     g = geom.grid
-    near, A, B, C = _split_costs(g, op)
-    scales = _scales(geom, op)
-
-    def cost(R, K):
-        return near[R] + (A * (K + 1) + B) * (K + 1) + C
-
-    best = _direct_split(g)
-    direct, best_ns, R = best.radius, near[best.radius], 0
-    while R < direct and cost(R, 0) < best_ns:
-        for split in _splits(g, scales, R, tol):
-            if split.bound <= tol:
-                best, best_ns = split, cost(R, split.order)
-                break
-            if cost(R, split.order + 1) >= best_ns:
-                break
-        R += 1 + R // 8
-    return best
+    schedule, costs, direct_ns = _schedule(g, op)
+    best = _walk(g, _scales(geom, op), schedule, tol, costs, direct_ns)
+    return _direct_split(g) if best is None else _Split(*best)
 
 
 def apply_AA(geom: InterfaceGeometry, b) -> ScalarField:

@@ -7,8 +7,8 @@ negative on every unit cosine mode e_k up to M/2 - 1:
 
     q(k) = <e_k, J e_k> / (<e_k, e_k> |k|)
 
-reads -0.459 to -0.475 in 1D and -0.491 to -0.497 in 2D, and settles under
-refinement.  The band is measured, not derived: how the Rayleigh-Taylor
+reads -0.459 to -0.475 in 1D and -0.491 to -0.498 in 2D (M = 32 and 64),
+and settles under refinement.  The band is measured, not derived: how the Rayleigh-Taylor
 margin weights the frozen-coefficient symbol m_T(grad f(x), z) over x is
 not settled here.  The band is checked at a_mu = 0 only: at a_mu != 0 the
 punctured origin of D's lattice sum adds an O(h) k^3 term to q.  At
@@ -20,6 +20,10 @@ M = 32 and 64, q stays negative at both contrasts (-0.49 to -0.61 at
 a_mu = -0.5, -0.34 to -0.49 at +0.5), and only its sign is checked: at
 +0.5 the top mode moves toward zero as M doubles (-0.42 to -0.34), the
 same O(h) k^3 term.
+
+The one positive eigenvalue of the full 1D M = 64 Jacobian at a_mu = 0 is
+kept in view: it reads 0.727, and its eigenvector is the Nyquist mode,
+which the spectral gradient zeroes and the lattice differences see.
 """
 
 import numpy as np
@@ -29,7 +33,7 @@ from muskat.dynamics import InterfaceState, PhysicalParams
 from muskat.grid import GridSpec, ScalarField, inner, make_gaussian_bump, make_mode
 
 EPS = 1e-6
-CASES = [(1, 64), (1, 128), (1, 256), (2, 32)]
+CASES = [(1, 64), (1, 128), (1, 256), (2, 32), (2, 64)]
 
 
 def modes(M):
@@ -61,9 +65,27 @@ def test_the_right_side_damps_every_mode_near_half_its_wavenumber(symbols, dim, 
 
 def test_the_damping_settles_under_refinement(symbols):
     # q at fixed k/M moves by at most 2e-3 from M to 2M
-    for M in (64, 128):
-        moved = np.abs(np.subtract(symbols[1, 2 * M], symbols[1, M]))
-        assert np.max(moved) <= 2e-3, (M, moved)
+    for dim, M in ((1, 64), (1, 128), (2, 32)):
+        moved = np.abs(np.subtract(symbols[dim, 2 * M], symbols[dim, M]))
+        assert np.max(moved) <= 2e-3, (dim, M, moved)
+
+
+def test_the_one_growing_mode_is_the_nyquist_mode():
+    # the full Jacobian at 1D M = 64, a_mu = 0, column by column: its largest
+    # Re lambda (0.727) is the one positive eigenvalue, on the Nyquist mode
+    params = PhysicalParams(lam=1.0, a_mu=0.0)
+    g = GridSpec(1, 2 * np.pi, 64)
+    f = make_gaussian_bump(g, 0.7, [np.pi], 0.5).values
+    J = np.empty((g.points, g.points))
+    for i, e in enumerate(np.eye(g.points)):
+        plus, minus = (InterfaceState.compute(ScalarField(g, f + s * EPS * e), params,
+                                              tol=1e-12).phi_tilde.values for s in (1.0, -1.0))
+        J[:, i] = (plus - minus) / (2 * EPS)
+    lam, vectors = np.linalg.eig(J)
+    top = np.argmax(lam.real)
+    assert 0.70 <= lam[top].real <= 0.76 and np.sum(lam.real > 1e-6) == 1, lam[top]
+    v, nyquist = vectors[:, top], (-1.0) ** np.arange(g.points)
+    assert abs(np.vdot(nyquist, v)) / (np.linalg.norm(nyquist) * np.linalg.norm(v)) >= 0.99
 
 
 @pytest.mark.parametrize("M", (64, 128, 256))

@@ -1,5 +1,4 @@
 import tracemalloc
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,17 +10,18 @@ from muskat.grid import (GridSpec, ScalarField, band_limited_random, gradient,
                          l2_norm, make_gaussian_bump, make_mode, make_zero,
                          wavenumber_squared)
 from muskat.kernels import OperatorSpec, apply_B, core_fix_apply, phibar_transform
-from muskat.potentials import (ROUNDING_GROWTH, SMALL_SLOPE_TOL, InterfaceGeometry,
+from muskat.potentials import (EPS, ROUNDING_GROWTH, SMALL_SLOPE_TOL, InterfaceGeometry, _Split,
                                _a_operator, _aa_operator, _cosines, _d_operator,
                                _d_star_operator, _direct_sum, _first_split, _flux_operator,
-                               _interface_sum, _interpolant, _interval, _scales, _split_costs,
-                               _split_sum, _splits, adjointness_defect,
+                               _interface_sum, _interpolant, _interval, _radii, _scales,
+                               _slope_weights, _split_costs, _split_sum, adjointness_defect,
                                apply_A, apply_A_composed, apply_AA, apply_AA_composed, apply_D,
                                apply_D_composed, apply_D_star, apply_D_star_composed,
                                boundary_trace, gradient_identity_residual, rellich_residual,
                                torus_byparts_flux)
 from muskat.offsets import OffsetSet, face_ring, near_offsets, pv_offsets, sphere_area
 from muskat.profiles import phibar
+from muskat.resolvent import RELAXATION_LADDER
 
 
 def rel_err(a, b):
@@ -375,29 +375,56 @@ def test_the_cosine_matrix_is_within_its_rounding_model(K):
     assert worst <= (3 * np.pi * K + 2) * float(info.eps) * 2 / n, float(worst * n / 2 / info.eps)
 
 
+def first_order(geom, op, R, tol):
+    # the first K <= 200 within tol at radius R, by the bound of _choose_split's
+    # docstring from the interpolant's own coefficients and error, or None;
+    # the walk ends where the rounding term alone passes tol
+    g, radii = geom.grid, _radii(geom.grid)
+    s, osc, alpha, beta = _scales(geom, op)
+    r, w = radii.nearest[R], radii.share[R]
+    t = osc / r
+    x = min(s, t)
+    if not x <= 2.0**32:
+        return None
+    for K in range(201):
+        coefs, error = _interpolant(g.dim, _interval(x), K)
+        mass = sum(abs(c) * t ** (2 * k) for k, c in enumerate(coefs))
+        rounding = w * (alpha + beta * t) * ROUNDING_GROWTH * EPS * np.log2(g.size) * mass
+        if not rounding <= tol:
+            return None
+        if w * (alpha + beta * x) * error + rounding <= tol:
+            return K
+    return None
+
+
 def test_the_pick_is_the_cheapest_pair_within_the_bound():
-    # at each radius of the schedule the first order K <= 200 within the bound,
-    # costed by the cost model: the cheapest of those, or the direct sum (first
-    # on a tie, as the chooser keeps it), is the pick
+    # at each radius of the schedule and each rung of the density solve's
+    # ladder, the first order K <= 200 within the bound, costed by the cost
+    # model: the cheapest of those, or the direct sum (first on a tie, as the
+    # chooser keeps it), is the pick
     g1, g2, g24 = GridSpec(1, 16.0, 1024), GridSpec(2, 2 * np.pi, 64), GridSpec(2, 2 * np.pi, 24)
+    g3 = GridSpec(3, 2 * np.pi, 16)
     interfaces = (make_mode(GridSpec(1, 20 * np.pi, 512), 1e-3, (4,)),  # the demo decay
                   make_gaussian_bump(g2, 0.7, [np.pi] * 2, 0.5),  # the contrast bump
                   make_gaussian_bump(g1, 0.3, [8.0], 1.3),
-                  make_gaussian_bump(g24, 0.1, [np.pi] * 2, 0.5))  # validate's low 2D bump
+                  make_gaussian_bump(g24, 0.1, [np.pi] * 2, 0.5),  # validate's low 2D bump
+                  make_gaussian_bump(g3, 0.7, [np.pi] * 3, 0.5))
     for f in interfaces:
         geom, g = InterfaceGeometry(f), f.grid
         for op in (_d_operator(g.dim), _d_star_operator(g.dim), _a_operator(g.dim),
                    _aa_operator(g.dim)):
             near, A, B, C = _split_costs(g, op)
-            direct, R = len(near) - 1, 0
-            candidates = [(near[direct], (direct, 0))]
-            while R < direct:
-                split = _first_split(g, _scales(geom, op), R, 201)
-                if split is not None:
-                    K = split.order
-                    candidates.append((near[R] + (A * (K + 1) + B) * (K + 1) + C, (R, K)))
-                R += 1 + R // 8
-            assert min(candidates, key=lambda c: c[0])[1] == geom.split(op)[:2], (g, op.terms)
+            for tol in RELAXATION_LADDER:
+                direct, R = len(near) - 1, 0
+                candidates = [(near[direct], (direct, 0))]
+                while R < direct:
+                    K = first_order(geom, op, R, tol)
+                    if K is not None:
+                        candidates.append((near[R] + (A * (K + 1) + B) * (K + 1) + C, (R, K)))
+                    R += 1 + R // 8
+                pick = geom.split(op, split_tol=tol)
+                assert min(candidates, key=lambda c: c[0])[1] == pick[:2], (g, op.terms, tol)
+                assert pick.bound <= tol
 
 
 def test_the_split_leaves_the_pv_blocks_unbuilt():
@@ -457,8 +484,9 @@ def test_far_fields_do_not_depend_on_the_chunk_or_batch_size(monkeypatch, dim, M
     geom = gaussian_geometry(M, dim, amp=0.7)
     g, rng = geom.grid, np.random.default_rng(M)
     b = [band_limited_random(g, 3, rng) for _ in range(dim)]
-    splits = [next(islice(_splits(g, _scales(geom, op), R, np.inf), 8, None))
-              for op, *_ in operands(geom, b)]
+    s, osc, _ = geom.slope_bound
+    coefs = _interpolant(dim, _interval(min(s, osc / _radii(g).nearest[R])), 8)[0]
+    splits = [_Split(R, 8, np.inf, coefs) for _ in operands(geom, b)]
     far_batch, batches = muskat.potentials._far_batch, []
 
     def counting(*args):
@@ -513,17 +541,76 @@ def test_a_velocity_operator_apply_transforms_each_field_once(monkeypatch):
 @pytest.mark.parametrize("M", [16, 17])
 def test_the_slope_bound_sums_the_held_half_spectrum(dim, M):
     # every mode present, the Nyquist one too for even M: the half-spectrum
-    # sum, each conjugate pair counted twice, is the full spectrum's
+    # sums, each conjugate pair counted twice, are the full spectrum's: the
+    # Wiener sum sum_k |k| |f^_k| and the curvature sum h sum_k |k|^2 |f^_k|;
+    # s is the lesser of the Wiener sum and G + sqrt(N)/2 times the curvature sum
     g = GridSpec(dim, 2 * np.pi, M)
     f = band_limited_random(g, M // 2, np.random.default_rng(M + dim))
     geom = InterfaceGeometry(f)
     s, _, lip = geom.slope_bound
-    full = np.sum(np.sqrt(wavenumber_squared(g)) * np.abs(np.fft.fftn(f.values))) / g.size
-    assert abs(s - full) <= 1e-13 * full
-    assert s >= lip > 0.0
-    assert not geom.spectrum.flags.writeable
+    k, full = np.sqrt(wavenumber_squared(g)), np.abs(np.fft.fftn(f.values)) / g.size
+    wiener_weights, curvature_weights = _slope_weights(g)
+    wiener = np.sum(wiener_weights * np.abs(geom.spectrum)) / g.size
+    curvature = np.sum(curvature_weights * np.abs(geom.spectrum)) / g.size
+    assert abs(wiener - np.sum(k * full)) <= 1e-13 * wiener
+    assert abs(curvature - g.spacing * np.sum(k * k * full)) <= 1e-13 * curvature
+    assert s == min(wiener, lip + np.sqrt(dim) / 2 * curvature)
+    assert wiener >= s >= lip > 0.0
+    for weights in (geom.spectrum, wiener_weights, curvature_weights):
+        assert not weights.flags.writeable
     with pytest.raises(ValueError):
         geom.spectrum[0] = 0.0
+
+
+def brute_slope(f):
+    # max |f(x) - f(x-xi)| / |xi| over the grid points x and the PV offsets xi
+    g, off = f.grid, pv_offsets(f.grid)
+    return max(np.max(np.abs(f.values - np.roll(f.values, tuple(n), axis=tuple(range(g.dim)))))
+               / r for n, r in zip(off.ints, off.r))
+
+
+def nyquist(g, axes):
+    # alternating +-1 along each of axes: a pure Nyquist mode
+    parity = sum(np.indices(g.shape)[j] for j in axes)
+    return ScalarField(g, 0.3 * (-1.0) ** parity)
+
+
+SLOPE_GRIDS = [(1, 64), (1, 33), (2, 16), (2, 15), (3, 8)]
+
+
+@pytest.mark.parametrize("dim, M", SLOPE_GRIDS, ids=[f"{d}d-M{M}" for d, M in SLOPE_GRIDS])
+def test_the_slope_bound_bounds_every_difference_quotient(dim, M):
+    # s >= |f(x) - f(x-xi)| / |xi| at every grid point and PV offset, by brute
+    # force, on band-limited random data up to the full spectrum, on pure
+    # Nyquist modes (every axis, one axis), and never above the Wiener sum;
+    # on a single Fourier mode s is the Wiener sum itself
+    g = GridSpec(dim, 2 * np.pi, M)
+    rng = np.random.default_rng(10 * M + dim)
+    randoms = [band_limited_random(g, kmax, rng) for kmax in (1, 3, M // 4, M // 2)]
+    modes = [make_mode(g, 0.4, (1,) + (0,) * (dim - 1)),
+             make_mode(g, 0.2, tuple(range(2, dim + 2)))]
+    if M % 2 == 0:
+        modes += [nyquist(g, range(dim)), nyquist(g, [0])]
+    for n, f in enumerate(randoms + modes):
+        geom = InterfaceGeometry(f)
+        s = geom.slope_bound[0]
+        wiener = np.sum(_slope_weights(g)[0] * np.abs(geom.spectrum)) / g.size
+        assert brute_slope(f) <= s <= wiener, n
+        assert s == wiener or n < len(randoms), n
+
+
+def test_the_slope_bound_on_the_benchmark_interfaces():
+    # the contrast bump: brute-force quotients within s, s well below the Wiener
+    # sum (the curvature term binds); the demo decay's single mode: s is the
+    # Wiener sum, so its pick stays
+    g = GridSpec(2, 2 * np.pi, 64)
+    bump = InterfaceGeometry(make_gaussian_bump(g, 0.7, [np.pi] * 2, 0.5))
+    s, _, lip = bump.slope_bound
+    wiener = np.sum(_slope_weights(g)[0] * np.abs(bump.spectrum)) / g.size
+    assert brute_slope(bump.f) <= s < 0.75 * wiener and s > lip
+    demo = InterfaceGeometry(make_mode(GridSpec(1, 20 * np.pi, 512), 1e-3, (4,)))
+    assert demo.slope_bound[0] == np.sum(_slope_weights(demo.grid)[0]
+                                         * np.abs(demo.spectrum)) / demo.grid.size
 
 
 @pytest.mark.parametrize("dim, M", [(1, 64), (2, 16), (3, 8)])
