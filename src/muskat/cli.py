@@ -154,16 +154,20 @@ def cmd_symbol(args) -> int:
     ray = np.asarray(parse_numbers("--ray", args.ray))
     if ray.shape != (dim,) or not np.any(ray):
         raise ConfigError("--ray must be a nonzero direction of the same dimension")
-    if not np.isfinite(args.zmax):
-        raise ConfigError(f"--zmax must be finite, got {args.zmax}")
     if not 1 <= args.num <= MAX_SYMBOL_SAMPLES:
         raise ConfigError(f"--num must lie in [1, {MAX_SYMBOL_SAMPLES}], got {args.num}")
+    if not np.isfinite(args.zmax * args.num):  # the samples' zmax * i / num
+        raise ConfigError(f"--zmax * --num must be finite, got {args.zmax} * {args.num}")
     ray = ray / np.linalg.norm(ray)
     rows = []
-    for i in range(1, args.num + 1):
-        z = ray * (args.zmax * i / args.num)
-        s = symbol_D(mspec, z)
-        rows.append(list(z) + [s.real, s.imag])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(1, args.num + 1):
+                z = ray * (args.zmax * i / args.num)
+                s = symbol_D(mspec, z)
+                rows.append(list(z) + [s.real, s.imag])
+    except FloatingPointError as exc:
+        raise ConfigError(f"--A, --n: the symbol is not finite ({exc})") from exc
     out = args.out or "symbol.csv"
     _write_csv(out, [f"z{j}" for j in range(dim)] + ["re_symbol", "im_symbol"], rows)
     print(f"wrote {len(rows)} symbol samples to {out}")

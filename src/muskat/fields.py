@@ -5,12 +5,13 @@ taken with minimal images, the vertical coordinate is unwrapped.  Off the
 interface the integrands are smooth, so plain lattice quadrature applies; a
 probe closer than h/2 to the interface is refused rather than extrapolated
 (the trace is a principal-value limit there and plain quadrature is
-meaningless).
+meaningless), and so is one whose distances overflow at the power N+1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot, sqrt
 
 import numpy as np
 
@@ -59,10 +60,19 @@ def _displacements(geom: InterfaceGeometry, probe: ProbePoint):
 
 
 def check_clearance(geom: InterfaceGeometry, probe: ProbePoint):
-    if probe.distance < 0.5 * geom.grid.spacing:
+    """Refuse a probe within h/2 of the interface, or one whose |z - z_xi|^(N+1) overflows."""
+    g, f = geom.grid, geom.f.values
+    if probe.distance < 0.5 * g.spacing:
         raise ValueError(
             f"probe at distance {probe.distance:.3e} is within h/2 of the interface; "
             "use the jump/trace utilities instead")
+    # the farthest interface point: each minimal-image displacement is at most L/2
+    reach = hypot(sqrt(g.dim) * g.extent / 2,
+                  max(probe.y - float(np.min(f)), float(np.max(f)) - probe.y))
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float64(reach) ** (g.dim + 1)):
+            raise ValueError(f"probe {(*probe.x, probe.y)} is up to {reach:.3e} from the "
+                             f"interface, a distance that overflows at the power {g.dim + 1}")
 
 
 def eval_velocity(geom: InterfaceGeometry, beta: ScalarField, probes) -> list:

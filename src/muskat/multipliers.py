@@ -109,6 +109,8 @@ class MultiplierSpec:
             raise ValueError(f"n + |nu| must be odd, got n={self.n}, nu={self.nu}")
         if len(self.A) != len(self.nu):
             raise ValueError("A and nu must have the space dimension length")
+        if not 1 <= len(self.nu) <= 3:
+            raise ValueError(f"the space dimension must be 1, 2 or 3, got {len(self.nu)}")
 
     @property
     def dim(self) -> int:

@@ -23,14 +23,16 @@ bound (:func:`_choose_split`), SMALL_SLOPE_TOL unless the density solve
 asks D for a looser one (:mod:`muskat.resolvent`); R = 0 is all far field
 (the small-slope expansion of every offset), R past the cell is the direct
 sum.  A split sums the near field, then the far field with the exact cores
-in it.  One byte cap, :data:`muskat.offsets.BLOCK_BYTES`, sizes every work
-buffer (:func:`muskat.offsets.block_rows`): the near field's blocks, the
-far field's transform chunks (each field's powers in one stacked rfftn,
-the accumulators of every group of a batch in one stacked irfftn) and its
+in it, over the operator's one plan (:func:`_far_groups`, which the cost
+model prices too) and the split's whole symbol table.  One byte cap,
+:data:`muskat.offsets.BLOCK_BYTES`, sizes every work buffer
+(:func:`muskat.offsets.block_rows`): the near field's blocks, the far
+field's transform chunks (each field's powers in one stacked rfftn, the
+accumulators of every group of a batch in one stacked irfftn) and its
 batches of groups, each added straight into the output as it ends.  A
-geometry transforms f once each way: its rfftn half is held, read by grad f
-and the slope bound alike.  The torus flux is summed directly over the
-cell's face ring.
+geometry transforms f once each way: its rfftn half is held, read by
+grad f and the slope bound alike.  The torus flux is summed directly over
+the cell's face ring.
 """
 
 from __future__ import annotations
@@ -450,38 +452,49 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
     :func:`_interpolant`).  With df^e = sum_a binom(e, a) f(x)^a
     (-f(x-xi))^(e-a), each monomial's term of order k is coef(x) f(x)^a
     times the convolution of the truncated lattice kernel
-    xi^nu / |xi|^(N+1+2k) 1{|xi| > R} with f^(e-a) u; its symbols are
-    built once per split (:func:`_symbol_table`).  Grouped by output
-    and x-coefficient (k, c), in batches of as many groups as a block of
-    :func:`block_rows` holds accumulators for (at least one): per field of a
-    batch one stacked rfftn of its powers p = e - a, the products summed per
-    group and power a in Fourier space, and one stacked irfftn of every
-    group's powers a per chunk of the batch, added straight to the output
-    (:func:`_far_batch`).  The exact cores ride the same pass
-    (:func:`_far_field`); the direct split (no coefficients) runs it for
-    them alone.  The near field comes first, then the pass.
+    xi^nu / |xi|^(N+1+2k) 1{|xi| > R} with f^(e-a) u, its symbols the
+    split's table (:func:`_symbol_table`).  op's plan (:func:`_far_groups`)
+    runs in batches of as many groups as a block of :func:`block_rows`
+    holds accumulators for (at least one): per field of a batch one stacked
+    rfftn of its powers p = e - a, the products summed per group and power
+    a in Fourier space, and one stacked irfftn of every group's powers a per
+    chunk of the batch, added straight to the output (:func:`_far_batch`).
+    The exact cores ride the same pass (:func:`_far_field`); the direct
+    split (no coefficients) runs them alone.  The near field comes first.
     """
     g = geom.grid
     us = op.fields([c.values for c in geom.grad_f], bv)
     near = near_offsets(g, split.radius)
     out = (_interface_sum(geom, op, us, near) if near.count
            else np.zeros((op.outputs,) + g.shape))
-    far = bool(split.coefs)
-    groups = {}  # (output k, x-coefficient c) -> the pass's entries (field, sign, axis, m, core)
-    for i, k, monomials in op.terms:
-        for sign, c, axis, m in monomials:
-            core = op.exact_core and c is None and m == 0
-            if far or core:
-                groups.setdefault((k, c), []).append((i, sign, axis, m, core))
+    groups = _far_groups(op)
+    if not split.coefs:  # the direct split: the exact cores alone
+        groups = [(key, cores) for key, entries in groups
+                  if (cores := tuple(e for e in entries if e[-1]))]
     if groups:
+        # before the work stacks: a table is built while the four it may evict are held
+        table = _symbol_table(g, split.radius, split.coefs) if split.coefs else None
         f = geom.f.values
         fc = f - 0.5 * (np.max(f) + np.min(f))  # the sum sees f only through df
         # as many groups per batch as a block holds accumulators for (2K+2 each)
-        items = list(groups.items())
         per = max(1, block_rows(g) // (2 * split.order + 2))
-        for lo in range(0, len(items), per):
-            _far_batch(geom, split, us, dict(items[lo:lo + per]), fc, out)
+        for lo in range(0, len(groups), per):
+            _far_batch(geom, split, table, us, groups[lo:lo + per], fc, out)
     return out
+
+
+@lru_cache(maxsize=None)
+def _far_groups(op: _Operator) -> tuple:
+    """op's far-field plan: ((k, c), entries) per output k and x-coefficient c, in table order.
+
+    An entry (i, sign, axis, m, core) is a monomial on field i; core marks
+    an exact constant Riesz core (c None, m = 0, op.exact_core)."""
+    groups = {}
+    for i, k, monomials in op.terms:
+        for sign, c, axis, m in monomials:
+            groups.setdefault((k, c), []).append(
+                (i, sign, axis, m, op.exact_core and c is None and m == 0))
+    return tuple((key, tuple(entries)) for key, entries in groups.items())
 
 
 def _direct_sum(geom: InterfaceGeometry, op: _Operator, bv) -> np.ndarray:
@@ -489,8 +502,8 @@ def _direct_sum(geom: InterfaceGeometry, op: _Operator, bv) -> np.ndarray:
     return _split_sum(geom, op, bv, _direct_split(geom.grid))
 
 
-def _far_batch(geom, split, us, batch, fc, out):
-    """Add the far field of a batch {(k, c): entries} of groups to out[k]; see _split_sum.
+def _far_batch(geom, split, table, us, batch, fc, out):
+    """Add the far field of a batch ((k, c), entries) of groups to out[k]; see _split_sum.
 
     The accumulators of every group of the batch, one half spectrum per
     power a of f(x), form one run in (group, a) order, stacked a chunk of
@@ -503,8 +516,7 @@ def _far_batch(geom, split, us, batch, fc, out):
     """
     g, K = geom.grid, split.order
     half = g.shape[:-1] + (g.points // 2 + 1,)
-    tops = {key: 2 * K + 1 + max(m for _, _, _, m, _ in entries)
-            for key, entries in batch.items()}
+    tops = {key: 2 * K + 1 + max(m for _, _, _, m, _ in entries) for key, entries in batch}
     slots = [(key, a) for key, top in tops.items() for a in range(top)]
     rows = min(block_rows(g), len(slots))
     chunks = [np.zeros((min(rows, len(slots) - lo),) + half, complex)
@@ -512,12 +524,12 @@ def _far_batch(geom, split, us, batch, fc, out):
     run = (acc for chunk in chunks for acc in chunk)
     accs = {key: list(islice(run, top)) for key, top in tops.items()}
     fields = {}
-    for key, entries in batch.items():
+    for key, entries in batch:
         for i, *entry in entries:
             fields.setdefault(i, []).append((key, *entry))
     work = np.empty((rows,) + g.shape), np.empty((rows,) + half, complex)
     for i in sorted(fields):
-        _far_field(geom, split, us[i], fields[i], fc, accs, work)
+        _far_field(geom, split, table, us[i], fields[i], fc, accs, work)
     slots, power = iter(slots), None
     for chunk in chunks:
         values = np.fft.irfftn(chunk, s=g.shape, axes=range(1, g.dim + 1),
@@ -533,33 +545,23 @@ def _far_batch(geom, split, us, batch, fc, out):
             out[k] += v
 
 
-def _far_field(geom, split, u, monomials, fc, accs, work):
+def _far_field(geom, split, table, u, monomials, fc, accs, work):
     """Add the terms of field u's monomials ((k, c), sign, axis, m, core) to accs[k, c][a].
 
     The powers u fc^p are formed in work's real stack and transformed a
     chunk at a time by one rfftn into its complex one.  The symbols are
-    read from the split's table (:func:`_symbol_table`), built on first
-    use; they carry no sign, so a term adds or subtracts.  An exact core
-    (c None, m = 0) also adds its p = 0 spectrum times the core's fix
-    (:func:`muskat.kernels.core_fix_apply`) to accumulator a = 0, the one
-    its symbols meet p = 0 in; the direct split has no symbols, so there
-    the pass adds the fixes alone.
+    indexed in the split's table (:func:`_symbol_table`), signless, so a
+    term adds or subtracts.  An exact core (c None, m = 0) also adds its p = 0
+    spectrum times the core's fix (:func:`muskat.kernels.core_fix_apply`)
+    to accumulator a = 0, the one its symbols meet p = 0 in; the direct
+    split has no table (None), so there the pass adds the fixes alone.
     """
     g, K = geom.grid, split.order
-    table = _symbol_table(g, split.radius, split.coefs) if split.coefs else None
     terms = []
     for (k_out, c), sign, axis, m, core in monomials:
         nu = tuple(int(j == axis) for j in range(g.dim))
-        scaled = () if table is None else table.get((nu, m))
-        if scaled is None:
-            # binom(e, a) = e! / (a! p!): e! goes with the symbol, 1/p! with
-            # the field's spectrum, 1/a! with the power of f(x)
-            scaled = table[nu, m] = far_symbols(g, split.radius, nu, K)
-            for k, (sym, ck) in enumerate(zip(scaled, split.coefs)):
-                sym *= ck * factorial(m + 2 * k)
-                sym.setflags(write=False)
-        terms.append((accs[k_out, c], np.add if sign > 0 else np.subtract, m, scaled,
-                      nu if core else None))
+        terms.append((accs[k_out, c], np.add if sign > 0 else np.subtract, m,
+                      () if table is None else table[nu, m], nu if core else None))
     powers, transforms = work
     buf = np.empty(transforms.shape[1:], complex)
     top = 2 * K + 1 + max(m for _, _, m, _, _ in terms)
@@ -584,23 +586,31 @@ def _far_field(geom, split, u, monomials, fc, accs, work):
 
 @lru_cache(maxsize=4)
 def _symbol_table(grid: GridSpec, radius: int, coefs: tuple) -> dict:
-    """The far field's symbol table of the split (grid, radius, coefs), empty at first.
+    """The far field's symbol table of the split (grid, radius, coefs): (nu, m) -> symbols.
 
-    It maps (nu, m) to :func:`muskat.kernels.far_symbols` of orders k <= K,
-    each scaled by c_k (m+2k)! and read-only, filled by :func:`_far_field`;
-    coefs fix N, the ladder interval and K, so the split's operators share
-    its N+1 entries.  Four tables are held, the most one stage reads: D at
-    each rung of the density solve's relaxation ladder, and the velocity
-    operator.
+    It holds the N+1 lists every split operator reads, nu = 0 with m = 1
+    and each e_j with m = 0: :func:`muskat.kernels.far_symbols` of orders
+    k <= K, each scaled by c_k (m+2k)! and read-only.  Four tables are
+    held, the most one stage reads: D at each rung of the density solve's
+    relaxation ladder, and the velocity operator.
     """
-    return {}
+    table = {}
+    for axis in (None, *range(grid.dim)):  # nu = 0 with m = 1, then each e_j with m = 0
+        nu, m = tuple(int(j == axis) for j in range(grid.dim)), int(axis is None)
+        # binom(e, a) = e! / (a! p!): e! goes with the symbol, 1/p! with
+        # the field's spectrum, 1/a! with the power of f(x)
+        symbols = table[nu, m] = far_symbols(grid, radius, nu, len(coefs) - 1)
+        for k, (sym, ck) in enumerate(zip(symbols, coefs)):
+            sym *= ck * factorial(m + 2 * k)
+            sym.setflags(write=False)
+    return table
 
 
 # Cost model of the split, in ns on one core of a 2-core Xeon (fitted on 1D
 # M=64..1024 and 2D M=16..64): a near-field pair term per monomial (plus two
 # for the denominator), a field's wrap-padded window, a far-field product of
 # two half spectra, and an FFT (fixed per axis, plus per point times log2 of
-# the size); each pair is (fixed, per grid point).  Read only by _split_costs.
+# the size); each pair is (fixed, per grid point).  Read only by _schedule.
 # The allocation-free near field alone measures about 2 to 3 ns per pair term
 # and monomial at 2D M=32..64 and 1D M=1024, but PAIR_NS = 1.9 moves 2D picks to
 # splits that time up to 70% slower (and 1D picks to ones up to 25% faster): the
@@ -649,35 +659,40 @@ def velocity_split(geom: InterfaceGeometry) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _split_costs(grid: GridSpec, op: _Operator) -> tuple:
-    """(near, A, B, C): op's split on grid costs near[R] + A (K+1)^2 + B (K+1) + C ns.
+def _schedule(grid: GridSpec, op: _Operator) -> tuple:
+    """(radii, (A, B, C), direct): op's split search on grid, priced in ns; see _choose_split.
 
-    near[R], per radius of :func:`_radii` (the last is the direct sum), is a
-    window per field and for f plus the pair terms of every near offset at
-    every grid point (0 with no near offset).  The far field at order K: per
-    entry (power m of df) 2K+1+m rfftn, K+1 symbols (an FFT and two
-    products' work each) and (K+1)(K+1+m) products; per (output,
-    x-coefficient) group (top power m) 2K+1+m irfftn.  The exact cores cost
-    the same on every split and are left out.  The model counts a transform
-    per power, although the far field stacks them (one call per field and
-    chunk, and one per chunk of a batch's accumulators, of
-    :func:`muskat.offsets.block_rows`).
+    radii holds (R, r, w, near) for R = 0..8 and then in steps of 1 + R // 8
+    while R stays inside the cell: r the smallest far |xi|, w the far
+    field's share of W_0 and near the near field's cost, a window per field
+    and for f plus the pair terms of every near offset at every grid point
+    (0 with none).  A split at (R, K) costs near + A (K+1)^2 + B (K+1) + C,
+    the direct sum direct.  The far field at order K, counted on op's plan
+    (:func:`_far_groups`): per entry (power m of df) 2K+1+m rfftn, K+1
+    symbols (an FFT and two products' work each) and (K+1)(K+1+m)
+    products; per group (top power m) 2K+1+m irfftn.  The exact cores'
+    fixes cost the same on every split and are left out.  A transform is
+    counted per power, although the far field stacks them (one call per
+    field and chunk, and one per chunk of a batch's accumulators).
     """
-    ms = [m for _, _, monomials in op.terms for *_, m in monomials]
-    tops = {}
-    for _, k, monomials in op.terms:
-        for _, c, _, m in monomials:
-            tops[k, c] = max(tops.get((k, c), 0), m)
+    groups = _far_groups(op)
+    ms = [m for _, entries in groups for _, _, _, m, _ in entries]
+    tops = [max(m for _, _, _, m, _ in entries) for _, entries in groups]
     fft_ns = grid.dim * FFT_NS[0] + FFT_NS[1] * grid.size * log2(grid.size)
     product_ns = PRODUCT_NS[0] + PRODUCT_NS[1] * grid.size
-    E, G = len(ms), len(tops)
+    E, G = len(ms), len(groups)
     A = E * product_ns
     B = (sum(ms) + 2 * E) * product_ns + (3 * E + 2 * G) * fft_ns
-    C = (sum(ms) + sum(tops.values()) - E - G) * fft_ns
+    C = (sum(ms) + sum(tops) - E - G) * fft_ns
     pair_ns = PAIR_NS * grid.size * (E + 2)
     window_ns = (len(op.sizes) + 1) * (WINDOW_NS[0] + WINDOW_NS[1] * grid.size)
-    near = tuple((window_ns + n * pair_ns) if n else 0.0 for n in _radii(grid).near)
-    return near, A, B, C
+    radii = _radii(grid)
+    near = [(window_ns + n * pair_ns) if n else 0.0 for n in radii.near]
+    schedule, R = [], 0
+    while R < len(near) - 1:
+        schedule.append((R, radii.nearest[R], radii.share[R], near[R]))
+        R += 1 + R // 8
+    return tuple(schedule), (A, B, C), near[-1]
 
 
 class _Scales(NamedTuple):
@@ -853,29 +868,12 @@ def _interpolant(dim: int, j: int, K: int) -> tuple:
     return coefs, truncation + conversion if isfinite(sum(coefs)) else inf
 
 
-@lru_cache(maxsize=None)
-def _schedule(grid: GridSpec, op: _Operator) -> tuple:
-    """(radii, (A, B, C), direct): op's split search on grid; see _choose_split.
-
-    radii holds (R, r, w, near) for R = 0..8 and then in steps of 1 + R // 8
-    while R stays inside the cell: r the smallest far |xi|, w the far
-    field's share of W_0 and near the near field's cost; A, B and C price
-    the far field and direct the direct sum (:func:`_split_costs`).
-    """
-    radii, (near, *costs) = _radii(grid), _split_costs(grid, op)
-    schedule, R = [], 0
-    while R < len(near) - 1:
-        schedule.append((R, radii.nearest[R], radii.share[R], near[R]))
-        R += 1 + R // 8
-    return tuple(schedule), tuple(costs), near[-1]
-
-
 def _walk(grid: GridSpec, scales: _Scales, schedule, tol: float, costs: tuple,
           best_ns: float) -> tuple | None:
     """The cheapest (R, K, bound, coefs) within tol over schedule that costs below best_ns, or None.
 
-    schedule holds (R, r, w, near) per radius, as :func:`_schedule`'s radii
-    do; with costs (A, B, C) a split costs near + A (K+1)^2 + B (K+1) + C.  At
+    schedule holds (R, r, w, near) per radius and costs (A, B, C), as
+    :func:`_schedule`'s do; a split costs near + A (K+1)^2 + B (K+1) + C.  At
     each radius the slope's ladder interval is taken once, and K = 0, 1, 2,
     ... is walked to the first K within tol, which becomes the best; the
     walk at R ends first where the next K costs at least the best or where
@@ -919,11 +917,12 @@ def _direct_split(grid: GridSpec) -> _Split:
     return _Split(len(_radii(grid).near) - 1, 0, 0.0, ())
 
 
-def _first_split(grid: GridSpec, scales: _Scales, radius: int, orders: int):
-    """The split at radius with the first K < orders within SMALL_SLOPE_TOL, or None."""
-    radii = _radii(grid)
+def _first_split(geom: InterfaceGeometry, op: _Operator, radius: int, orders: int):
+    """op's split on geom at radius with the first K < orders within SMALL_SLOPE_TOL, or None."""
+    radii = _radii(geom.grid)
     # a split costs K + 1 here, so K < orders
-    first = _walk(grid, scales, [(radius, radii.nearest[radius], radii.share[radius], 0.0)],
+    first = _walk(geom.grid, _scales(geom, op),
+                  [(radius, radii.nearest[radius], radii.share[radius], 0.0)],
                   SMALL_SLOPE_TOL, (0.0, 1.0, 0.0), orders + 1)
     return None if first is None else _Split(*first)
 
@@ -967,7 +966,7 @@ def _choose_split(geom: InterfaceGeometry, op: _Operator, tol: float) -> _Split:
     walks op's radius schedule (:func:`_schedule`, held per grid and op):
     R = 0 (no near field: the small-slope expansion of every offset), every
     cell up to 8 and then in steps of 1 + R // 8, while its K = 0 is cheaper
-    (:func:`_split_costs`) than the best so far.  At each R the first K
+    (by the schedule's cost model) than the best so far.  At each R the first K
     within the bound becomes the best, unless a K that costs at least the
     best comes first (:func:`_walk`); only the pick is built into a
     :class:`_Split`.

@@ -18,10 +18,10 @@ from .fields import jump_check
 from .offsets import near_offsets, pv_offsets
 from .potentials import (InterfaceGeometry, _a_operator, _aa_operator,
                          _d_operator, _d_star_operator, _direct_sum, _first_split,
-                         _scales, _split_sum, adjointness_defect, apply_A,
-                         apply_A_composed, apply_AA, apply_AA_composed, apply_D,
-                         apply_D_composed, apply_D_star, apply_D_star_composed,
-                         gradient_identity_residual, rellich_residual)
+                         _split_sum, adjointness_defect, apply_A, apply_A_composed,
+                         apply_AA, apply_AA_composed, apply_D, apply_D_composed,
+                         apply_D_star, apply_D_star_composed, gradient_identity_residual,
+                         rellich_residual)
 from .profiles import DifferenceProfile, phibar
 from .resolvent import solve_beta
 
@@ -202,7 +202,7 @@ def suite_composed(cfg):
         geom, rng = _geometry(M, cfg.seed, amp=1e-3)
         b = [band_limited_random(geom.grid, 3, rng)]
         op = _aa_operator(1)
-        split = _first_split(geom.grid, _scales(geom, op), 0, 8)
+        split = _first_split(geom, op, 0, 8)
         composed = apply_AA_composed(geom, b).values
         rel = (np.inf if split is None else
                float(np.max(np.abs(_split_sum(geom, op, [b[0].values], split)[0] - composed))

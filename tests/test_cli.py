@@ -357,12 +357,23 @@ BAD_INPUT = {
     "missing-probes": ({}, ["field", "--probes", "{tmp}/missing.csv"]),
     "probe-not-a-number": ({}, ["field", "--probes", "{tmp}/probes.csv"]),
     "probe-within-half-h": ({}, ["field", "--probes", "{tmp}/near.csv"]),
+    # the probe's squared distance to the interface overflows
+    "probe-too-far": ({}, ["field", "--probes", "{tmp}/too-far.csv"]),
     "symbol-not-a-number": (None, ["symbol", "--A", "0.5,x", "--nu", "1,0",
                                    "--ray", "1,1"]),
     "symbol-no-samples": (None, ["symbol", "--A", "0.5,0", "--nu", "1,0",
                                  "--ray", "1,1", "--num", "0"]),
     "symbol-out-unwritable": (None, ["symbol", "--A", "0", "--nu", "1", "--ray", "1",
                                      "--out", "{tmp}/missing/s.csv"]),
+    "symbol-four-dimensions": (None, ["symbol", "--A", "0,0,0,0", "--nu", "1,0,0,0",
+                                      "--ray", "1,0,0,0", "--out", "{tmp}/s.csv"]),
+    # the last frequency, zmax * num / num, overflows
+    "symbol-frequency-overflows": (None, ["symbol", "--A", "0", "--nu", "1", "--ray", "1",
+                                          "--num", "2", "--zmax", "1e308",
+                                          "--out", "{tmp}/s.csv"]),
+    # (A.w)^2 overflows, and the profile times (A.w)^3 is inf * 0
+    "symbol-value-overflows": (None, ["symbol", "--A", "1e200", "--n", "3", "--nu", "0",
+                                      "--ray", "1", "--num", "2", "--out", "{tmp}/s.csv"]),
     "field-out-unwritable": ({}, ["field", "--probes", "{tmp}/far.csv",
                                   "--out", "{tmp}/missing/f.csv"]),
 }
@@ -383,6 +394,7 @@ def test_bad_input_is_config_error(case, tmp_path, capsys):
     write(tmp_path / "probes.csv", "x0,y\n1.0,abc\n")
     write(tmp_path / "near.csv", "x0,y\n3.1,0.2\n")  # the bump is 0.199 at x = 3.1
     write(tmp_path / "far.csv", "x0,y\n3.1,2.0\n")
+    write(tmp_path / "too-far.csv", "x0,y\n3.1,1e200\n")
     (tmp_path / "huge.bin").write_bytes(snapshot_bytes(1, 2**34, 64))  # 128 GiB of data
     (tmp_path / "trailing.bin").write_bytes(snapshot_bytes(1, 64, 64 + 100))
     (tmp_path / "fractional.bin").write_bytes(snapshot_bytes(1.7, 64.9, 64))

@@ -14,7 +14,7 @@ from muskat.potentials import (EPS, ROUNDING_GROWTH, SMALL_SLOPE_TOL, InterfaceG
                                _a_operator, _aa_operator, _cosines, _d_operator,
                                _d_star_operator, _direct_sum, _first_split, _flux_operator,
                                _interface_sum, _interpolant, _interval, _radii, _scales,
-                               _slope_weights, _split_costs, _split_sum, adjointness_defect,
+                               _schedule, _slope_weights, _split_sum, adjointness_defect,
                                apply_A, apply_A_composed, apply_AA, apply_AA_composed, apply_D,
                                apply_D_composed, apply_D_star, apply_D_star_composed,
                                boundary_trace, gradient_identity_residual, rellich_residual,
@@ -299,7 +299,7 @@ def test_forced_split_within_its_bound():
     rng = np.random.default_rng(4)
     b = [band_limited_random(g, 16, rng) for _ in range(2)]
     for op, bv, _, scale in operands(geom, b):
-        split = _first_split(g, _scales(geom, op), 6, 100)
+        split = _first_split(geom, op, 6, 100)
         got, ref = _split_sum(geom, op, bv, split), reference_sum(geom, op, bv)
         for k, (got_k, ref_k) in enumerate(zip(got, ref)):
             err = np.max(np.abs(got_k - ref_k))
@@ -413,15 +413,17 @@ def test_the_pick_is_the_cheapest_pair_within_the_bound():
         geom, g = InterfaceGeometry(f), f.grid
         for op in (_d_operator(g.dim), _d_star_operator(g.dim), _a_operator(g.dim),
                    _aa_operator(g.dim)):
-            near, A, B, C = _split_costs(g, op)
+            schedule, (A, B, C), direct_ns = _schedule(g, op)
+            direct, radii = len(_radii(g).near) - 1, [0]
+            while radii[-1] + 1 + radii[-1] // 8 < direct:
+                radii.append(radii[-1] + 1 + radii[-1] // 8)
+            assert [R for R, *_ in schedule] == radii
             for tol in RELAXATION_LADDER:
-                direct, R = len(near) - 1, 0
-                candidates = [(near[direct], (direct, 0))]
-                while R < direct:
+                candidates = [(direct_ns, (direct, 0))]
+                for R, _, _, near in schedule:
                     K = first_order(geom, op, R, tol)
                     if K is not None:
-                        candidates.append((near[R] + (A * (K + 1) + B) * (K + 1) + C, (R, K)))
-                    R += 1 + R // 8
+                        candidates.append((near + (A * (K + 1) + B) * (K + 1) + C, (R, K)))
                 pick = geom.split(op, split_tol=tol)
                 assert min(candidates, key=lambda c: c[0])[1] == pick[:2], (g, op.terms, tol)
                 assert pick.bound <= tol

@@ -13,7 +13,7 @@ from muskat.dynamics import InterfaceState, PhysicalParams, step
 from muskat.grid import GridSpec, band_limited_random, inner, l2_norm, make_gaussian_bump
 from muskat.offsets import near_offsets, pv_offsets
 from muskat.potentials import (InterfaceGeometry, _a_operator, _aa_operator, _d_operator,
-                               _d_star_operator, _first_split, _scales, _split_sum, apply_A,
+                               _d_star_operator, _first_split, _split_sum, apply_A,
                                apply_A_composed, apply_AA, apply_AA_composed, apply_D,
                                apply_D_composed, apply_D_star, apply_D_star_composed)
 
@@ -81,7 +81,7 @@ def test_direct_operators_equal_their_compositions():
                 (_d_star_operator(dim), [beta.values], [apply_D_star_composed(geom, beta)]),
                 (_a_operator(dim), bv, apply_A_composed(geom, b)),
                 (_aa_operator(dim), bv, [apply_AA_composed(geom, b)])):
-            split = _first_split(geom.grid, _scales(geom, op), 0, 8)
+            split = _first_split(geom, op, 0, 8)
             paths.add(split is not None)
             if split is not None:
                 far = _split_sum(geom, op, inputs, split)

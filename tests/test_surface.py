@@ -1,8 +1,8 @@
 """Guards against library surface that nothing in the package uses, and against output
 written, the lattice kernel summed, the exact Riesz core corrected, the split's cost
-model built, the relaxation ladder or the byte cap read or a split tolerance passed, from
-more than one place, and against a benchmark hook that names a layer the package no
-longer has."""
+model or far-field plan built, the relaxation ladder or the byte cap read or a split
+tolerance passed, from more than one place, and against a benchmark hook that names a
+layer the package no longer has."""
 
 import ast
 import importlib
@@ -166,7 +166,21 @@ def test_the_split_cost_model_is_built_in_one_place():
             for name in ast.walk(node):
                 if (getattr(name, "id", None) or getattr(name, "attr", None)) in COST_CONSTANTS:
                     found.add((path.name, getattr(node, "name", "<module>")))
-    assert found == {("potentials.py", "_split_costs")}
+    assert found == {("potentials.py", "_schedule")}
+
+
+def test_the_far_field_plan_is_derived_in_one_place():
+    # the split sum and the cost model read one grouping of an operator's
+    # monomials, and only that grouping asks which monomials are exact cores
+    assert _callers("_far_groups") == {("potentials.py", "_split_sum"),
+                                       ("potentials.py", "_schedule")}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for name in ast.walk(node):
+                if isinstance(name, ast.Attribute) and name.attr == "exact_core":
+                    found.add((path.name, getattr(node, "name", "<module>")))
+    assert found == {("potentials.py", "_far_groups")}
 
 
 def test_the_relaxation_ladder_is_read_in_one_place():
