@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .dynamics import (InterfaceState, PhysicalParams, StepperConfig, evolve,
                        rt_margin, step, wow_residual)
 from .grid import (GridSpec, ScalarField, integrate, l2_norm, load_field, save_field,
-                   sobolev_norm, spectral_derivative)
+                   spectral_derivative)
 from .kernels import OperatorSpec, apply_B, chain_rule_residual
 from .multipliers import MultiplierSpec, SphereRule, symbol_D, symbol_T
 from .potentials import (InterfaceGeometry, apply_A, apply_AA, apply_D,
@@ -30,7 +30,7 @@ __all__ = [
     "StepperConfig", "apply_A", "apply_AA", "apply_B", "apply_D",
     "apply_D_star", "chain_rule_residual", "evolve",
     "gradient_identity_residual", "integrate", "l2_norm", "load_field",
-    "phibar", "rellich_residual", "rt_margin", "save_field", "sobolev_norm",
+    "phibar", "rellich_residual", "rt_margin", "save_field",
     "solve_beta", "spectral_derivative", "step", "symbol_D", "symbol_T",
     "wow_residual",
 ]

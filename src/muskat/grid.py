@@ -161,16 +161,10 @@ def half_pairs(grid: GridSpec) -> np.ndarray:
     return pairs
 
 
-def sobolev_norm(u: ScalarField, s: float) -> float:
-    """Discrete H^s proxy: (sum_k (1+|2 pi k/L|^2)^s |u_k|^2 L^N / M^{2N})^(1/2).
-
-    Summed over u's rfftn half; see :func:`half_sobolev_norm`.
-    """
-    return half_sobolev_norm(u.grid, np.fft.rfftn(u.values), s)
-
-
 def half_sobolev_norm(grid: GridSpec, uh: np.ndarray, s: float) -> float:
-    """:func:`sobolev_norm` of the real field whose rfftn half is ``uh``.
+    """Discrete H^s proxy of the real field whose rfftn half is ``uh``:
+
+        (sum_k (1+|2 pi k/L|^2)^s |u_k|^2 L^N / M^{2N})^(1/2).
 
     Each mode of the half is weighted by the square root of the modes it
     stands for (:func:`half_pairs`).  Computed as a scaled 2-norm, with the

@@ -142,25 +142,26 @@ def _naked_sum(spec: OperatorSpec, a_vals, b_vals, beta_vals, grid: GridSpec):
     off = pv_offsets(grid)
     w_geom = riesz_core_weight(grid, spec.nu, sum(spec.nu) + grid.dim)
     # phibar_transform passes one field as a and as every b: difference it once
-    fields = {id(v): v for v in a_vals + b_vals}
+    diffs = list({id(v): v for v in a_vals + b_vals}.values())
+    at = {id(v): j for j, v in enumerate(diffs)}
     # slots multiply in value order, so any permutation of b gives the same bits
-    b_vals = sorted(b_vals, key=lambda v: v.tobytes())
+    b_at = [at[id(v)] for v in sorted(b_vals, key=lambda v: v.tobytes())]
 
     def term(t, shifted, out, buffer):
         r, row = off.r[t], out[0]
-        quot = {}
-        for j, (key, v) in enumerate(fields.items()):
-            quot[key] = np.subtract(v, shifted(v), out=buffer(j))
-            quot[key] /= r
-        squares = tuple(np.square(quot[id(av)], out=buffer(len(fields) + j))
+        quot = []
+        for j, v in enumerate(diffs):
+            quot.append(np.subtract(v, shifted[j], out=buffer(j)))
+            quot[j] /= r
+        squares = tuple(np.square(quot[at[id(av)]], out=buffer(len(diffs) + j))
                         for j, av in enumerate(a_vals))
-        phiv = spec.profile(squares, out=buffer(len(fields) + len(a_vals)))
-        np.multiply(phiv, shifted(beta_vals), out=row)
-        for bv in b_vals:
-            row *= quot[id(bv)]
+        phiv = spec.profile(squares, out=buffer(len(diffs) + len(a_vals)))
+        np.multiply(phiv, shifted[-1], out=row)
+        for j in b_at:
+            row *= quot[j]
         row *= w_geom[t]
 
-    return lattice_sum(grid, term)[0]
+    return lattice_sum(grid, term, diffs + [beta_vals])[0]
 
 
 def apply_B(spec: OperatorSpec, a, b, beta: ScalarField,

@@ -120,21 +120,21 @@ def face_ring(grid: GridSpec) -> OffsetSet:
     return OffsetSet(grid, ints[keep], (2 if even else 1) * faces[keep] * (M // 2) * grid.spacing)
 
 
-def lattice_sum(grid: GridSpec, term, outputs: int = 1, offsets=None) -> np.ndarray:
+def lattice_sum(grid: GridSpec, term, fields, outputs: int = 1, offsets=None) -> np.ndarray:
     """Sum of the terms of every offset, in offset order: shape (outputs,) + grid shape.
 
     The offsets default to the PV set of ``grid``; ``offsets.blocks`` fixes
     the blocks.  For a block of n offsets, ``term(t, shifted, out, buffer)``
     writes the block's terms into ``out``, of shape (outputs, n) + grid
     shape.  ``t`` indexes a per-offset table of shape (count,) into a column
-    of shape (n, 1, ..., 1); ``shifted(u)`` is a read-only view of shape
-    (n,) + grid shape holding u(x - xi) for each offset xi of the block;
-    ``buffer(j)`` is work buffer j, of shape (n,) + grid shape.  ``out`` and
-    the buffers are allocated once per call, for the longest block, and
-    every block reuses them, so no block allocates a block-shaped array.
-    Each distinct array passed to ``shifted`` is wrap-padded once per call by
-    M//2 per axis (the face ring reaches +M//2) and read through a sliding
-    window, so no block copies a field.
+    of shape (n, 1, ..., 1); ``shifted[j]`` is a read-only view of shape
+    (n,) + grid shape holding fields[j](x - xi) for each offset xi of the
+    block; ``buffer(j)`` is work buffer j, of shape (n,) + grid shape.
+    ``out`` and the buffers are allocated once per call, for the longest
+    block, and every block reuses them, so no block allocates a block-shaped
+    array.  Each field is wrap-padded once per call by M//2 per axis (the
+    face ring reaches +M//2) and read through a sliding window, so no block
+    copies a field.
 
     ``out`` is rows 1..n of a buffer whose row 0 holds the running sum, and
     the block axis, an outer one, is reduced with ``np.sum``, which adds its
@@ -142,13 +142,9 @@ def lattice_sum(grid: GridSpec, term, outputs: int = 1, offsets=None) -> np.ndar
     offsets whatever the blocks, and bit-identical across runs.
     """
     off = offsets or pv_offsets(grid)
-    windows, work = {}, []
-
-    def shifted(u):
-        if id(u) not in windows:  # keep u, so its id stays unique during the call
-            padded = np.pad(u, grid.points // 2, mode="wrap")
-            windows[id(u)] = (u, sliding_window_view(padded, grid.shape))
-        return windows[id(u)][1][view]
+    windows = [sliding_window_view(np.pad(u, grid.points // 2, mode="wrap"), grid.shape)
+               for u in fields]
+    work = []
 
     def buffer(j):
         while len(work) <= j:
@@ -161,7 +157,7 @@ def lattice_sum(grid: GridSpec, term, outputs: int = 1, offsets=None) -> np.ndar
     for t, view in off.blocks:
         n = t[0].stop - t[0].start
         rows[:, 0] = acc
-        term(t, shifted, rows[:, 1:n + 1], buffer)
+        term(t, [w[view] for w in windows], rows[:, 1:n + 1], buffer)
         np.sum(rows[:, :n + 1], axis=1, out=acc)
     return acc
 

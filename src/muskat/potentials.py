@@ -30,6 +30,9 @@ model prices too) and the split's whole symbol table.  One byte cap,
 field's transform chunks (each field's powers in one stacked rfftn, the
 accumulators of every group of a batch in one stacked irfftn) and its
 batches of groups, each added straight into the output as it ends.  A
+batch's accumulators are the rows of its chunks, in one list that each
+group reads a slice of, and the near field's kernel sum reads its fields
+from the list it passes :func:`muskat.offsets.lattice_sum`.  A
 geometry transforms f once each way: its rfftn half is held, read by
 grad f and the slope bound alike.  The torus flux is summed directly over
 the cell's face ring.
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import count, islice
+from itertools import count
 from math import ceil, factorial, inf, isfinite, log1p, log2, sqrt
 from typing import Callable, NamedTuple
 
@@ -159,9 +162,9 @@ def _interface_sum(geom: InterfaceGeometry, op: _Operator, us, offsets) -> np.nd
     block at a time: df = f(x) - f(x-xi) for each offset xi of the block, a
     term (i, k, monomials) of op adds us[i](x-xi) times its monomials to
     output k, and a weighted offset set weights its terms; see
-    :func:`muskat.offsets.lattice_sum`, whose work buffers hold df, the
-    denominator and the factors.  The result has shape (outputs,) + grid
-    shape.
+    :func:`muskat.offsets.lattice_sum` over f and the fields, whose work
+    buffers hold df, the denominator and the factors.  The result has shape
+    (outputs,) + grid shape.
     """
     g = geom.grid
     fvals, r2 = geom.f.values, offsets.r**2
@@ -169,7 +172,7 @@ def _interface_sum(geom: InterfaceGeometry, op: _Operator, us, offsets) -> np.nd
 
     def term(t, shifted, out, buffer):
         df, den, part = buffer(0), buffer(1), buffer(2)
-        np.subtract(fvals, shifted(fvals), out=df)
+        np.subtract(fvals, shifted[0], out=df)
         np.multiply(df, df, out=den)
         den += r2[t]
         if g.dim == 2:
@@ -183,22 +186,19 @@ def _interface_sum(geom: InterfaceGeometry, op: _Operator, us, offsets) -> np.nd
                                        scale) if v is not None]
                 if len(factors) < 2:
                     val = factors[0] if factors else 1.0
-                else:
-                    val = buffer(3) if fac is None else part
-                    np.multiply(factors[0], factors[1], out=val)
-                    for v in factors[2:]:
-                        val *= v
+                else:  # no table has a monomial of more than two factors
+                    val = np.multiply(*factors, out=buffer(3) if fac is None else part)
                 fac = val if fac is None else (np.add if add else np.subtract)(
                     fac, val, out=buffer(3))
             if first:
-                np.multiply(fac, shifted(us[i]), out=out[k])
+                np.multiply(fac, shifted[1 + i], out=out[k])
             else:
-                out[k] += np.multiply(fac, shifted(us[i]), out=part)
+                out[k] += np.multiply(fac, shifted[1 + i], out=part)
         out /= den
         if offsets.weight is not None:
             out *= offsets.weight[t]
 
-    total = lattice_sum(g, term, op.outputs, offsets)
+    total = lattice_sum(g, term, [fvals, *us], op.outputs, offsets)
     return g.spacing**g.dim / sphere_area(g.dim) * total
 
 
@@ -458,9 +458,10 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
     holds accumulators for (at least one): per field of a batch one stacked
     rfftn of its powers p = e - a, the products summed per group and power
     a in Fourier space, and one stacked irfftn of every group's powers a per
-    chunk of the batch, added straight to the output (:func:`_far_batch`).
-    The exact cores ride the same pass (:func:`_far_field`); the direct
-    split (no coefficients) runs them alone.  The near field comes first.
+    chunk of the batch, added straight to the output, one
+    :func:`_far_field` per batch.  The exact cores ride the same pass; the
+    direct split (no coefficients) runs them alone.  The near field comes
+    first.
     """
     g = geom.grid
     us = op.fields([c.values for c in geom.grad_f], bv)
@@ -479,7 +480,7 @@ def _split_sum(geom: InterfaceGeometry, op: _Operator, bv, split: _Split) -> np.
         # as many groups per batch as a block holds accumulators for (2K+2 each)
         per = max(1, block_rows(g) // (2 * split.order + 2))
         for lo in range(0, len(groups), per):
-            _far_batch(geom, split, table, us, groups[lo:lo + per], fc, out)
+            _far_field(geom, split, table, us, groups[lo:lo + per], fc, out)
     return out
 
 
@@ -502,39 +503,68 @@ def _direct_sum(geom: InterfaceGeometry, op: _Operator, bv) -> np.ndarray:
     return _split_sum(geom, op, bv, _direct_split(geom.grid))
 
 
-def _far_batch(geom, split, table, us, batch, fc, out):
+def _far_field(geom, split, table, us, batch, fc, out):
     """Add the far field of a batch ((k, c), entries) of groups to out[k]; see _split_sum.
 
     The accumulators of every group of the batch, one half spectrum per
-    power a of f(x), form one run in (group, a) order, stacked a chunk of
-    :func:`block_rows` at a time; each chunk is inverted by one irfftn and
-    added to its outputs' rows accumulator by accumulator, so out[k] takes
-    its additions in the same order whatever the chunks.  The fields'
-    powers are transformed through two work stacks of as many rows, one
-    real and one complex, held for the batch.  The fields are visited in
-    index order, so the bits depend on neither the chunk nor the batch size.
+    power a of f(x), are one list of rows in (group, a) order, stacked a
+    chunk of :func:`block_rows` at a time; a group's accumulators are a
+    slice of it.  The fields are visited in index order: each field's
+    powers u fc^p are formed in a real work stack and transformed a chunk at
+    a time by one rfftn into a complex one, both of as many rows as a chunk
+    and held for the batch.  The symbols are indexed in the split's table
+    (:func:`_symbol_table`), signless, so a term adds or subtracts.  An
+    exact core (c None, m = 0) also adds its p = 0 spectrum times the
+    core's fix (:func:`muskat.kernels.core_fix_apply`) to accumulator
+    a = 0, the one its symbols meet p = 0 in; the direct split has no table
+    (None), so there the pass adds the fixes alone.  Then each chunk is
+    inverted by one irfftn and added to its outputs' rows accumulator by
+    accumulator, so out[k] takes its additions in the same order whatever
+    the chunks, and the bits depend on neither the chunk nor the batch size.
     """
     g, K = geom.grid, split.order
     half = g.shape[:-1] + (g.points // 2 + 1,)
-    tops = {key: 2 * K + 1 + max(m for _, _, _, m, _ in entries) for key, entries in batch}
-    slots = [(key, a) for key, top in tops.items() for a in range(top)]
+    tops = [2 * K + 1 + max(m for _, _, _, m, _ in entries) for _, entries in batch]
+    slots = [(key, a) for (key, _), top in zip(batch, tops) for a in range(top)]
     rows = min(block_rows(g), len(slots))
     chunks = [np.zeros((min(rows, len(slots) - lo),) + half, complex)
               for lo in range(0, len(slots), rows)]
-    run = (acc for chunk in chunks for acc in chunk)
-    accs = {key: list(islice(run, top)) for key, top in tops.items()}
-    fields = {}
-    for key, entries in batch:
-        for i, *entry in entries:
-            fields.setdefault(i, []).append((key, *entry))
-    work = np.empty((rows,) + g.shape), np.empty((rows,) + half, complex)
-    for i in sorted(fields):
-        _far_field(geom, split, table, us[i], fields[i], fc, accs, work)
-    slots, power = iter(slots), None
-    for chunk in chunks:
+    accs = [acc for chunk in chunks for acc in chunk]
+    fields, start = {}, 0
+    for (_, entries), top in zip(batch, tops):
+        for i, sign, axis, m, core in entries:
+            nu = tuple(int(j == axis) for j in range(g.dim))
+            combine = np.add if sign > 0 else np.subtract
+            fields.setdefault(i, []).append((accs[start:start + top], combine, m,
+                                             () if table is None else table[nu, m],
+                                             nu if core else None))
+        start += top
+    powers, transforms = np.empty((rows,) + g.shape), np.empty((rows,) + half, complex)
+    buf = np.empty(half, complex)
+    for i, terms in sorted(fields.items()):
+        top = 2 * K + 1 + max(m for _, _, m, _, _ in terms)
+        for lo in range(0, top, rows):
+            n = min(rows, top - lo)
+            for j in range(n):
+                if lo + j == 0:
+                    powers[0] = us[i]
+                else:
+                    np.multiply(powers[j - 1], fc, out=powers[j])  # row -1 ends the chunk before
+            np.fft.rfftn(powers[:n], axes=range(1, g.dim + 1), out=transforms[:n])
+            for p, spec in enumerate(transforms[:n], lo):
+                if p:
+                    spec *= (-1) ** p / factorial(p)
+                for acc, combine, m, scaled, core in terms:
+                    for k in range(max(p - m + 1, 0) // 2, len(scaled)):
+                        np.multiply(spec, scaled[k], out=buf)
+                        combine(acc[m + 2 * k - p], buf, out=acc[m + 2 * k - p])
+                    if core is not None and p == 0:
+                        combine(acc[0], core_fix_apply(g, core, spec, out=buf), out=acc[0])
+    del buf  # not held through the inverses, whose temporaries set the peak
+    for lo, chunk in zip(range(0, len(slots), rows), chunks):
         values = np.fft.irfftn(chunk, s=g.shape, axes=range(1, g.dim + 1),
-                               out=work[0][:len(chunk)])
-        for v, ((k, c), a) in zip(values, slots):  # values first: zip takes no slot past it
+                               out=powers[:len(chunk)])
+        for v, ((k, c), a) in zip(values, slots[lo:lo + len(chunk)]):
             if a:
                 power = fc if a == 1 else power * fc
                 v *= power
@@ -543,45 +573,6 @@ def _far_batch(geom, split, table, us, batch, fc, out):
             if c is not None:
                 v *= geom.grad_f[c].values
             out[k] += v
-
-
-def _far_field(geom, split, table, u, monomials, fc, accs, work):
-    """Add the terms of field u's monomials ((k, c), sign, axis, m, core) to accs[k, c][a].
-
-    The powers u fc^p are formed in work's real stack and transformed a
-    chunk at a time by one rfftn into its complex one.  The symbols are
-    indexed in the split's table (:func:`_symbol_table`), signless, so a
-    term adds or subtracts.  An exact core (c None, m = 0) also adds its p = 0
-    spectrum times the core's fix (:func:`muskat.kernels.core_fix_apply`)
-    to accumulator a = 0, the one its symbols meet p = 0 in; the direct
-    split has no table (None), so there the pass adds the fixes alone.
-    """
-    g, K = geom.grid, split.order
-    terms = []
-    for (k_out, c), sign, axis, m, core in monomials:
-        nu = tuple(int(j == axis) for j in range(g.dim))
-        terms.append((accs[k_out, c], np.add if sign > 0 else np.subtract, m,
-                      () if table is None else table[nu, m], nu if core else None))
-    powers, transforms = work
-    buf = np.empty(transforms.shape[1:], complex)
-    top = 2 * K + 1 + max(m for _, _, m, _, _ in terms)
-    for lo in range(0, top, len(powers)):
-        n = min(len(powers), top - lo)
-        for j in range(n):
-            if lo + j == 0:
-                powers[0] = u
-            else:
-                np.multiply(powers[j - 1], fc, out=powers[j])  # row -1 ends the chunk before
-        np.fft.rfftn(powers[:n], axes=range(1, g.dim + 1), out=transforms[:n])
-        for p, spec in enumerate(transforms[:n], lo):
-            if p:
-                spec *= (-1) ** p / factorial(p)
-            for acc, combine, m, scaled, core in terms:
-                for k in range(max(p - m + 1, 0) // 2, len(scaled)):
-                    np.multiply(spec, scaled[k], out=buf)
-                    combine(acc[m + 2 * k - p], buf, out=acc[m + 2 * k - p])
-                if core is not None and p == 0:
-                    combine(acc[0], core_fix_apply(g, core, spec, out=buf), out=acc[0])
 
 
 @lru_cache(maxsize=4)
@@ -664,16 +655,17 @@ def _schedule(grid: GridSpec, op: _Operator) -> tuple:
 
     radii holds (R, r, w, near) for R = 0..8 and then in steps of 1 + R // 8
     while R stays inside the cell: r the smallest far |xi|, w the far
-    field's share of W_0 and near the near field's cost, a window per field
-    and for f plus the pair terms of every near offset at every grid point
-    (0 with none).  A split at (R, K) costs near + A (K+1)^2 + B (K+1) + C,
+    field's share of W_0 and near the near field's cost, a window for f and
+    for each field (the list :func:`_interface_sum` passes
+    :func:`muskat.offsets.lattice_sum`) plus the pair terms of every near
+    offset at every grid point (0 with none).  A split at (R, K) costs near + A (K+1)^2 + B (K+1) + C,
     the direct sum direct.  The far field at order K, counted on op's plan
     (:func:`_far_groups`): per entry (power m of df) 2K+1+m rfftn, K+1
     symbols (an FFT and two products' work each) and (K+1)(K+1+m)
     products; per group (top power m) 2K+1+m irfftn.  The exact cores'
     fixes cost the same on every split and are left out.  A transform is
-    counted per power, although the far field stacks them (one call per
-    field and chunk, and one per chunk of a batch's accumulators).
+    counted per power, although :func:`_far_field` stacks them (one call
+    per field and chunk, and one per chunk of a batch's accumulators).
     """
     groups = _far_groups(op)
     ms = [m for _, entries in groups for _, _, _, m, _ in entries]

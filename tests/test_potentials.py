@@ -489,13 +489,13 @@ def test_far_fields_do_not_depend_on_the_chunk_or_batch_size(monkeypatch, dim, M
     s, osc, _ = geom.slope_bound
     coefs = _interpolant(dim, _interval(min(s, osc / _radii(g).nearest[R])), 8)[0]
     splits = [_Split(R, 8, np.inf, coefs) for _ in operands(geom, b)]
-    far_batch, batches = muskat.potentials._far_batch, []
+    far_field, batches = muskat.potentials._far_field, []
 
     def counting(*args):
         batches[-1] += 1
-        return far_batch(*args)
+        return far_field(*args)
 
-    monkeypatch.setattr(muskat.potentials, "_far_batch", counting)
+    monkeypatch.setattr(muskat.potentials, "_far_field", counting)
     sums, runs = [], {}
     for cap in (1, 3 * 8 * g.size, muskat.offsets.BLOCK_BYTES, 1 << 40):
         monkeypatch.setattr(muskat.offsets, "BLOCK_BYTES", cap)
@@ -663,6 +663,42 @@ def test_a_near_sum_allocates_its_block_buffers_once(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= budget, (R, peak, budget)
+
+
+def test_a_far_pass_allocates_its_chunks_and_work_stacks_once(monkeypatch):
+    # a warm far pass at 2D M=64 on the contrast bump, its table prebuilt:
+    # each batch peaks at its chunks of accumulators, its real and complex
+    # work stacks, one chunk's transform temporaries and two grids (the
+    # product buffer among them), for D at (10, 14) (one group) and the
+    # velocity operator at (10, 15) (three groups, one per batch)
+    geom = gaussian_geometry(64, 2, amp=0.7)
+    g, rng = geom.grid, np.random.default_rng(0)
+    b = [band_limited_random(g, 4, rng) for _ in range(2)]
+    grid_bytes, half_bytes = 8 * g.size, 16 * g.points * (g.points // 2 + 1)
+    far_field, peaks = muskat.potentials._far_field, []
+
+    def traced(geom, split, table, us, batch, fc, out):
+        slots = sum(2 * split.order + 1 + max(e[3] for e in entries) for _, entries in batch)
+        rows = min(muskat.offsets.block_rows(g), slots)
+        budget = slots * half_bytes + rows * (grid_bytes + 2 * half_bytes) + 2 * grid_bytes
+        tracemalloc.start()
+        try:
+            far_field(geom, split, table, us, batch, fc, out)
+            peaks.append((tracemalloc.get_traced_memory()[1], budget))
+        finally:
+            tracemalloc.stop()
+
+    for op, bv, picked, batches in ((_d_operator(2), [b[0].values], (10, 14), 1),
+                                    (_aa_operator(2), [c.values for c in b], (10, 15), 3)):
+        split = geom.split(op)
+        assert split[:2] == picked
+        _split_sum(geom, op, bv, split)  # builds the split's table
+        monkeypatch.setattr(muskat.potentials, "_far_field", traced)
+        peaks.clear()
+        _split_sum(geom, op, bv, split)
+        monkeypatch.setattr(muskat.potentials, "_far_field", far_field)
+        assert len(peaks) == batches
+        assert all(peak <= budget for peak, budget in peaks), (picked, peaks)
 
 
 def test_misspelled_core_mode_is_rejected():

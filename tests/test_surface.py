@@ -7,7 +7,6 @@ layer the package no longer has."""
 import ast
 import importlib
 import inspect
-import re
 from pathlib import Path
 
 import muskat
@@ -16,19 +15,22 @@ from muskat import potentials
 SRC = Path(__file__).resolve().parents[1] / "src" / "muskat"
 
 
+def _referenced(node):
+    """Every name node refers to in code: names, attributes and imported names."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
 def test_every_public_name_has_a_caller_in_the_package():
-    # a caller is a word-boundary reference outside the definition and __init__.py
-    texts = {p.name: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
-    uncalled = []
-    for name, text in texts.items():
-        lines = text.splitlines()
-        for node in ast.parse(text).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
-            others = [t for n, t in texts.items() if n != name] + [rest]
-            if not any(re.search(rf"\b{node.name}\b", t) for t in others):
-                uncalled.append(f"{name}:{node.name}")
+    # a caller is a code reference outside the definition and __init__.py; a
+    # docstring or a comment that names it is none
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
+             if p.name != "__init__.py"}
+    refs = [(name, node, _referenced(node)) for name, tree in trees.items() for node in tree.body]
+    uncalled = [f"{name}:{node.name}" for name, node, _ in refs
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and not any(node.name in names for _, other, names in refs if other is not node)]
     assert uncalled == []
 
 
